@@ -65,7 +65,7 @@ EXIT_GEOMETRY = 4
 FIG1_HEADER = "lambda0_Hz,m_c_amu,geometry_factor"
 FIG2_HEADER = "mass_amu,radius_nm,flux_J_m2,n0,n1,transmissivity,status"
 FIG3_HEADER = "segment,pressure_mbar,temperature_K"
-SCHEMAS = {"fig1": "fig1.v1", "fig2": "fig2.v1", "fig3": "fig3.v1"}
+SCHEMAS = {"fig1": "fig1.v1", "fig2": "fig2.v1", "fig3": "fig3.v2"}
 
 
 def _fmt(x: float) -> str:
@@ -289,6 +289,17 @@ def _fig3_rows(args: dict, mass_amu: float) -> list[str]:
     return rows
 
 
+def _write_fig3(args: dict, out_base: str) -> list[str]:
+    """One CSV per mass, named <stem>_m<mass><suffix>; returns the paths."""
+    stem = Path(out_base)
+    written = []
+    for mass_amu in args["masses_amu"]:
+        path = stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}")
+        _write_text(str(path), "\n".join(_fig3_rows(args, mass_amu)) + "\n")
+        written.append(str(path))
+    return written
+
+
 def cmd_fig3(ns, config, argv) -> int:
     p_lo, p_hi, p_steps = _parse_range(ns.p_range, "p-range")
     t_lo, t_hi, t_steps = _parse_range(ns.T_range, "T-range")
@@ -319,22 +330,10 @@ def cmd_fig3(ns, config, argv) -> int:
         "masses_amu": masses,
     }
     out_base = ns.out or "fig3.csv"
-    written = []
-    for mass_amu in masses:
-        rows = _fig3_rows(args, mass_amu)
-        stem = Path(out_base)
-        path = stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}")
-        _write_text(str(path), "\n".join(rows) + "\n")
-        written.append(str(path))
+    written = _write_fig3(args, out_base)
     manifest = _manifest("fig3", args, argv)
     manifest["outputs"] = written
     _write_manifest(out_base, manifest)
-    sidecar = {"decoherence_model": model_constants_dict(DEFAULT_MODEL),
-               "gas": {"temperature_K": env.gas_temperature,
-                       "mass_amu": args["gas_mass_amu"],
-                       "polarizability_A3": args["gas_polarizability_A3"]}}
-    Path(str(out_base) + ".model.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -464,10 +463,14 @@ def cmd_specfun_eval(ns, config, argv) -> int:
 
 def cmd_rerun(ns, config, argv) -> int:
     manifest = json.loads(Path(ns.manifest).read_text(encoding="utf-8"))
-    command = manifest.get("command")
-    args = manifest.get("args")
-    if command not in ("fig1", "fig2", "fig3") or args is None:
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    args = manifest.get("args") if command in SCHEMAS else None
+    if args is None:
         raise ConfigError(f"manifest does not describe a re-runnable sweep: {ns.manifest}")
+    # another schema means this version would not write the same bytes
+    if manifest.get("schema") != SCHEMAS[command]:
+        raise ConfigError(f"{ns.manifest}: schema {manifest.get('schema')!r} cannot be "
+                          f"reproduced; this version writes {SCHEMAS[command]!r}")
     if command == "fig1":
         rows = _fig1_rows(args)
         _write_text(ns.out, "\n".join(rows) + "\n")
@@ -475,12 +478,7 @@ def cmd_rerun(ns, config, argv) -> int:
         rows = _fig2_rows(args)
         _write_text(ns.out, "\n".join(rows) + "\n")
     else:
-        out_base = ns.out or "fig3_rerun.csv"
-        for mass_amu in args["masses_amu"]:
-            rows = _fig3_rows(args, mass_amu)
-            stem = Path(out_base)
-            path = stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}")
-            _write_text(str(path), "\n".join(rows) + "\n")
+        _write_fig3(args, ns.out or "fig3_rerun.csv")
     return EXIT_OK
 
 
@@ -492,10 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collapse-model feasibility numerics for a pulsed "
                     "optical Talbot-Lau interferometer.")
     parser.add_argument("--config", help="sectioned key=value config file")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="reserved; sweeps are evaluated in grid order")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="output format for sweep commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig1", help="critical-mass exclusion boundary sweep")
@@ -589,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(ns.config) if ns.config else None
         return ns.func(ns, config, argv)
-    except ConfigError as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError
 from .params import ClusterSpecies, CslParams, GratingConfig
@@ -86,10 +85,23 @@ def csl_exponent_oracle(species: ClusterSpecies, grating: GratingConfig,
     t_half = n * grating.talbot_time_for_mass(species.mass)
     nd = n * grating.period
     # Simpson on the opening half; the closing half is its mirror image.
-    t = np.linspace(0.0, t_half, time_steps + 1)
-    sep = nd * t / t_half
+    sep = np.linspace(0.0, nd, time_steps + 1)
     rate = csl.effective_rate(species.mass) * (-np.expm1(-(sep / (2.0 * csl.r_c)) ** 2))
-    return 2.0 * float(simpson(rate, x=t))
+    return 2.0 * _simpson(rate, t_half / time_steps)
+
+
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson's rule over samples y at spacing h.
+
+    An odd number of intervals takes Cartwright's three-point correction
+    for the last one, h (5 y[-1] + 8 y[-2] - y[-3]) / 12.
+    """
+    n = y.size - 1
+    m = n - n % 2
+    total = h / 3.0 * (y[0] + 4.0 * y[1:m:2].sum() + 2.0 * y[2:m:2].sum() + y[m])
+    if n % 2:
+        total += h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
+    return float(total)
 
 
 def csl_visibility_ratio_oracle(species: ClusterSpecies, grating: GratingConfig,
@@ -102,8 +114,7 @@ def critical_mass(csl: CslParams, grating: GratingConfig,
                   threshold: float = 0.5) -> float:
     """Mass at which the CSL visibility ratio drops to the threshold.
 
-    Closed-form cube-root inversion of the exponent; `critical_mass_bisect`
-    provides an independent fallback used for verification.
+    Closed-form cube-root inversion of the exponent.
     """
     if not (0.0 < threshold < 1.0):
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
@@ -116,37 +127,6 @@ def critical_mass(csl: CslParams, grating: GratingConfig,
     t0 = grating.talbot_time_for_mass(csl.m0)
     denom = 2.0 * csl.lambda0 * t0 * grating.talbot_order * g
     return csl.m0 * (math.log(1.0 / threshold) / denom) ** (1.0 / 3.0)
-
-
-def critical_mass_bisect(csl: CslParams, grating: GratingConfig,
-                         threshold: float = 0.5,
-                         species_template: ClusterSpecies | None = None) -> float:
-    """Bisection fallback for the critical mass (verification path)."""
-    if not (0.0 < threshold < 1.0):
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    if csl.lambda0 <= 0.0:
-        raise DomainError("critical mass requires lambda0 > 0")
-    target = math.log(1.0 / threshold)
-
-    def exponent_at(mass_kg: float) -> float:
-        species = (species_template.with_mass(mass_kg) if species_template
-                   else ClusterSpecies(mass_kg, 1.0, 1.0 + 0.0j, "probe"))
-        return csl_exponent(species, grating, csl)
-
-    lo, hi = 1e-30, 1e-30
-    while exponent_at(hi) < target:
-        hi *= 2.0
-        if hi > 1e10:
-            raise DomainError("no critical mass below 1e10 kg")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)  # geometric bisection over many decades
-        if exponent_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-14:
-            break
-    return math.sqrt(lo * hi)
 
 
 def exclusion_boundary(grating: GratingConfig, csl_template: CslParams,

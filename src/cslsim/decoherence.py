@@ -9,12 +9,11 @@ at the order-of-magnitude level only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .params import (
     BOHR_RADIUS,
     BOLTZMANN_KB,
@@ -54,13 +53,6 @@ class DecoherenceModel:
     # Fringe-resolving effectiveness of a photon event at wavelength
     # lambda: (2 pi N d / lambda)^2, capped at 1.
     photon_effectiveness_cap: float = 1.0
-    # Planck-spectrum integration window in x = hbar omega / kB T.
-    planck_x_min: float = 1e-3
-    planck_x_max: float = 50.0
-    # Maxwell-Boltzmann speed quadrature (Gauss-Legendre nodes on [0, u_max]
-    # in units of the most probable speed).
-    speed_quad_points: int = 32
-    speed_u_max: float = 6.0
 
 
 DEFAULT_MODEL = DecoherenceModel()
@@ -110,45 +102,55 @@ def collision_cross_section(speed: float, c6: float,
 
 def collision_rate(species: ClusterSpecies, env: EnvironmentConfig,
                    model: DecoherenceModel = DEFAULT_MODEL) -> float:
-    """Residual-gas collision rate n_gas <sigma_tot v>, linear in pressure."""
+    """Residual-gas collision rate n_gas <sigma_tot v>, linear in pressure.
+
+    sigma falls as v^(-2/5), so the Maxwell-Boltzmann mean
+    (4/sqrt(pi)) int u^3 exp(-u^2) sigma(v_p u) v_p du is
+    (2/sqrt(pi)) Gamma(9/5) v_p sigma(v_p), v_p the most probable speed.
+    """
     if env.gas_pressure == 0.0:
         return 0.0
     n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
     c6 = dispersion_coefficient(species, env, model)
     v_p = math.sqrt(2.0 * BOLTZMANN_KB * env.gas_temperature / env.gas_mass)
-    # <sigma v> over the Maxwell-Boltzmann speed distribution:
-    # (4/sqrt(pi)) integral u^3 exp(-u^2) sigma(v_p u) v_p du
-    nodes, weights = np.polynomial.legendre.leggauss(model.speed_quad_points)
-    u = 0.5 * model.speed_u_max * (nodes + 1.0)
-    w = 0.5 * model.speed_u_max * weights
-    sigma = model.c6_prefactor * (c6 / (HBAR * v_p * u)) ** 0.4
-    mean_sigma_v = (4.0 / math.sqrt(math.pi)) * v_p * np.sum(
-        w * u ** 3 * np.exp(-u * u) * sigma)
-    return n_gas * float(mean_sigma_v) * model.collision_effectiveness
+    mean_sigma_v = (2.0 / math.sqrt(math.pi) * math.gamma(1.8)
+                    * v_p * collision_cross_section(v_p, c6, model))
+    return n_gas * mean_sigma_v * model.collision_effectiveness
 
 
-def _photon_effectiveness(omega: float, nd: float,
-                          model: DecoherenceModel) -> float:
-    # (2 pi N d / lambda)^2 = (N d omega / c)^2, capped.
-    eff = (nd * omega / SPEED_OF_LIGHT) ** 2
-    return min(eff, model.photon_effectiveness_cap)
+def _bose_tail(m: int, x: float) -> float:
+    """int_x^inf t^m / (e^t - 1) dt for an integer m >= 4 and x >= 0.
+
+    Expanding 1/(e^t - 1) = sum_k e^(-k t) gives sum_k Gamma(m+1, k x) /
+    k^(m+1), with Gamma(m+1, y) = m! e^(-y) sum_{j<=m} y^j / j!.  The terms
+    fall like e^(-k x) and at least like k^-(m+1); stopping at k x >= 50 or
+    k = 1000 leaves out less than 1e-12 of the complete integral, which is
+    the sum at x = 0: m! zeta(m+1).
+    """
+    total = 0.0
+    for k in range(1, math.ceil(50.0 / max(x, 0.05)) + 1):
+        y = k * x
+        # e^(-y) y^j / j! is a Poisson weight: it never overflows
+        term = poisson = math.exp(-y)
+        for j in range(1, m + 1):
+            term *= y / j
+            poisson += term
+        total += poisson / k ** (m + 1)
+    return math.factorial(m) * total
 
 
-def _planck_integral(integrand, temperature: float,
-                     model: DecoherenceModel) -> float:
-    kt = BOLTZMANN_KB * temperature
+_BOSE_INTEGRAL = {m: _bose_tail(m, 0.0) for m in (6, 8)}
 
-    def f(x):
-        omega = x * kt / HBAR
-        return integrand(omega) / math.expm1(x)
 
-    value, abserr = quad(f, model.planck_x_min, model.planck_x_max,
-                         epsabs=0.0, epsrel=1e-10, limit=500)
-    if not math.isfinite(value) or (value != 0.0 and abserr > 1e-4 * abs(value)):
-        raise NonConvergenceError(
-            f"Planck integral did not converge (value={value}, err={abserr})")
-    # transform d omega = (kT/hbar) dx
-    return value * kt / HBAR
+def _capped_planck(power: int, a: float, cap: float) -> float:
+    """int_0^inf x^power min(a^2 x^2, cap) / (e^x - 1) dx.
+
+    The effectiveness a^2 x^2 saturates at x = sqrt(cap) / a: below that the
+    integrand is a^2 x^(power+2) / (e^x - 1), above it cap x^power / (e^x - 1).
+    """
+    kink = math.sqrt(cap) / a
+    below = _BOSE_INTEGRAL[power + 2] - _bose_tail(power + 2, kink)
+    return a * a * below + cap * _bose_tail(power, kink)
 
 
 def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
@@ -164,32 +166,30 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
     Emission balances absorption at the cluster temperature (equilibrium
     assumption), evaluated at its own temperature so an overridden cluster
     temperature is honored.
+
+    Cross section times photon flux is a power of omega, so with
+    x = hbar omega / kB T each rate is (kB T / hbar)^(power+1) times a
+    Bose integral, cut where the effectiveness (N d omega / c)^2 reaches
+    its cap.
     """
-    radius = cluster_radius(species)
     nd = grating.talbot_order * grating.period
-    r3 = radius ** 3
+    r3 = cluster_radius(species) ** 3
     c = SPEED_OF_LIGHT
+    # sigma(omega) times the photon flux omega^2 / (pi^2 c^2), per omega^power:
+    # Drude absorption 4 pi (omega/c) R^3 * 3 eps0 omega / sigma_dc, and
+    # Rayleigh scattering (8 pi / 3) (omega/c)^4 R^6.
+    k_abs = 12.0 * VACUUM_PERMITTIVITY * r3 / (math.pi * model.dc_conductivity * c ** 3)
+    k_sca = 8.0 * r3 * r3 / (3.0 * math.pi * c ** 6)
 
-    def abs_integrand(omega):
-        # sigma_abs(omega) = 4 pi (omega/c) R^3 * 3 eps0 omega / sigma_dc,
-        # times photon number density omega^2/(pi^2 c^3), times c.
-        sigma_abs = (4.0 * math.pi * (omega / c) * r3
-                     * 3.0 * VACUUM_PERMITTIVITY * omega / model.dc_conductivity)
-        flux_density = omega * omega / (math.pi ** 2 * c * c)
-        return sigma_abs * flux_density * _photon_effectiveness(omega, nd, model)
-
-    def sca_integrand(omega):
-        k = omega / c
-        sigma_sca = (8.0 * math.pi / 3.0) * k ** 4 * r3 * r3
-        flux_density = omega * omega / (math.pi ** 2 * c * c)
-        return sigma_sca * flux_density * _photon_effectiveness(omega, nd, model)
+    def planck(power: int, temperature: float) -> float:
+        w = BOLTZMANN_KB * temperature / HBAR
+        return w ** (power + 1) * _capped_planck(
+            power, nd * w / c, model.photon_effectiveness_cap)
 
     t_env = env.radiation_temperature
-    t_cluster = env.internal_temperature
-    rate_abs = _planck_integral(abs_integrand, t_env, model)
-    rate_em = _planck_integral(abs_integrand, t_cluster, model)
-    rate_sca = _planck_integral(sca_integrand, t_env, model)
-    return rate_abs, rate_em, rate_sca
+    return (k_abs * planck(4, t_env),
+            k_abs * planck(4, env.internal_temperature),
+            k_sca * planck(6, t_env))
 
 
 def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
@@ -230,14 +230,19 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
                      level: float = 0.5,
                      model: DecoherenceModel = DEFAULT_MODEL
                      ) -> list[list[tuple[float, float]]]:
-    """Trace the visibility_factor = level set over a (pressure, T) grid.
+    """The visibility_factor = level set over a (pressure, T) grid.
 
     The temperature axis is the radiation (ambient) temperature; the gas
     temperature stays at the template value so the two knobs remain the
-    independently variable ones.  Marching squares on the log10(p) x T
-    grid with edge bisection; returns ordered polylines of (pressure_Pa,
-    temperature_K).  An empty list is a valid result (no crossing on the
-    grid).
+    independently variable ones.  ln(factor) = -(a p + b(T)) t_total, with
+    a the collision rate per Pa and b(T) the blackbody rate, which rises
+    strictly with T.  So the level set is one curve on which p falls as T
+    rises, and it crosses each grid line at most once: a grid temperature
+    at p = (ln(1/level) / t_total - b(T)) / a, and a grid pressure where
+    b(T) = ln(1/level) / t_total - a p, between the two grid temperatures
+    whose b values bracket it.  Returns one polyline of (pressure_Pa,
+    temperature_K), one vertex per crossed grid line in increasing T; an
+    empty list is a valid result (no crossing on the grid).
     """
     pressures = np.asarray(list(pressure_grid), dtype=float)
     temperatures = np.asarray(list(temperature_grid), dtype=float)
@@ -245,142 +250,54 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
         raise DomainError("contour tracing needs at least a 2 x 2 grid")
     if np.any(pressures <= 0.0) or np.any(temperatures <= 0.0):
         raise DomainError("grid values must be positive")
+    pressures, temperatures = np.unique(pressures), np.unique(temperatures)
     base_env = env_template if env_template is not None else EnvironmentConfig()
 
-    t_total = total_interference_time(species, grating)
-
-    # ln(factor) = -(coll_coeff * p + bb(T)) * t_total; cache both pieces.
-    unit_env = _env_with(base_env, pressure=1.0, radiation=base_env.radiation_temperature)
-    coll_coeff = collision_rate(species, unit_env, model)  # rate per Pa
-
-    bb_cache: dict[float, float] = {}
+    budget = -math.log(level) / total_interference_time(species, grating)
+    coll_coeff = collision_rate(species, replace(base_env, gas_pressure=1.0), model)
 
     def bb_rate(temperature: float) -> float:
-        if temperature not in bb_cache:
-            env = _env_with(base_env, pressure=0.0, radiation=temperature)
-            a, e, s = blackbody_rates(species, env, grating, model)
-            bb_cache[temperature] = a + e + s
-        return bb_cache[temperature]
+        env = replace(base_env, gas_pressure=0.0, environment_temperature=temperature)
+        return sum(blackbody_rates(species, env, grating, model))
 
-    log_level = math.log(level)
-
-    def field(log10_p: float, temperature: float) -> float:
-        # ln(visibility factor) - ln(level); sign change marks the contour.
-        p = 10.0 ** log10_p
-        return -(coll_coeff * p + bb_rate(temperature)) * t_total - log_level
-
-    lp = np.log10(pressures)
-    values = np.array([[field(x, t) for t in temperatures] for x in lp])
-
-    segments = _marching_squares(lp, temperatures, values, field)
-    polylines = _chain_segments(segments)
-    return [[(10.0 ** x, t) for x, t in line] for line in polylines]
+    bb = np.array([bb_rate(t) for t in temperatures])
+    vertices = [(p, t) for p, t in zip((budget - bb) / coll_coeff, temperatures)
+                if pressures[0] <= p <= pressures[-1]]
+    targets = budget - coll_coeff * pressures
+    # bb[j - 1] <= target < bb[j]; a target equal to a grid value is a grid
+    # node, already found on its temperature line
+    for p, target, j in zip(pressures, targets, np.searchsorted(bb, targets, side="right")):
+        if 0 < j < bb.size and bb[j - 1] < target:
+            vertices.append((p, _solve_temperature(
+                bb_rate, target, temperatures[j - 1], temperatures[j], bb[j - 1], bb[j])))
+    vertices.sort(key=lambda v: (v[1], -v[0]))
+    return [[(float(p), float(t)) for p, t in vertices]] if vertices else []
 
 
-def _env_with(env: EnvironmentConfig, pressure: float,
-              radiation: float) -> EnvironmentConfig:
-    return EnvironmentConfig(
-        gas_pressure=pressure,
-        gas_temperature=env.gas_temperature,
-        gas_mass=env.gas_mass,
-        gas_polarizability_volume=env.gas_polarizability_volume,
-        environment_temperature=radiation,
-        cluster_temperature=env.cluster_temperature,
-    )
+def _solve_temperature(bb_rate, target: float, t_lo: float, t_hi: float,
+                       b_lo: float, b_hi: float) -> float:
+    """T in (t_lo, t_hi) with bb_rate(T) = target, given b_lo < target < b_hi.
 
-
-def _edge_crossing(field, p0, v0, p1, v1, rel_tol=1e-3):
-    """Bisect the field along a grid edge until the crossing coordinate is
-    located to rel_tol of the edge length."""
-    (x0, y0), (x1, y1) = p0, p1
-    lo, hi = 0.0, 1.0
-    f_lo = v0
-    while hi - lo > rel_tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = field(x0 + mid * (x1 - x0), y0 + mid * (y1 - y0))
-        if f_mid == 0.0:
-            lo = hi = mid
+    Illinois (regula falsi that halves the stale end's weight) on ln b
+    against ln T: b is close to a power of T, so ln b is nearly linear in
+    ln T and a few steps bring ln b within 1e-12 of ln target.
+    """
+    x0, x1 = math.log(t_lo), math.log(t_hi)
+    g0, g1 = math.log(b_lo / target), math.log(b_hi / target)
+    kept = 0
+    for _ in range(100):  # bounded in case rounding stalls ln b above 1e-12
+        x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        g = math.log(bb_rate(math.exp(x)) / target)
+        if abs(g) <= 1e-12:
             break
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
+        if g > 0.0:
+            x1, g1 = x, g
+            if kept == 1:
+                g0 *= 0.5
+            kept = 1
         else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    return (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
-
-
-def _marching_squares(xs, ys, values, field):
-    """Per-cell contour segments of the zero level set."""
-    nx, ny = values.shape
-    # crossing points shared between neighbouring cells, keyed by edge
-    crossings = {}
-
-    def crossing(i0, j0, i1, j1):
-        key = (i0, j0, i1, j1)
-        if key not in crossings:
-            crossings[key] = _edge_crossing(
-                field, (xs[i0], ys[j0]), values[i0, j0],
-                (xs[i1], ys[j1]), values[i1, j1])
-        return crossings[key]
-
-    segments = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            signs = [values[a, b] >= 0.0 for a, b in corners]
-            if all(signs) or not any(signs):
-                continue
-            edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
-            pts = []
-            for (a, b) in edges:
-                if (values[a] >= 0.0) != (values[b] >= 0.0):
-                    pts.append(crossing(*a, *b))
-            if len(pts) == 2:
-                segments.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                # saddle: split by the cell-center sign
-                xc = 0.5 * (xs[i] + xs[i + 1])
-                yc = 0.5 * (ys[j] + ys[j + 1])
-                center_positive = field(xc, yc) >= 0.0
-                if (values[corners[0]] >= 0.0) == center_positive:
-                    segments.append((pts[0], pts[3]))
-                    segments.append((pts[1], pts[2]))
-                else:
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-    return segments
-
-
-def _chain_segments(segments, tol=1e-9):
-    """Merge unordered segments into ordered polylines."""
-    def key(point):
-        return (round(point[0] / tol), round(point[1] / tol))
-
-    by_endpoint: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(segments):
-        by_endpoint.setdefault(key(a), []).append(idx)
-        by_endpoint.setdefault(key(b), []).append(idx)
-
-    used = set()
-    polylines = []
-    for idx, seg in enumerate(segments):
-        if idx in used:
-            continue
-        used.add(idx)
-        line = [seg[0], seg[1]]
-        for grow_tail in (True, False):
-            while True:
-                tip = line[-1] if grow_tail else line[0]
-                next_idx = next((i for i in by_endpoint.get(key(tip), [])
-                                 if i not in used), None)
-                if next_idx is None:
-                    break
-                used.add(next_idx)
-                a, b = segments[next_idx]
-                nxt = b if key(a) == key(tip) else a
-                if grow_tail:
-                    line.append(nxt)
-                else:
-                    line.insert(0, nxt)
-        polylines.append(line)
-    return polylines
+            x0, g0 = x, g
+            if kept == -1:
+                g1 *= 0.5
+            kept = -1
+    return math.exp(x)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,65 @@ def test_manifest_rerun_fig2_byte_identical(tmp_path):
     assert run(["rerun", "--manifest", str(tmp_path / "fig2.csv.manifest.json"),
                 "--out", str(replay)]) == EXIT_OK
     assert replay.read_bytes() == out.read_bytes()
+
+
+def test_manifest_rerun_fig3_byte_identical(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert run(["fig3", "--masses", "1e6,3e7", "--p-range=-14:-6:13",
+                "--T-range=4:400:13", "--out", str(out)]) == EXIT_OK
+    meta = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())
+    assert meta["schema"] == "fig3.v2"
+    assert not (tmp_path / "fig3.csv.model.json").exists()
+    replay = tmp_path / "replay.csv"
+    assert run(["rerun", "--manifest", str(tmp_path / "fig3.csv.manifest.json"),
+                "--out", str(replay)]) == EXIT_OK
+    for mass in ("1e+06", "3e+07"):
+        original = (tmp_path / f"fig3_m{mass}.csv").read_bytes()
+        assert original.count(b"\n") > 2
+        assert (tmp_path / f"replay_m{mass}.csv").read_bytes() == original
+
+
+def test_rerun_refuses_another_schema(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert run(["fig3", "--masses", "1e7", "--p-range=-14:-6:5",
+                "--T-range=4:400:5", "--out", str(out)]) == EXIT_OK
+    manifest = tmp_path / "fig3.csv.manifest.json"
+    meta = json.loads(manifest.read_text())
+    meta["schema"] = "fig3.v1"
+    manifest.write_text(json.dumps(meta))
+    assert run(["rerun", "--manifest", str(manifest),
+                "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
+    assert not (tmp_path / "replay_m1e+07.csv").exists()
+
+
+def test_unreadable_manifest_is_usage_error(tmp_path):
+    assert run(["rerun", "--manifest", str(tmp_path / "missing.json")]) == EXIT_USAGE
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert run(["rerun", "--manifest", str(broken)]) == EXIT_USAGE
+    broken.write_text("[]")
+    assert run(["rerun", "--manifest", str(broken)]) == EXIT_USAGE
+
+
+def test_unwritable_output_is_usage_error(tmp_path):
+    assert run(["fig1", "--lambda0-range=-12:-10:3",
+                "--out", str(tmp_path / "missing" / "f.csv")]) == EXIT_USAGE
+
+
+def test_removed_global_flags_are_usage_errors(tmp_path):
+    for flag in (["--format", "json"], ["--jobs", "2"]):
+        assert run([*flag, "fig1", "--out", str(tmp_path / "f.csv")]) == EXIT_USAGE
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cslsim.cli; print(*(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.split() == []
 
 
 def test_bad_range_is_usage_error(tmp_path):

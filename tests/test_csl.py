@@ -3,11 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from cslsim.csl import (
+    _simpson,
     critical_mass,
-    critical_mass_bisect,
     csl_decay_rate,
     csl_exponent,
     csl_exponent_oracle,
@@ -17,13 +17,39 @@ from cslsim.csl import (
     geometry_factor,
 )
 from cslsim.errors import DomainError
-from cslsim.params import ATOMIC_MASS_UNIT, CslParams, GratingConfig, default_grating, gold_cluster
+from cslsim.params import (
+    ATOMIC_MASS_UNIT,
+    ClusterSpecies,
+    CslParams,
+    GratingConfig,
+    default_grating,
+    gold_cluster,
+)
 
 AMU = ATOMIC_MASS_UNIT
 
 
 def make_csl(lambda0, r_c=100e-9):
     return CslParams(r_c=r_c, lambda0=lambda0)
+
+
+def critical_mass_bisect(csl, grating, threshold=0.5):
+    """Oracle for the critical mass: geometric bisection on the exponent."""
+    target = math.log(1.0 / threshold)
+
+    def exponent_at(mass_kg):
+        return csl_exponent(ClusterSpecies(mass_kg, 1.0, 1.0 + 0.0j, "probe"), grating, csl)
+
+    lo, hi = 1e-30, 1e-30
+    while exponent_at(hi) < target:
+        hi *= 2.0
+    while hi / lo >= 1.0 + 1e-14:
+        mid = math.sqrt(lo * hi)  # geometric bisection over many decades
+        if exponent_at(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
 
 
 def test_decay_rate_limits():
@@ -91,6 +117,15 @@ def test_closed_form_matches_path_history_oracle():
         closed = csl_exponent(species, grating, csl)
         oracle = csl_exponent_oracle(species, grating, csl, time_steps=100_000)
         assert closed == pytest.approx(oracle, rel=1e-6)
+
+
+@pytest.mark.parametrize("intervals", [1000, 1001, 1002, 1003])
+def test_simpson_matches_scipy(intervals):
+    # odd interval counts take Cartwright's last-interval correction, as
+    # scipy.integrate.simpson does
+    x = np.linspace(0.0, 2.5, intervals + 1)
+    y = np.sin(3.0 * x) + np.random.default_rng(intervals).normal(0.0, 0.1, x.size)
+    assert _simpson(y, 2.5 / intervals) == pytest.approx(simpson(y, x=x), rel=1e-12)
 
 
 def test_ratio_oracle_agrees_when_representable():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import cslsim.decoherence as decoherence
 from cslsim.decoherence import (
     DEFAULT_MODEL,
     DecoherenceModel,
@@ -17,9 +19,15 @@ from cslsim.decoherence import (
 )
 from cslsim.errors import DomainError
 from cslsim.params import (
+    BOLTZMANN_KB,
+    HBAR,
+    SPEED_OF_LIGHT,
+    VACUUM_PERMITTIVITY,
     EnvironmentConfig,
+    cluster_radius,
     default_grating,
     gold_cluster,
+    total_interference_time,
 )
 
 MBAR = 100.0  # Pa per mbar
@@ -29,6 +37,70 @@ def env(pressure_mbar=0.0, gas_T=300.0, rad_T=300.0):
     return EnvironmentConfig(gas_pressure=pressure_mbar * MBAR,
                              gas_temperature=gas_T,
                              environment_temperature=rad_T)
+
+
+def blackbody_oracle(species, environment, grating, model=DEFAULT_MODEL):
+    """The three thermal photon rates by adaptive quadrature of cross
+    section x photon flux x capped effectiveness over the Planck spectrum."""
+    nd = grating.talbot_order * grating.period
+    r3 = cluster_radius(species) ** 3
+    c = SPEED_OF_LIGHT
+
+    def effectiveness(omega):
+        return min((nd * omega / c) ** 2, model.photon_effectiveness_cap)
+
+    def absorption(omega):
+        sigma_abs = (4.0 * math.pi * (omega / c) * r3
+                     * 3.0 * VACUUM_PERMITTIVITY * omega / model.dc_conductivity)
+        return sigma_abs * omega * omega / (math.pi ** 2 * c * c) * effectiveness(omega)
+
+    def scattering(omega):
+        sigma_sca = (8.0 * math.pi / 3.0) * (omega / c) ** 4 * r3 * r3
+        return sigma_sca * omega * omega / (math.pi ** 2 * c * c) * effectiveness(omega)
+
+    def planck(integrand, temperature):
+        w = BOLTZMANN_KB * temperature / HBAR
+        value, abserr = quad(lambda x: integrand(x * w) / math.expm1(x), 1e-3, 50.0,
+                             epsabs=0.0, epsrel=1e-10, limit=500)
+        assert abserr <= 1e-10 * value
+        return value * w
+
+    t_env = environment.radiation_temperature
+    return (planck(absorption, t_env), planck(absorption, environment.internal_temperature),
+            planck(scattering, t_env))
+
+
+def collision_oracle(species, environment, model=DEFAULT_MODEL):
+    """n_gas <sigma v> by adaptive quadrature over the Maxwell-Boltzmann speeds."""
+    c6 = dispersion_coefficient(species, environment, model)
+    v_p = math.sqrt(2.0 * BOLTZMANN_KB * environment.gas_temperature / environment.gas_mass)
+    value, _ = quad(lambda u: u ** 3 * math.exp(-u * u)
+                    * collision_cross_section(v_p * u, c6, model),
+                    1e-12, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    n_gas = environment.gas_pressure / (BOLTZMANN_KB * environment.gas_temperature)
+    return n_gas * 4.0 / math.sqrt(math.pi) * v_p * value * model.collision_effectiveness
+
+
+@pytest.mark.parametrize("mass", [1e5, 1e6, 1e7, 1e8])
+def test_blackbody_rates_match_quadrature_oracle(mass):
+    # above about 1000 K the effectiveness cap cuts into the spectrum
+    grating = default_grating()
+    for temperature in (4.0, 77.0, 300.0, 400.0, 1000.0, 3000.0, 10000.0):
+        e = env(0.0, rad_T=temperature)
+        got = blackbody_rates(gold_cluster(mass), e, grating)
+        expected = blackbody_oracle(gold_cluster(mass), e, grating)
+        assert got == pytest.approx(expected, rel=1e-9)
+    hot_cluster = EnvironmentConfig(environment_temperature=77.0, cluster_temperature=3000.0)
+    assert blackbody_rates(gold_cluster(mass), hot_cluster, grating) == pytest.approx(
+        blackbody_oracle(gold_cluster(mass), hot_cluster, grating), rel=1e-9)
+
+
+def test_collision_rate_matches_quadrature_oracle():
+    for mass in (1e5, 1e6, 1e7, 1e8):
+        for gas_T in (4.0, 77.0, 300.0, 1000.0):
+            e = env(1e-9, gas_T=gas_T)
+            assert collision_rate(gold_cluster(mass), e) == pytest.approx(
+                collision_oracle(gold_cluster(mass), e), rel=1e-9)
 
 
 def test_collision_rate_vanishes_in_perfect_vacuum():
@@ -170,6 +242,66 @@ def test_contour_monotone_and_nested():
     hot = [contour_pressure_at(lines_hot, t) for t in (100.0, 130.0, 160.0, 180.0)]
     assert all(h is not None for h in hot)
     assert all(a > b for a, b in zip(hot, hot[1:]))
+
+
+@pytest.mark.parametrize("mass", [1e6, 1e7, 1e8])
+def test_contour_vertices_are_the_oracle_grid_crossings(mass):
+    # the fig3 default grid
+    grating = default_grating()
+    species = gold_cluster(mass)
+    pressures = np.logspace(-14, -6, 60) * MBAR
+    temperatures = np.linspace(4.0, 400.0, 60)
+    lines = critical_contour(species, grating, pressures, temperatures)
+    assert len(lines) == 1
+    vertices = lines[0]
+    assert [t for _, t in vertices] == sorted(t for _, t in vertices)
+
+    level_exposure = math.log(2.0)
+    t_total = total_interference_time(species, grating)
+    per_pa = collision_oracle(species, env(1.0 / MBAR))
+
+    def bb(temperature):
+        return sum(blackbody_oracle(species, env(0.0, rad_T=temperature), grating))
+
+    for p, t in vertices:
+        assert p in pressures or t in temperatures
+        assert (per_pa * p + bb(t)) * t_total == pytest.approx(level_exposure, rel=1e-8)
+
+    bb_grid = np.array([bb(t) for t in temperatures])
+    above = (per_pa * pressures[:, None] + bb_grid[None, :]) * t_total > level_exposure
+    sign_changes = (np.count_nonzero(above[1:, :] != above[:-1, :])
+                    + np.count_nonzero(above[:, 1:] != above[:, :-1]))
+    assert len(vertices) == sign_changes
+
+
+def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
+    # Stub rates: a = 1 per Pa and b(T) = T, so the level set is p + T = B.
+    # With T within a factor of two of B every subtraction below is exact,
+    # and the grid pressure B - T[1] puts the contour on a grid node.
+    monkeypatch.setattr(decoherence, "collision_rate",
+                        lambda species, environment, model: environment.gas_pressure)
+    monkeypatch.setattr(decoherence, "blackbody_rates",
+                        lambda species, environment, grating, model:
+                        (environment.radiation_temperature, 0.0, 0.0))
+    species, grating = gold_cluster(1e6), default_grating()
+    budget = math.log(2.0) / total_interference_time(species, grating)
+    temperatures = [0.55 * budget, 0.7 * budget, 0.85 * budget]
+    pressures = [0.01 * budget, budget - temperatures[1], 0.4 * budget, 0.6 * budget]
+    lines = critical_contour(species, grating, pressures, temperatures)
+    assert lines == [[(budget - temperatures[0], temperatures[0]),
+                      (0.4 * budget, pytest.approx(0.6 * budget, rel=1e-12)),
+                      (budget - temperatures[1], temperatures[1]),
+                      (budget - temperatures[2], temperatures[2])]]
+
+
+def test_contour_accepts_unsorted_grids():
+    grating = default_grating()
+    pressures = np.logspace(-13, -5, 33) * MBAR
+    temperatures = np.linspace(80.0, 320.0, 25)
+    reference = critical_contour(gold_cluster(1e8), grating, pressures, temperatures)
+    shuffled = critical_contour(gold_cluster(1e8), grating, pressures[::-1],
+                                np.random.default_rng(3).permutation(temperatures))
+    assert shuffled == reference
 
 
 def test_contour_empty_when_no_crossing():
