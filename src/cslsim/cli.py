@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .csl import (
-    critical_mass,
     csl_visibility_ratio,
     csl_visibility_ratio_oracle,
     exclusion_boundary,
+    geometry_factor,
 )
 from .decoherence import (
     DEFAULT_MODEL,
@@ -37,7 +37,12 @@ from .errors import (
     NonConvergenceError,
     UnachievableTargetError,
 )
-from .interferometer import flux_for_target_visibility, observables, visibility
+from .interferometer import (
+    flux_for_target_visibility,
+    observables,
+    solve_modulation_for_visibility,
+    transmissivity,
+)
 from .mie import absorption_profile
 from .params import (
     CONSTANTS,
@@ -53,8 +58,6 @@ from .params import (
     mbar_to_pa,
     pa_to_mbar,
 )
-from .specfun import bessel_I, erf, spherical_bessel_j, spherical_hankel_h1
-from .interferometer import transmissivity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,7 +68,7 @@ EXIT_GEOMETRY = 4
 FIG1_HEADER = "lambda0_Hz,m_c_amu,geometry_factor"
 FIG2_HEADER = "mass_amu,radius_nm,flux_J_m2,n0,n1,transmissivity,status"
 FIG3_HEADER = "segment,pressure_mbar,temperature_K"
-SCHEMAS = {"fig1": "fig1.v1", "fig2": "fig2.v1", "fig3": "fig3.v2"}
+SCHEMAS = {"fig1": "fig1.v1", "fig2": "fig2.v2", "fig3": "fig3.v2"}
 
 
 def _fmt(x: float) -> str:
@@ -137,10 +140,18 @@ def _manifest(command: str, args_dict: dict, argv: list[str]) -> dict:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write through a temporary file in the same directory, so a failed
+    write never leaves a partial file under the final name."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        Path(path).write_bytes(text.encode("utf-8"))
+        return
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_manifest(out_path: str | None, manifest: dict) -> None:
@@ -148,7 +159,7 @@ def _write_manifest(out_path: str | None, manifest: dict) -> None:
     if out_path is None or out_path == "-":
         sys.stderr.write(text)
     else:
-        Path(str(out_path) + ".manifest.json").write_text(text, encoding="utf-8")
+        _write_text(str(out_path) + ".manifest.json", text)
 
 
 def _resolve_species(ns, config) -> ClusterSpecies:
@@ -185,14 +196,11 @@ def _fig1_rows(args: dict) -> list[str]:
     csl = CslParams(r_c=args["rc_m"], lambda0=1.0, m0=amu_to_kg(args["m0_amu"]))
     grid = _log_grid(args["lo_log10"], args["hi_log10"], args["steps"])
     markers = [m for m in args["markers"] if m not in grid]
-    from .csl import geometry_factor
-    g = geometry_factor(grating, csl)
-    rows = [FIG1_HEADER]
-    for lam in sorted(grid + markers, reverse=True):
-        point = CslParams(r_c=args["rc_m"], lambda0=lam, m0=amu_to_kg(args["m0_amu"]))
-        mc = critical_mass(point, grating, args["threshold"])
-        rows.append(",".join([_fmt(lam), _fmt(mc / amu_to_kg(1.0)), _fmt(g)]))
-    return rows
+    g = _fmt(geometry_factor(grating, csl))
+    boundary = exclusion_boundary(grating, csl, sorted(grid + markers, reverse=True),
+                                  args["threshold"])
+    return [FIG1_HEADER] + [",".join([_fmt(lam), _fmt(mc / amu_to_kg(1.0)), g])
+                            for lam, mc in boundary]
 
 
 def cmd_fig1(ns, config, argv) -> int:
@@ -221,26 +229,36 @@ def _fig2_rows(args: dict) -> list[str]:
         1.0, args["density_kg_m3"],
         complex(args["eps_re"], args["eps_im"]), args["label"])
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
+    target_v = args["target_v"]
+    # n1 at the target V depends on neither the mass nor the Talbot order
+    try:
+        n1_target = solve_modulation_for_visibility(target_v)
+    except UnachievableTargetError:
+        n1_target = None
     rows = [FIG2_HEADER]
     for mass_amu in _log_grid(args["lo_log10"], args["hi_log10"], args["steps"]):
         sp = species.with_mass(amu_to_kg(mass_amu))
-        radius_nm = cluster_radius(sp) * 1e9
+        radius = cluster_radius(sp)
+        cells = [_fmt(mass_amu), _fmt(radius * 1e9)]
+        if n1_target is None:
+            rows.append(",".join(cells + ["nan"] * 4 + ["unreachable"]))
+            continue
         try:
-            flux = flux_for_target_visibility(sp, grating, args["target_v"])
-            profile = absorption_profile(sp, grating, flux)
+            # one Mie evaluation per mass, at unit flux; a sphere past the
+            # geometry guard has none, and the flux solve raises for it
+            reference = (absorption_profile(sp, grating, 1.0)
+                         if radius < grating.period else None)
+            flux = flux_for_target_visibility(sp, grating, target_v,
+                                              n1_target=n1_target, reference=reference)
+            profile = reference.scaled_to(flux)
             trans = transmissivity(profile.n0, max(profile.n1, 0.0))
-            rows.append(",".join([
-                _fmt(mass_amu), _fmt(radius_nm), _fmt(flux),
-                _fmt(profile.n0), _fmt(profile.n1), _fmt(trans), "ok"]))
+            cells += [_fmt(flux), _fmt(profile.n0), _fmt(profile.n1), _fmt(trans), "ok"]
         except GeometryError:
-            rows.append(",".join([
-                _fmt(mass_amu), _fmt(radius_nm), "nan", "nan", "nan", "nan",
-                "geometry_error"]))
-        except (DomainError, UnachievableTargetError):
+            cells += ["nan"] * 4 + ["geometry_error"]
+        except DomainError:
             # n1 <= 0 at this sphere size: no flux reaches the target V
-            rows.append(",".join([
-                _fmt(mass_amu), _fmt(radius_nm), "nan", "nan", "nan", "nan",
-                "unreachable"]))
+            cells += ["nan"] * 4 + ["unreachable"]
+        rows.append(",".join(cells))
     return rows
 
 
@@ -290,14 +308,19 @@ def _fig3_rows(args: dict, mass_amu: float) -> list[str]:
 
 
 def _write_fig3(args: dict, out_base: str) -> list[str]:
-    """One CSV per mass, named <stem>_m<mass><suffix>; returns the paths."""
+    """One CSV per mass, named <stem>_m<mass><suffix>; returns the paths.
+
+    Every mass is computed before any file is written, so a mass that
+    fails leaves no output behind.
+    """
     stem = Path(out_base)
-    written = []
+    outputs = []
     for mass_amu in args["masses_amu"]:
         path = stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}")
-        _write_text(str(path), "\n".join(_fig3_rows(args, mass_amu)) + "\n")
-        written.append(str(path))
-    return written
+        outputs.append((str(path), "\n".join(_fig3_rows(args, mass_amu)) + "\n"))
+    for path, text in outputs:
+        _write_text(path, text)
+    return [path for path, _ in outputs]
 
 
 def cmd_fig3(ns, config, argv) -> int:
@@ -439,46 +462,34 @@ def cmd_csl_ratio(ns, config, argv) -> int:
     return EXIT_OK
 
 
-def cmd_specfun_eval(ns, config, argv) -> int:
-    fn = ns.function
-    if fn == "jl":
-        value = spherical_bessel_j(ns.ell, complex(ns.re, ns.im))
-        text = f"{_fmt(value.real)} {_fmt(value.imag)}"
-    elif fn == "h1":
-        value = spherical_hankel_h1(ns.ell, ns.re)
-        text = f"{_fmt(value.real)} {_fmt(value.imag)}"
-    elif fn == "besseli":
-        text = _fmt(bessel_I(ns.ell, ns.re))
-    elif fn == "erf":
-        text = _fmt(erf(ns.re))
-    elif fn == "visibility":
-        text = _fmt(visibility(ns.re))
-    else:
-        raise ConfigError(f"unknown function {fn!r}")
-    _write_text(ns.out, text + "\n")
-    return EXIT_OK
-
-
 # -- rerun -------------------------------------------------------------------
+
+class _ManifestArgs(dict):
+    """A manifest's `args`: a missing key is a config error, not a KeyError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"manifest args lack {key!r}")
+
 
 def cmd_rerun(ns, config, argv) -> int:
     manifest = json.loads(Path(ns.manifest).read_text(encoding="utf-8"))
     command = manifest.get("command") if isinstance(manifest, dict) else None
     args = manifest.get("args") if command in SCHEMAS else None
-    if args is None:
+    if not isinstance(args, dict):
         raise ConfigError(f"manifest does not describe a re-runnable sweep: {ns.manifest}")
-    # another schema means this version would not write the same bytes
-    if manifest.get("schema") != SCHEMAS[command]:
-        raise ConfigError(f"{ns.manifest}: schema {manifest.get('schema')!r} cannot be "
-                          f"reproduced; this version writes {SCHEMAS[command]!r}")
-    if command == "fig1":
-        rows = _fig1_rows(args)
-        _write_text(ns.out, "\n".join(rows) + "\n")
-    elif command == "fig2":
-        rows = _fig2_rows(args)
-        _write_text(ns.out, "\n".join(rows) + "\n")
-    else:
+    # another schema, other constants or another decoherence model mean
+    # this build would not write the same bytes
+    build = _manifest(command, args, argv)
+    for key in ("schema", "constants", "decoherence_model"):
+        if manifest.get(key) != build[key]:
+            raise ConfigError(f"{ns.manifest}: {key} {manifest.get(key)!r} cannot be "
+                              f"reproduced; this build has {build[key]!r}")
+    args = _ManifestArgs(args)
+    if command == "fig3":
         _write_fig3(args, ns.out or "fig3_rerun.csv")
+    else:
+        rows = {"fig1": _fig1_rows, "fig2": _fig2_rows}[command](args)
+        _write_text(ns.out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -555,15 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-steps", type=int, default=100_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_csl_ratio)
-
-    p = sub.add_parser("specfun-eval", help=argparse.SUPPRESS)
-    p.add_argument("--function", required=True,
-                   choices=["jl", "h1", "besseli", "erf", "visibility"])
-    p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--re", type=float, default=0.0)
-    p.add_argument("--im", type=float, default=0.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_specfun_eval)
 
     p = sub.add_parser("rerun", help="re-execute a sweep from its manifest")
     p.add_argument("--manifest", required=True)

@@ -130,7 +130,8 @@ def critical_mass(csl: CslParams, grating: GratingConfig,
 
 
 def exclusion_boundary(grating: GratingConfig, csl_template: CslParams,
-                       lambda0_grid) -> list[tuple[float, float]]:
+                       lambda0_grid, threshold: float = 0.5
+                       ) -> list[tuple[float, float]]:
     """Critical mass along a grid of localization rates.
 
     Returns (lambda0, m_c) pairs in grid order; in log-log coordinates the
@@ -141,5 +142,5 @@ def exclusion_boundary(grating: GratingConfig, csl_template: CslParams,
         if not (lam > 0.0 and math.isfinite(lam)):
             raise DomainError(f"lambda0 grid values must be > 0, got {lam}")
         csl = CslParams(r_c=csl_template.r_c, lambda0=lam, m0=csl_template.m0)
-        out.append((lam, critical_mass(csl, grating)))
+        out.append((lam, critical_mass(csl, grating, threshold)))
     return out

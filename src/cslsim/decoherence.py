@@ -27,6 +27,7 @@ from .params import (
     cluster_radius,
     total_interference_time,
 )
+from .specfun import _illinois
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
     scattering uses the conducting-sphere static polarizability R^3.
     Emission balances absorption at the cluster temperature (equilibrium
     assumption), evaluated at its own temperature so an overridden cluster
-    temperature is honored.
+    temperature is honored; without an override it is the absorption rate.
 
     Cross section times photon flux is a power of omega, so with
     x = hbar omega / kB T each rate is (kB T / hbar)^(power+1) times a
@@ -187,9 +188,10 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
             power, nd * w / c, model.photon_effectiveness_cap)
 
     t_env = env.radiation_temperature
-    return (k_abs * planck(4, t_env),
-            k_abs * planck(4, env.internal_temperature),
-            k_sca * planck(6, t_env))
+    absorption = k_abs * planck(4, t_env)
+    emission = (absorption if env.internal_temperature == t_env
+                else k_abs * planck(4, env.internal_temperature))
+    return absorption, emission, k_sca * planck(6, t_env)
 
 
 def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
@@ -278,26 +280,10 @@ def _solve_temperature(bb_rate, target: float, t_lo: float, t_hi: float,
                        b_lo: float, b_hi: float) -> float:
     """T in (t_lo, t_hi) with bb_rate(T) = target, given b_lo < target < b_hi.
 
-    Illinois (regula falsi that halves the stale end's weight) on ln b
-    against ln T: b is close to a power of T, so ln b is nearly linear in
-    ln T and a few steps bring ln b within 1e-12 of ln target.
+    Illinois on ln b against ln T: b is close to a power of T, so ln b is
+    nearly linear in ln T and a few steps bring ln b within 1e-12 of
+    ln target.
     """
-    x0, x1 = math.log(t_lo), math.log(t_hi)
-    g0, g1 = math.log(b_lo / target), math.log(b_hi / target)
-    kept = 0
-    for _ in range(100):  # bounded in case rounding stalls ln b above 1e-12
-        x = x1 - g1 * (x1 - x0) / (g1 - g0)
-        g = math.log(bb_rate(math.exp(x)) / target)
-        if abs(g) <= 1e-12:
-            break
-        if g > 0.0:
-            x1, g1 = x, g
-            if kept == 1:
-                g0 *= 0.5
-            kept = 1
-        else:
-            x0, g0 = x, g
-            if kept == -1:
-                g1 *= 0.5
-            kept = -1
-    return math.exp(x)
+    return math.exp(_illinois(lambda x: math.log(bb_rate(math.exp(x)) / target),
+                              math.log(t_lo), math.log(t_hi),
+                              math.log(b_lo / target), math.log(b_hi / target)))

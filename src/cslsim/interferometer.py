@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from .errors import DomainError, UnachievableTargetError
 from .mie import AbsorptionProfile, absorption_profile
 from .params import ClusterSpecies, GratingConfig
-from .specfun import bessel_I_scaled, log_bessel_I0
+from .specfun import _illinois, bessel_I_scaled, log_bessel_I0
 
 # The visibility is inverted only on its first monotone branch; the
 # experiment operates far below the upper end of this bracket.
 _N1_BRACKET_MAX = 20.0
-_ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,47 +75,38 @@ def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
 def solve_modulation_for_visibility(v_target: float) -> float:
     """Invert the visibility for n1 on its first monotone branch.
 
-    Bracketed bisection refined by secant steps; robustness over speed.
+    Illinois on the relative residual V(n1) / V_target - 1, so a small
+    target is met to the same relative accuracy as a large one.
     """
     if not (0.0 < v_target < 2.0):
         raise UnachievableTargetError(
             f"target visibility must lie in (0, 2), got {v_target}")
-    lo, hi = 0.0, _N1_BRACKET_MAX
-    v_hi = visibility(hi)
+    v_hi = visibility(_N1_BRACKET_MAX)
     if v_target >= v_hi:
         raise UnachievableTargetError(
             f"target visibility {v_target} is beyond the monotone branch "
-            f"maximum V({hi}) = {v_hi:.6f}")
-    f_lo = -v_target
-    f_hi = v_hi - v_target
-    while hi - lo > _ROOT_TOL:
-        # secant candidate, clamped into the bracket interior
-        mid = lo + (hi - lo) * 0.5
-        sec = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if lo + 0.1 * (hi - lo) < sec < hi - 0.1 * (hi - lo):
-            mid = sec
-        f_mid = visibility(mid) - v_target
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            f"maximum V({_N1_BRACKET_MAX}) = {v_hi:.6f}")
+    # V(0) = 0, so the residual at the lower end is -1
+    return _illinois(lambda n1: visibility(n1) / v_target - 1.0,
+                     0.0, _N1_BRACKET_MAX, -1.0, v_hi / v_target - 1.0)
 
 
 def flux_for_target_visibility(species: ClusterSpecies, grating: GratingConfig,
-                               v_target: float) -> float:
+                               v_target: float, *, n1_target: float | None = None,
+                               reference: AbsorptionProfile | None = None) -> float:
     """Pulse flux that realizes the target visibility for this species.
 
     n1 is exactly linear in the flux, so one profile evaluation at a
     reference flux fixes the slope and the solve reduces to a 1-D root
-    find for n1 followed by a division.
+    find for n1 followed by a division.  A sweep passes the n1 it solved
+    once for every mass, and the species' profile that it already holds.
     """
-    n1_target = solve_modulation_for_visibility(v_target)
-    reference = absorption_profile(species, grating, flux=1.0)
+    if n1_target is None:
+        n1_target = solve_modulation_for_visibility(v_target)
+    if reference is None:
+        reference = absorption_profile(species, grating, flux=1.0)
     if reference.n1 <= 0.0:
         raise DomainError(
             f"species {species.label!r} has no absorption modulation; "
             "cannot reach a nonzero visibility")
-    return n1_target / reference.n1
+    return n1_target / reference.n1 * reference.flux

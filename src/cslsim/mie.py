@@ -62,18 +62,8 @@ def _refractive_root(eps: complex) -> complex:
 
 def multipole_components(ell: int, rho: float, eps: complex) -> tuple[float, float]:
     """Electric and magnetic multipole components (sigma_E, sigma_H) at order ell."""
-    if ell < 1:
-        raise DomainError(f"multipole order must be >= 1, got {ell}")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be positive, got {rho}")
-    eps = complex(eps)
-    if eps.imag < 0.0:
-        raise DomainError("Im(eps) must be >= 0")
-    u = _refractive_root(eps)
-    js = spherical_jn_array(ell + 1, u * rho)
-    hs = spherical_hankel_array(ell + 1, rho)
-    return (_sigma_e(ell, rho, eps, u, js, hs),
-            _sigma_h(ell, rho, u, js, hs))
+    terms = multipole_terms(rho, eps, ell)
+    return terms.sigma_e[-1], terms.sigma_h[-1]
 
 
 def _sigma_e(l, rho, eps, u, js, hs):
@@ -97,6 +87,8 @@ def multipole_terms(rho: float, eps: complex, lmax: int) -> MultipoleTerms:
     """All multipole components up to lmax in one pass (shared Bessel arrays)."""
     if lmax < 1 or lmax > _HARD_CAP:
         raise DomainError(f"lmax must be in [1, {_HARD_CAP}], got {lmax}")
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise DomainError(f"rho must be positive, got {rho}")
     eps = complex(eps)
     if eps.imag < 0.0:
         raise DomainError("Im(eps) must be >= 0")

@@ -5,7 +5,8 @@ Provides exactly what the physics layers consume:
 * spherical Bessel j_l of complex argument (Miller downward recurrence),
 * spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
 * modified Bessel I_0, I_1, I_2 with exponentially-scaled variants,
-* erf.
+* erf,
+* the bracketed Illinois root solve that inverts them.
 
 All functions are pure and stateless.
 """
@@ -188,3 +189,29 @@ def erf(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"erf requires finite x, got {x}")
     return math.erf(x)
+
+
+def _illinois(f, x0: float, x1: float, g0: float, g1: float) -> float:
+    """Root of f in (x0, x1), given g0 = f(x0) < 0 < g1 = f(x1).
+
+    Illinois: regula falsi that halves the stale end's weight.  Stops once
+    |f| <= 1e-12; bounded at 100 steps in case rounding stalls |f| above
+    that, when it returns the last iterate.
+    """
+    kept = 0
+    for _ in range(100):
+        x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        g = f(x)
+        if abs(g) <= 1e-12:
+            break
+        if g > 0.0:
+            x1, g1 = x, g
+            if kept == 1:
+                g0 *= 0.5
+            kept = 1
+        else:
+            x0, g0 = x, g
+            if kept == -1:
+                g1 *= 0.5
+            kept = -1
+    return x

@@ -16,6 +16,8 @@ from cslsim.cli import (
     FIG3_HEADER,
     main,
 )
+from cslsim.interferometer import flux_for_target_visibility
+from cslsim.params import default_grating, gold_cluster
 
 CONFIG_TEXT = """\
 [species]
@@ -142,17 +144,86 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
         assert (tmp_path / f"replay_m{mass}.csv").read_bytes() == original
 
 
-def test_rerun_refuses_another_schema(tmp_path):
-    out = tmp_path / "fig3.csv"
-    assert run(["fig3", "--masses", "1e7", "--p-range=-14:-6:5",
-                "--T-range=4:400:5", "--out", str(out)]) == EXIT_OK
-    manifest = tmp_path / "fig3.csv.manifest.json"
+@pytest.mark.parametrize("schema", ["fig2.v1", "fig3.v1"])
+def test_rerun_refuses_another_schema(tmp_path, schema):
+    command = schema.split(".")[0]
+    sweep = {"fig2": ["--mass-range=5:6:3"],
+             "fig3": ["--masses", "1e7", "--p-range=-14:-6:5", "--T-range=4:400:5"]}
+    out = tmp_path / f"{command}.csv"
+    assert run([command, *sweep[command], "--out", str(out)]) == EXIT_OK
+    manifest = tmp_path / f"{command}.csv.manifest.json"
     meta = json.loads(manifest.read_text())
-    meta["schema"] = "fig3.v1"
+    meta["schema"] = schema
     manifest.write_text(json.dumps(meta))
     assert run(["rerun", "--manifest", str(manifest),
                 "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
-    assert not (tmp_path / "replay_m1e+07.csv").exists()
+    assert not list(tmp_path.glob("replay*"))
+
+
+def test_rerun_names_a_missing_argument(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    assert run(["fig1", "--lambda0-range=-12:-10:3", "--out", str(out)]) == EXIT_OK
+    manifest = tmp_path / "fig1.csv.manifest.json"
+    meta = json.loads(manifest.read_text())
+    del meta["args"]["threshold"]
+    manifest.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", str(manifest),
+                "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
+    assert "'threshold'" in capsys.readouterr().err
+    assert not (tmp_path / "replay.csv").exists()
+
+
+@pytest.mark.parametrize("key,field", [("constants", "planck_h"),
+                                       ("decoherence_model", "dc_conductivity")])
+def test_rerun_refuses_other_constants(tmp_path, key, field):
+    out = tmp_path / "fig1.csv"
+    assert run(["fig1", "--lambda0-range=-12:-10:3", "--out", str(out)]) == EXIT_OK
+    manifest = tmp_path / "fig1.csv.manifest.json"
+    meta = json.loads(manifest.read_text())
+    meta[key][field] *= 1.0 + 1e-9
+    manifest.write_text(json.dumps(meta))
+    assert run(["rerun", "--manifest", str(manifest),
+                "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
+    assert not (tmp_path / "replay.csv").exists()
+
+
+def test_failed_fig3_leaves_no_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fig3", "--masses", "1e6,-5", "--out", "f.csv"]) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
+    import cslsim.cli
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cslsim.cli.os, "replace", fail)
+    assert run(["fig1", "--lambda0-range=-12:-10:3",
+                "--out", str(tmp_path / "fig1.csv")]) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fig2_ok_rows_carry_the_scalar_flux(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=0.8",
+                "--out", str(out)]) == EXIT_OK
+    rows = [r.split(",") for r in read_rows(out)[1:]]
+    assert {r[-1] for r in rows} == {"ok", "unreachable", "geometry_error"}
+    grating = default_grating()
+    for row in rows:
+        if row[-1] == "ok":
+            flux = flux_for_target_visibility(gold_cluster(float(row[0])), grating, 0.8)
+            assert float(row[2]) == pytest.approx(flux, rel=1e-12)
+
+
+def test_fig2_unreachable_target_marks_every_row(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=1.9",
+                "--out", str(out)]) == EXIT_OK
+    assert {r.split(",")[-1] for r in read_rows(out)[1:]} == {"unreachable"}
 
 
 def test_unreadable_manifest_is_usage_error(tmp_path):
@@ -245,13 +316,6 @@ def test_csl_ratio_reports_closed_and_oracle(tmp_path):
     data = json.loads(out.read_text())
     assert data["ratio"] == pytest.approx(data["oracle_ratio"], rel=1e-6)
     assert data["ratio"] == pytest.approx(math.exp(-data["exponent"]), rel=1e-12)
-
-
-def test_specfun_eval_smoke(tmp_path):
-    out = tmp_path / "f.json"
-    assert run(["specfun-eval", "--function", "erf", "--re", "0.785",
-                "--out", str(out)]) == EXIT_OK
-    assert float(out.read_text()) == pytest.approx(math.erf(0.785), rel=1e-14)
 
 
 def test_csv_uses_lf_and_17_sig_figs(tmp_path):

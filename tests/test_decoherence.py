@@ -162,6 +162,13 @@ def test_emission_follows_cluster_temperature():
     assert m > a  # hot cluster in a cold chamber emits more than it absorbs
 
 
+@pytest.mark.parametrize("rad_T", [4.0, 77.0, 300.0, 1000.0])
+def test_emission_equals_absorption_without_cluster_override(rad_T):
+    absorption, emission, _ = blackbody_rates(gold_cluster(1e7), env(0.0, rad_T=rad_T),
+                                              default_grating())
+    assert emission == absorption
+
+
 def test_budget_channel_separation():
     grating = default_grating()
     species = gold_cluster(1e6)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import cslsim.interferometer as interferometer
 from cslsim.errors import DomainError, UnachievableTargetError
 from cslsim.interferometer import (
     FringeObservables,
@@ -57,6 +58,26 @@ def test_target_visibility_085_needs_n1_near_4():
     assert n1 == pytest.approx(4.0, abs=0.1)
     assert n1 == pytest.approx(solve_oracle(0.85), rel=1e-8)
     assert visibility(n1) == pytest.approx(0.85, abs=1e-9)
+
+
+@pytest.mark.parametrize("target", [1e-12, 1e-4, 0.5, 0.85, 1.7])
+def test_solve_matches_bisection_oracle(target):
+    assert solve_modulation_for_visibility(target) == pytest.approx(
+        solve_oracle(target), rel=1e-8)
+
+
+def test_solve_needs_few_visibility_calls(monkeypatch):
+    calls = []
+
+    def counted(n1):
+        calls.append(n1)
+        return visibility(n1)
+
+    monkeypatch.setattr(interferometer, "visibility", counted)
+    for k in range(25):
+        calls.clear()
+        solve_modulation_for_visibility(0.5 + 1.2 * k / 24)
+        assert len(calls) <= 20
 
 
 def test_visibility_saturates_at_two():
