@@ -30,7 +30,6 @@ from .csl import (
     critical_mass,
     csl_decay_rate,
     csl_visibility_ratio,
-    csl_visibility_ratio_oracle,
     exclusion_boundary,
 )
 from .decoherence import (
@@ -63,7 +62,6 @@ __all__ = [
     "critical_mass",
     "csl_decay_rate",
     "csl_visibility_ratio",
-    "csl_visibility_ratio_oracle",
     "decoherence_budget",
     "default_grating",
     "exclusion_boundary",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -19,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .csl import (
     csl_visibility_ratio,
-    csl_visibility_ratio_oracle,
     exclusion_boundary,
     geometry_factor,
 )
@@ -68,7 +68,7 @@ EXIT_GEOMETRY = 4
 FIG1_HEADER = "lambda0_Hz,m_c_amu,geometry_factor"
 FIG2_HEADER = "mass_amu,radius_nm,flux_J_m2,n0,n1,transmissivity,status"
 FIG3_HEADER = "segment,pressure_mbar,temperature_K"
-SCHEMAS = {"fig1": "fig1.v1", "fig2": "fig2.v2", "fig3": "fig3.v2"}
+SCHEMAS = {"fig1": "fig1.v2", "fig2": "fig2.v2", "fig3": "fig3.v2"}
 
 
 def _fmt(x: float) -> str:
@@ -83,6 +83,8 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--{name}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--{name}: lo and hi must be finite, got {text!r}")
     if steps < 1:
         raise ConfigError(f"--{name}: steps must be >= 1")
     if steps > 1 and not lo < hi:
@@ -195,7 +197,8 @@ def _fig1_rows(args: dict) -> list[str]:
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
     csl = CslParams(r_c=args["rc_m"], lambda0=1.0, m0=amu_to_kg(args["m0_amu"]))
     grid = _log_grid(args["lo_log10"], args["hi_log10"], args["steps"])
-    markers = [m for m in args["markers"] if m not in grid]
+    # a grid value that rounds differently from a marker is the same point
+    markers = [m for m in args["markers"] if not any(math.isclose(m, g) for g in grid)]
     g = _fmt(geometry_factor(grating, csl))
     boundary = exclusion_boundary(grating, csl, sorted(grid + markers, reverse=True),
                                   args["threshold"])
@@ -264,6 +267,8 @@ def _fig2_rows(args: dict) -> list[str]:
 
 def cmd_fig2(ns, config, argv) -> int:
     lo, hi, steps = _parse_range(ns.mass_range, "mass-range")
+    if not math.isfinite(ns.target_V):
+        raise ConfigError(f"--target-V must be finite, got {ns.target_V}")
     species = _resolve_species(ns, config)
     grating = _resolve_grating(ns, config)
     args = {
@@ -365,7 +370,8 @@ def cmd_fig3(ns, config, argv) -> int:
 def cmd_budget(ns, config, argv) -> int:
     species = _resolve_species(ns, config)
     if ns.mass_amu is not None:
-        species = species.with_mass(amu_to_kg(ns.mass_amu))
+        species = ClusterSpecies.from_amu(ns.mass_amu, species.bulk_density,
+                                          species.permittivity, species.label)
     grating = _resolve_grating(ns, config)
     csl_base = config.csl if (config and config.csl) else CslParams()
     csl = CslParams(r_c=csl_base.r_c, lambda0=ns.lambda0, m0=csl_base.m0)
@@ -434,29 +440,6 @@ def cmd_absorption(ns, config, argv) -> int:
         "n0": profile.n0, "n1": profile.n1,
         "l_max": profile.truncation_order,
         "converged": profile.converged,
-    }
-    _write_text(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
-
-
-def cmd_csl_ratio(ns, config, argv) -> int:
-    species = _resolve_species(ns, config).with_mass(amu_to_kg(ns.mass_amu))
-    grating = _resolve_grating(ns, config)
-    base = config.csl if (config and config.csl) else CslParams()
-    csl = CslParams(
-        r_c=ns.rc_nm * 1e-9 if ns.rc_nm is not None else base.r_c,
-        lambda0=ns.lambda0, m0=base.m0)
-    reduction = csl_visibility_ratio(species, grating, csl)
-    oracle = csl_visibility_ratio_oracle(species, grating, csl, ns.time_steps)
-    report = {
-        "mass_amu": ns.mass_amu,
-        "lambda0_Hz": ns.lambda0,
-        "r_c_m": csl.r_c,
-        "talbot_order": grating.talbot_order,
-        "ratio": reduction.ratio,
-        "exponent": reduction.exponent,
-        "geometry_factor": reduction.geometry_factor,
-        "oracle_ratio": oracle,
     }
     _write_text(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -557,15 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flux", type=float, default=None, help="J/m^2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_absorption)
-
-    p = sub.add_parser("csl-ratio", help="closed-form vs oracle visibility ratio")
-    p.add_argument("--mass-amu", type=float, required=True)
-    p.add_argument("--lambda0", type=float, required=True, help="Hz")
-    p.add_argument("--rc-nm", type=float, default=None)
-    p.add_argument("--talbot-order", type=int, default=None)
-    p.add_argument("--time-steps", type=int, default=100_000)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_csl_ratio)
 
     p = sub.add_parser("rerun", help="re-execute a sweep from its manifest")
     p.add_argument("--manifest", required=True)

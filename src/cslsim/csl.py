@@ -1,17 +1,14 @@
 """Continuous-spontaneous-localization effect on the interferometer.
 
 Off-diagonal decay rate of the center-of-mass master equation, the
-closed-form visibility reduction, an independent quadrature oracle that
-re-derives it from the two-path separation history, and the critical-mass
-solver for the exclusion boundary.
+closed-form visibility reduction, and the critical-mass solver for the
+exclusion boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .params import ClusterSpecies, CslParams, GratingConfig
@@ -68,46 +65,6 @@ def csl_visibility_ratio(species: ClusterSpecies, grating: GratingConfig,
     exponent = csl_exponent(species, grating, csl)
     return CslReduction(ratio=math.exp(-exponent), exponent=exponent,
                         geometry_factor=geometry_factor(grating, csl))
-
-
-def csl_exponent_oracle(species: ClusterSpecies, grating: GratingConfig,
-                        csl: CslParams, time_steps: int = 100_000) -> float:
-    """Quadrature re-derivation of the visibility-reduction exponent.
-
-    The two interferometer paths separate linearly from 0 to N d over the
-    first N Talbot times and close again over the second; the exponent is
-    the integral of the decay rate along that history.  Agreement with the
-    closed form validates the reconstructed path history.
-    """
-    if time_steps < 1000:
-        raise DomainError(f"time_steps must be >= 1000, got {time_steps}")
-    n = grating.talbot_order
-    t_half = n * grating.talbot_time_for_mass(species.mass)
-    nd = n * grating.period
-    # Simpson on the opening half; the closing half is its mirror image.
-    sep = np.linspace(0.0, nd, time_steps + 1)
-    rate = csl.effective_rate(species.mass) * (-np.expm1(-(sep / (2.0 * csl.r_c)) ** 2))
-    return 2.0 * _simpson(rate, t_half / time_steps)
-
-
-def _simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson's rule over samples y at spacing h.
-
-    An odd number of intervals takes Cartwright's three-point correction
-    for the last one, h (5 y[-1] + 8 y[-2] - y[-3]) / 12.
-    """
-    n = y.size - 1
-    m = n - n % 2
-    total = h / 3.0 * (y[0] + 4.0 * y[1:m:2].sum() + 2.0 * y[2:m:2].sum() + y[m])
-    if n % 2:
-        total += h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
-    return float(total)
-
-
-def csl_visibility_ratio_oracle(species: ClusterSpecies, grating: GratingConfig,
-                                csl: CslParams, time_steps: int = 100_000) -> float:
-    """exp(-exponent) with the exponent from the quadrature oracle."""
-    return math.exp(-csl_exponent_oracle(species, grating, csl, time_steps))
 
 
 def critical_mass(csl: CslParams, grating: GratingConfig,

@@ -8,10 +8,9 @@ at the order-of-magnitude level only.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass, replace
-
-import numpy as np
 
 from .errors import DomainError
 from .params import (
@@ -246,13 +245,13 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     temperature_K), one vertex per crossed grid line in increasing T; an
     empty list is a valid result (no crossing on the grid).
     """
-    pressures = np.asarray(list(pressure_grid), dtype=float)
-    temperatures = np.asarray(list(temperature_grid), dtype=float)
-    if pressures.size < 2 or temperatures.size < 2:
+    pressures = [float(p) for p in pressure_grid]
+    temperatures = [float(t) for t in temperature_grid]
+    if len(pressures) < 2 or len(temperatures) < 2:
         raise DomainError("contour tracing needs at least a 2 x 2 grid")
-    if np.any(pressures <= 0.0) or np.any(temperatures <= 0.0):
+    if not all(v > 0.0 for v in pressures + temperatures):
         raise DomainError("grid values must be positive")
-    pressures, temperatures = np.unique(pressures), np.unique(temperatures)
+    pressures, temperatures = sorted(set(pressures)), sorted(set(temperatures))
     base_env = env_template if env_template is not None else EnvironmentConfig()
 
     budget = -math.log(level) / total_interference_time(species, grating)
@@ -262,18 +261,19 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
         env = replace(base_env, gas_pressure=0.0, environment_temperature=temperature)
         return sum(blackbody_rates(species, env, grating, model))
 
-    bb = np.array([bb_rate(t) for t in temperatures])
-    vertices = [(p, t) for p, t in zip((budget - bb) / coll_coeff, temperatures)
+    bb = [bb_rate(t) for t in temperatures]
+    vertices = [(p, t) for p, t in zip([(budget - b) / coll_coeff for b in bb], temperatures)
                 if pressures[0] <= p <= pressures[-1]]
-    targets = budget - coll_coeff * pressures
-    # bb[j - 1] <= target < bb[j]; a target equal to a grid value is a grid
-    # node, already found on its temperature line
-    for p, target, j in zip(pressures, targets, np.searchsorted(bb, targets, side="right")):
-        if 0 < j < bb.size and bb[j - 1] < target:
+    for p in pressures:
+        target = budget - coll_coeff * p
+        # bb[j - 1] <= target < bb[j]; a target equal to a grid value is a grid
+        # node, already found on its temperature line
+        j = bisect.bisect_right(bb, target)
+        if 0 < j < len(bb) and bb[j - 1] < target:
             vertices.append((p, _solve_temperature(
                 bb_rate, target, temperatures[j - 1], temperatures[j], bb[j - 1], bb[j])))
     vertices.sort(key=lambda v: (v[1], -v[0]))
-    return [[(float(p), float(t)) for p, t in vertices]] if vertices else []
+    return [vertices] if vertices else []
 
 
 def _solve_temperature(bb_rate, target: float, t_lo: float, t_hi: float,

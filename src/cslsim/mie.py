@@ -167,11 +167,3 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
     return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, flux=flux,
                              truncation_order=used, converged=converged)
 
-
-def dipole_absorption_cross_section(species: ClusterSpecies,
-                                    grating: GratingConfig) -> float:
-    """Point-particle absorption cross section 4 pi k R^3 Im[(eps-1)/(eps+2)]."""
-    radius = cluster_radius(species)
-    eps = complex(species.permittivity)
-    return (4.0 * math.pi * grating.wavenumber * radius ** 3
-            * ((eps - 1.0) / (eps + 2.0)).imag)

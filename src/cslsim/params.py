@@ -92,6 +92,9 @@ class ClusterSpecies:
     @classmethod
     def from_amu(cls, mass_amu: float, bulk_density: float,
                  permittivity: complex, label: str = "cluster") -> "ClusterSpecies":
+        # checked before conversion, so the error names the mass as given
+        if not (mass_amu > 0.0 and math.isfinite(mass_amu)):
+            raise DomainError(f"mass must be positive and finite, got {mass_amu} amu")
         return cls(amu_to_kg(mass_amu), bulk_density, permittivity, label)
 
     @property

@@ -1,0 +1,61 @@
+"""Reference computations the tests compare the package against.
+
+Each one re-derives a package result by a different method, and none of
+them is called by the package itself.
+"""
+
+import math
+
+import numpy as np
+
+from cslsim.errors import DomainError
+from cslsim.params import ClusterSpecies, CslParams, GratingConfig, cluster_radius
+
+
+def csl_exponent_oracle(species: ClusterSpecies, grating: GratingConfig,
+                        csl: CslParams, time_steps: int = 100_000) -> float:
+    """Quadrature re-derivation of the visibility-reduction exponent.
+
+    The two interferometer paths separate linearly from 0 to N d over the
+    first N Talbot times and close again over the second; the exponent is
+    the integral of the decay rate along that history.  Agreement with the
+    closed form validates the reconstructed path history.
+    """
+    if time_steps < 1000:
+        raise DomainError(f"time_steps must be >= 1000, got {time_steps}")
+    n = grating.talbot_order
+    t_half = n * grating.talbot_time_for_mass(species.mass)
+    nd = n * grating.period
+    # Simpson on the opening half; the closing half is its mirror image.
+    sep = np.linspace(0.0, nd, time_steps + 1)
+    rate = csl.effective_rate(species.mass) * (-np.expm1(-(sep / (2.0 * csl.r_c)) ** 2))
+    return 2.0 * _simpson(rate, t_half / time_steps)
+
+
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson's rule over samples y at spacing h.
+
+    An odd number of intervals takes Cartwright's three-point correction
+    for the last one, h (5 y[-1] + 8 y[-2] - y[-3]) / 12.
+    """
+    n = y.size - 1
+    m = n - n % 2
+    total = h / 3.0 * (y[0] + 4.0 * y[1:m:2].sum() + 2.0 * y[2:m:2].sum() + y[m])
+    if n % 2:
+        total += h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
+    return float(total)
+
+
+def csl_visibility_ratio_oracle(species: ClusterSpecies, grating: GratingConfig,
+                                csl: CslParams, time_steps: int = 100_000) -> float:
+    """exp(-exponent) with the exponent from the quadrature oracle."""
+    return math.exp(-csl_exponent_oracle(species, grating, csl, time_steps))
+
+
+def dipole_absorption_cross_section(species: ClusterSpecies,
+                                    grating: GratingConfig) -> float:
+    """Point-particle absorption cross section 4 pi k R^3 Im[(eps-1)/(eps+2)]."""
+    radius = cluster_radius(species)
+    eps = complex(species.permittivity)
+    return (4.0 * math.pi * grating.wavenumber * radius ** 3
+            * ((eps - 1.0) / (eps + 2.0)).imag)

@@ -15,7 +15,6 @@ import pytest
 from cslsim.csl import (
     critical_mass,
     csl_exponent,
-    csl_exponent_oracle,
     exclusion_boundary,
 )
 from cslsim.decoherence import critical_contour, visibility_factor_env
@@ -27,7 +26,7 @@ from cslsim.interferometer import (
     solve_modulation_for_visibility,
     visibility,
 )
-from cslsim.mie import absorption_profile, dipole_absorption_cross_section
+from cslsim.mie import absorption_profile
 from cslsim.params import (
     ATOMIC_MASS_UNIT,
     PLANCK_H,
@@ -45,6 +44,7 @@ from cslsim.specfun import (
     spherical_hankel_h1,
     spherical_yn_array,
 )
+from oracles import csl_exponent_oracle, dipole_absorption_cross_section
 
 AMU = ATOMIC_MASS_UNIT
 MBAR = 100.0

@@ -17,7 +17,8 @@ from cslsim.cli import (
     main,
 )
 from cslsim.interferometer import flux_for_target_visibility
-from cslsim.params import default_grating, gold_cluster
+from cslsim.params import CslParams, default_grating, gold_cluster
+from oracles import csl_visibility_ratio_oracle
 
 CONFIG_TEXT = """\
 [species]
@@ -107,6 +108,15 @@ def test_fig3_outputs_per_mass_files(tmp_path):
         assert len(rows) > 2
 
 
+def test_fig1_marker_on_a_rounded_grid_value_is_one_row(tmp_path):
+    # the grid value 10**-16.0 here is 1.000000000000004e-16, the marker 1e-16
+    out = tmp_path / "fig1.csv"
+    assert run(["fig1", "--lambda0-range=-17.9:-8.4:6", "--out", str(out)]) == EXIT_OK
+    lams = [float(r.split(",")[0]) for r in read_rows(out)[1:]]
+    assert len(lams) == 7
+    assert sum(math.isclose(lam, 1e-16) for lam in lams) == 1
+
+
 def test_manifest_rerun_fig1_byte_identical(tmp_path):
     out = tmp_path / "fig1.csv"
     assert run(["fig1", "--lambda0-range=-16:-8:9", "--out", str(out)]) == EXIT_OK
@@ -144,10 +154,11 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
         assert (tmp_path / f"replay_m{mass}.csv").read_bytes() == original
 
 
-@pytest.mark.parametrize("schema", ["fig2.v1", "fig3.v1"])
+@pytest.mark.parametrize("schema", ["fig1.v1", "fig2.v1", "fig3.v1"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
-    sweep = {"fig2": ["--mass-range=5:6:3"],
+    sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
+             "fig2": ["--mass-range=5:6:3"],
              "fig3": ["--masses", "1e7", "--p-range=-14:-6:5", "--T-range=4:400:5"]}
     out = tmp_path / f"{command}.csv"
     assert run([command, *sweep[command], "--out", str(out)]) == EXIT_OK
@@ -192,6 +203,13 @@ def test_failed_fig3_leaves_no_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["fig3", "--masses", "1e6,-5", "--out", "f.csv"]) == EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_mass_is_reported_in_amu(tmp_path, capsys):
+    for argv in (["fig3", "--masses", "1e6,-5"], ["budget", "--mass-amu=-5"]):
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "f.csv")]) == EXIT_USAGE
+        assert "got -5" in capsys.readouterr().err
 
 
 def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
@@ -250,10 +268,10 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cslsim.cli; print(*(m for m in sys.modules if m.startswith('scipy')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert loaded.split() == []
+        [sys.executable, "-c", "import sys, cslsim.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    for package in ("scipy", "numpy"):
+        assert [m for m in loaded if m.split(".")[0] == package] == []
 
 
 def test_bad_range_is_usage_error(tmp_path):
@@ -261,10 +279,16 @@ def test_bad_range_is_usage_error(tmp_path):
                 str(tmp_path / "x.csv")]) == EXIT_USAGE
     assert run(["fig1", "--lambda0-range=-6:-18:5", "--out",
                 str(tmp_path / "x.csv")]) == EXIT_USAGE
+    for argv in (["fig3", "--masses", "1e7", "--p-range=-14:inf:4", "--T-range=4:400:4"],
+                 ["fig2", "--mass-range=5:nan:1"],
+                 ["fig2", "--target-V", "nan"]):
+        assert run([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_command_is_usage_error():
     assert run(["frobnicate"]) == EXIT_USAGE
+    assert run(["csl-ratio", "--mass-amu", "5e5", "--lambda0", "1e-10"]) == EXIT_USAGE
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -308,14 +332,20 @@ def test_budget_report(tmp_path):
         "collision", "bb_absorption", "bb_emission", "bb_scattering"}
 
 
-def test_csl_ratio_reports_closed_and_oracle(tmp_path):
-    out = tmp_path / "ratio.json"
-    code = run(["csl-ratio", "--mass-amu", "5e5", "--lambda0", "1e-10",
-                "--out", str(out)])
-    assert code == EXIT_OK
+def test_budget_csl_numbers_match_the_oracle(tmp_path):
+    # a non-default r_c comes from the config file's [csl] section
+    cfg = tmp_path / "csl.ini"
+    cfg.write_text("[csl]\nrc_nm = 50\n")
+    out = tmp_path / "budget.json"
+    assert run(["--config", str(cfg), "budget", "--mass-amu", "5e5",
+                "--lambda0", "1e-10", "--out", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["ratio"] == pytest.approx(data["oracle_ratio"], rel=1e-6)
-    assert data["ratio"] == pytest.approx(math.exp(-data["exponent"]), rel=1e-12)
+    assert data["csl"]["r_c_m"] == pytest.approx(50e-9, rel=1e-15)
+    oracle = csl_visibility_ratio_oracle(gold_cluster(5e5), default_grating(),
+                                         CslParams(r_c=50e-9, lambda0=1e-10))
+    assert data["csl_visibility_ratio"] == pytest.approx(oracle, rel=1e-6)
+    assert data["csl_visibility_ratio"] == pytest.approx(
+        math.exp(-data["csl_exponent"]), rel=1e-12)
 
 
 def test_csv_uses_lf_and_17_sig_figs(tmp_path):

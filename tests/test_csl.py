@@ -6,13 +6,10 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from cslsim.csl import (
-    _simpson,
     critical_mass,
     csl_decay_rate,
     csl_exponent,
-    csl_exponent_oracle,
     csl_visibility_ratio,
-    csl_visibility_ratio_oracle,
     exclusion_boundary,
     geometry_factor,
 )
@@ -25,6 +22,7 @@ from cslsim.params import (
     default_grating,
     gold_cluster,
 )
+from oracles import _simpson, csl_exponent_oracle, csl_visibility_ratio_oracle
 
 AMU = ATOMIC_MASS_UNIT
 

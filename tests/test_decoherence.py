@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import cslsim.decoherence as decoherence
@@ -281,6 +282,44 @@ def test_contour_vertices_are_the_oracle_grid_crossings(mass):
     assert len(vertices) == sign_changes
 
 
+@st.composite
+def shuffled_grid(draw, lo, hi):
+    """2-30 values in [lo, hi], some of them repeated, in random order."""
+    values = draw(st.lists(st.floats(lo, hi), min_size=2, max_size=20))
+    repeats = draw(st.lists(st.sampled_from(values), max_size=10))
+    return draw(st.permutations(values + repeats))
+
+
+@given(st.floats(6.0, 8.0), shuffled_grid(-12.0, -4.0), shuffled_grid(4.0, 400.0))
+@settings(max_examples=100, deadline=None)
+def test_contour_on_random_grids(log10_mass, log10_pressures, temperatures):
+    grating = default_grating()
+    species = gold_cluster(10.0 ** log10_mass)
+    pressures = [10.0 ** x for x in log10_pressures]
+    lines = critical_contour(species, grating, pressures, temperatures)
+    assert len(lines) <= 1
+    vertices = lines[0] if lines else []
+    assert [t for _, t in vertices] == sorted(t for _, t in vertices)
+    for p, t in vertices:
+        assert min(pressures) <= p <= max(pressures)
+        assert min(temperatures) <= t <= max(temperatures)
+        budget = decoherence_budget(species, grating, EnvironmentConfig(
+            gas_pressure=p, environment_temperature=t))
+        assert math.log(budget.visibility_factor) == pytest.approx(math.log(0.5), abs=1e-9)
+
+    # one vertex per grid edge whose ends lie on either side of the level set
+    level_exposure = math.log(2.0)
+    t_total = total_interference_time(species, grating)
+    ps, ts = sorted(set(pressures)), sorted(set(temperatures))
+    coll = [collision_rate(species, EnvironmentConfig(gas_pressure=p)) for p in ps]
+    bb = [sum(blackbody_rates(species, EnvironmentConfig(environment_temperature=t), grating))
+          for t in ts]
+    above = [[(c + b) * t_total > level_exposure for b in bb] for c in coll]
+    sign_changes = (sum(row[j] != row[j + 1] for row in above for j in range(len(ts) - 1))
+                    + sum(a != b for row, nxt in zip(above, above[1:]) for a, b in zip(row, nxt)))
+    assert len(vertices) == sign_changes
+
+
 def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
     # Stub rates: a = 1 per Pa and b(T) = T, so the level set is p + T = B.
     # With T within a factor of two of B every subtraction below is exact,
@@ -325,6 +364,8 @@ def test_contour_grid_validation():
         critical_contour(gold_cluster(1e6), grating, [1e-9], [100.0, 200.0])
     with pytest.raises(DomainError):
         critical_contour(gold_cluster(1e6), grating, [1e-9, -1e-8], [100.0, 200.0])
+    with pytest.raises(DomainError):
+        critical_contour(gold_cluster(1e6), grating, [1e-9, math.nan], [100.0, 200.0])
 
 
 def test_model_constants_round_trip():

@@ -8,7 +8,6 @@ from cslsim.errors import DomainError, GeometryError
 from cslsim.mie import (
     absorption_profile,
     absorption_sums,
-    dipole_absorption_cross_section,
     multipole_components,
     multipole_terms,
 )
@@ -19,6 +18,7 @@ from cslsim.params import (
     default_grating,
     gold_cluster,
 )
+from oracles import dipole_absorption_cross_section
 
 GOLD_EPS = 0.9 + 3.2j
 
