@@ -17,7 +17,7 @@ from .params import (
     talbot_time,
     total_interference_time,
 )
-from .mie import AbsorptionProfile, absorption_profile, multipole_components
+from .mie import AbsorptionProfile, absorption_profile
 from .interferometer import (
     FringeObservables,
     flux_for_target_visibility,
@@ -68,7 +68,6 @@ __all__ = [
     "flux_for_target_visibility",
     "gold_cluster",
     "load_config",
-    "multipole_components",
     "observables",
     "talbot_time",
     "total_interference_time",

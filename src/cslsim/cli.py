@@ -23,12 +23,7 @@ from .csl import (
     exclusion_boundary,
     geometry_factor,
 )
-from .decoherence import (
-    DEFAULT_MODEL,
-    critical_contour,
-    decoherence_budget,
-    model_constants_dict,
-)
+from .decoherence import DEFAULT_MODEL, critical_contour, decoherence_budget
 from .errors import (
     ConfigError,
     CslSimError,
@@ -50,10 +45,9 @@ from .params import (
     CslParams,
     EnvironmentConfig,
     GratingConfig,
+    RunConfig,
     amu_to_kg,
     cluster_radius,
-    default_grating,
-    gold_cluster,
     load_config,
     mbar_to_pa,
     pa_to_mbar,
@@ -137,7 +131,7 @@ def _manifest(command: str, args_dict: dict, argv: list[str]) -> dict:
         "command_line": argv,
         "args": args_dict,
         "constants": dataclasses.asdict(CONSTANTS),
-        "decoherence_model": model_constants_dict(DEFAULT_MODEL),
+        "decoherence_model": dataclasses.asdict(DEFAULT_MODEL),
     }
 
 
@@ -164,33 +158,6 @@ def _write_manifest(out_path: str | None, manifest: dict) -> None:
         _write_text(str(out_path) + ".manifest.json", text)
 
 
-def _resolve_species(ns, config) -> ClusterSpecies:
-    if getattr(ns, "species", None):
-        cfg = load_config(ns.species)
-        if cfg.species is None:
-            raise ConfigError(f"{ns.species}: no [species] section")
-        return cfg.species
-    if config and config.species is not None:
-        return config.species
-    return gold_cluster(getattr(ns, "mass_amu", None) or 1.9697e5)
-
-
-def _resolve_grating(ns, config) -> GratingConfig:
-    if getattr(ns, "grating", None):
-        cfg = load_config(ns.grating)
-        if cfg.grating is None:
-            raise ConfigError(f"{ns.grating}: no [grating] section")
-        grating = cfg.grating
-    elif config and config.grating is not None:
-        grating = config.grating
-    else:
-        grating = default_grating()
-    order = getattr(ns, "talbot_order", None)
-    if order is not None:
-        grating = dataclasses.replace(grating, talbot_order=order)
-    return grating
-
-
 # -- fig1 --------------------------------------------------------------------
 
 def _fig1_rows(args: dict) -> list[str]:
@@ -208,8 +175,7 @@ def _fig1_rows(args: dict) -> list[str]:
 
 def cmd_fig1(ns, config, argv) -> int:
     lo, hi, steps = _parse_range(ns.lambda0_range, "lambda0-range")
-    csl = config.csl if (config and config.csl) else CslParams()
-    grating = _resolve_grating(ns, config)
+    csl, grating = config.csl, config.grating
     args = {
         "wavelength_m": grating.laser_wavelength,
         "talbot_order": grating.talbot_order,
@@ -269,8 +235,7 @@ def cmd_fig2(ns, config, argv) -> int:
     lo, hi, steps = _parse_range(ns.mass_range, "mass-range")
     if not math.isfinite(ns.target_V):
         raise ConfigError(f"--target-V must be finite, got {ns.target_V}")
-    species = _resolve_species(ns, config)
-    grating = _resolve_grating(ns, config)
+    species, grating = config.species, config.grating
     args = {
         "label": species.label,
         "density_kg_m3": species.bulk_density,
@@ -316,16 +281,21 @@ def _write_fig3(args: dict, out_base: str) -> list[str]:
     """One CSV per mass, named <stem>_m<mass><suffix>; returns the paths.
 
     Every mass is computed before any file is written, so a mass that
-    fails leaves no output behind.
+    fails leaves no output behind.  Two masses that agree in the six
+    digits of the name would share a file, so they are refused first.
     """
     stem = Path(out_base)
-    outputs = []
+    masses = {}
     for mass_amu in args["masses_amu"]:
-        path = stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}")
-        outputs.append((str(path), "\n".join(_fig3_rows(args, mass_amu)) + "\n"))
-    for path, text in outputs:
+        path = str(stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}"))
+        if path in masses:
+            raise ConfigError(f"masses {masses[path]!r} and {mass_amu!r} amu "
+                              f"would both be written to {path}")
+        masses[path] = mass_amu
+    texts = ["\n".join(_fig3_rows(args, mass_amu)) + "\n" for mass_amu in masses.values()]
+    for path, text in zip(masses, texts):
         _write_text(path, text)
-    return [path for path, _ in outputs]
+    return list(masses)
 
 
 def cmd_fig3(ns, config, argv) -> int:
@@ -339,9 +309,7 @@ def cmd_fig3(ns, config, argv) -> int:
         raise ConfigError(f"--masses: {exc}") from exc
     if not masses:
         raise ConfigError("--masses must list at least one mass in amu")
-    species = _resolve_species(ns, config)
-    grating = _resolve_grating(ns, config)
-    env = config.environment if (config and config.environment) else EnvironmentConfig()
+    species, grating, env = config.species, config.grating, config.environment
     args = {
         "label": species.label,
         "density_kg_m3": species.bulk_density,
@@ -368,14 +336,11 @@ def cmd_fig3(ns, config, argv) -> int:
 # -- scalar reports ----------------------------------------------------------
 
 def cmd_budget(ns, config, argv) -> int:
-    species = _resolve_species(ns, config)
+    species, grating, env_base = config.species, config.grating, config.environment
     if ns.mass_amu is not None:
         species = ClusterSpecies.from_amu(ns.mass_amu, species.bulk_density,
                                           species.permittivity, species.label)
-    grating = _resolve_grating(ns, config)
-    csl_base = config.csl if (config and config.csl) else CslParams()
-    csl = CslParams(r_c=csl_base.r_c, lambda0=ns.lambda0, m0=csl_base.m0)
-    env_base = config.environment if (config and config.environment) else EnvironmentConfig()
+    csl = dataclasses.replace(config.csl, lambda0=ns.lambda0)
     env = dataclasses.replace(
         env_base,
         gas_pressure=mbar_to_pa(ns.pressure_mbar) if ns.pressure_mbar is not None
@@ -415,8 +380,7 @@ def cmd_budget(ns, config, argv) -> int:
 
 
 def cmd_observables(ns, config, argv) -> int:
-    species = _resolve_species(ns, config)
-    grating = _resolve_grating(ns, config)
+    species, grating = config.species, config.grating
     if ns.flux is not None:
         grating = grating.with_flux(ns.flux)
     obs = observables(species, grating)
@@ -431,11 +395,9 @@ def cmd_observables(ns, config, argv) -> int:
 
 
 def cmd_absorption(ns, config, argv) -> int:
-    species = _resolve_species(ns, config)
-    grating = _resolve_grating(ns, config)
-    profile = absorption_profile(species, grating, ns.flux)
+    profile = absorption_profile(config.species, config.grating, ns.flux)
     report = {
-        "species": _species_dict(species),
+        "species": _species_dict(config.species),
         "flux_J_m2": profile.flux,
         "n0": profile.n0, "n1": profile.n1,
         "l_max": profile.truncation_order,
@@ -499,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass-range", default="5:8.5:60",
                    help="lo:hi:steps in log10(amu)")
     p.add_argument("--target-V", type=float, default=0.85)
-    p.add_argument("--species", help="species config file")
-    p.add_argument("--grating", help="grating config file")
     p.add_argument("--talbot-order", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fig2)
@@ -509,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masses", default="1e6,1e7,1e8", help="comma list, amu")
     p.add_argument("--p-range", default="-14:-6:60", help="lo:hi:steps in log10(mbar)")
     p.add_argument("--T-range", default="4:400:60", help="lo:hi:steps in K")
-    p.add_argument("--species", help="species config file")
-    p.add_argument("--grating", help="grating config file")
     p.add_argument("--talbot-order", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fig3)
@@ -520,22 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", type=float, default=0.0, help="Hz")
     p.add_argument("--pressure-mbar", type=float, default=None)
     p.add_argument("--temperature-K", type=float, default=None)
-    p.add_argument("--species", help="species config file")
     p.add_argument("--talbot-order", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("observables", help="n0, n1, visibility, transmissivity")
-    p.add_argument("--species", help="species config file")
-    p.add_argument("--grating", help="grating config file")
     p.add_argument("--talbot-order", type=int, default=None)
     p.add_argument("--flux", type=float, default=None, help="J/m^2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_observables)
 
     p = sub.add_parser("absorption", help="absorbed-photon parameters n0, n1")
-    p.add_argument("--species", help="species config file")
-    p.add_argument("--grating", help="grating config file")
     p.add_argument("--talbot-order", type=int, default=None)
     p.add_argument("--flux", type=float, default=None, help="J/m^2")
     p.add_argument("--out", default=None)
@@ -557,7 +510,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = load_config(ns.config) if ns.config else None
+        config = load_config(ns.config) if ns.config else RunConfig()
+        if getattr(ns, "talbot_order", None) is not None:
+            config = dataclasses.replace(config, grating=dataclasses.replace(
+                config.grating, talbot_order=ns.talbot_order))
         return ns.func(ns, config, argv)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

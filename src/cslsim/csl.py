@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .params import ClusterSpecies, CslParams, GratingConfig
-from .specfun import erf
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ def geometry_factor(grating: GratingConfig, csl: CslParams) -> float:
     if a < 1e-8:
         # erf expansion: 1 - erf(a) sqrt(pi)/(2a) = a^2/3 + O(a^4)
         return a * a / 3.0
-    return 1.0 - math.sqrt(math.pi) * csl.r_c / nd * erf(a)
+    return 1.0 - math.sqrt(math.pi) * csl.r_c / nd * math.erf(a)
 
 
 def csl_exponent(species: ClusterSpecies, grating: GratingConfig,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .params import (
     BOHR_RADIUS,
     BOLTZMANN_KB,
+    GOLD_ATOM_MASS_AMU,
     HARTREE_ENERGY,
     HBAR,
     SPEED_OF_LIGHT,
@@ -43,7 +44,7 @@ class DecoherenceModel:
     c6_prefactor: float = 7.57
     # Slater-Kirkwood effective electron numbers entering C6.
     gas_electron_count: float = 10.0          # N2
-    cluster_electrons_per_amu: float = 11.0 / 196.96657  # gold valence
+    cluster_electrons_per_amu: float = 11.0 / GOLD_ATOM_MASS_AMU  # gold valence
     # Every gas collision fully resolves the paths (thermal de Broglie
     # wavelength << N d at all relevant temperatures).
     collision_effectiveness: float = 1.0
@@ -55,6 +56,7 @@ class DecoherenceModel:
     photon_effectiveness_cap: float = 1.0
 
 
+# The one set of constants that every rate below reads, like CONSTANTS.
 DEFAULT_MODEL = DecoherenceModel()
 
 
@@ -75,8 +77,7 @@ class DecoherenceBudget:
                 + self.rate_bb_emission + self.rate_bb_scattering)
 
 
-def dispersion_coefficient(species: ClusterSpecies, env: EnvironmentConfig,
-                           model: DecoherenceModel = DEFAULT_MODEL) -> float:
+def dispersion_coefficient(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     """Slater-Kirkwood C6 between the cluster and one gas molecule, in J m^6.
 
     The cluster static polarizability volume is taken as R^3 (conducting
@@ -85,23 +86,21 @@ def dispersion_coefficient(species: ClusterSpecies, env: EnvironmentConfig,
     a0_cubed = BOHR_RADIUS ** 3
     alpha_cluster = cluster_radius(species) ** 3 / a0_cubed   # atomic units
     alpha_gas = env.gas_polarizability_volume / a0_cubed
-    n_cluster = species.mass_amu * model.cluster_electrons_per_amu
-    n_gas = model.gas_electron_count
+    n_cluster = species.mass_amu * DEFAULT_MODEL.cluster_electrons_per_amu
+    n_gas = DEFAULT_MODEL.gas_electron_count
     c6_au = 1.5 * alpha_cluster * alpha_gas / (
         math.sqrt(alpha_cluster / n_cluster) + math.sqrt(alpha_gas / n_gas))
     return c6_au * HARTREE_ENERGY * BOHR_RADIUS ** 6
 
 
-def collision_cross_section(speed: float, c6: float,
-                            model: DecoherenceModel = DEFAULT_MODEL) -> float:
+def collision_cross_section(speed: float, c6: float) -> float:
     """Total London-van der Waals cross section at one relative speed."""
     if speed <= 0.0:
         raise DomainError(f"speed must be > 0, got {speed}")
-    return model.c6_prefactor * (c6 / (HBAR * speed)) ** 0.4
+    return DEFAULT_MODEL.c6_prefactor * (c6 / (HBAR * speed)) ** 0.4
 
 
-def collision_rate(species: ClusterSpecies, env: EnvironmentConfig,
-                   model: DecoherenceModel = DEFAULT_MODEL) -> float:
+def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     """Residual-gas collision rate n_gas <sigma_tot v>, linear in pressure.
 
     sigma falls as v^(-2/5), so the Maxwell-Boltzmann mean
@@ -111,11 +110,11 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig,
     if env.gas_pressure == 0.0:
         return 0.0
     n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
-    c6 = dispersion_coefficient(species, env, model)
+    c6 = dispersion_coefficient(species, env)
     v_p = math.sqrt(2.0 * BOLTZMANN_KB * env.gas_temperature / env.gas_mass)
     mean_sigma_v = (2.0 / math.sqrt(math.pi) * math.gamma(1.8)
-                    * v_p * collision_cross_section(v_p, c6, model))
-    return n_gas * mean_sigma_v * model.collision_effectiveness
+                    * v_p * collision_cross_section(v_p, c6))
+    return n_gas * mean_sigma_v * DEFAULT_MODEL.collision_effectiveness
 
 
 def _bose_tail(m: int, x: float) -> float:
@@ -154,9 +153,7 @@ def _capped_planck(power: int, a: float, cap: float) -> float:
 
 
 def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
-                    grating: GratingConfig,
-                    model: DecoherenceModel = DEFAULT_MODEL
-                    ) -> tuple[float, float, float]:
+                    grating: GratingConfig) -> tuple[float, float, float]:
     """Fringe-weighted thermal photon rates (absorption, emission, scattering).
 
     All three are spectral integrals of cross section x photon flux x
@@ -178,13 +175,13 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
     # sigma(omega) times the photon flux omega^2 / (pi^2 c^2), per omega^power:
     # Drude absorption 4 pi (omega/c) R^3 * 3 eps0 omega / sigma_dc, and
     # Rayleigh scattering (8 pi / 3) (omega/c)^4 R^6.
-    k_abs = 12.0 * VACUUM_PERMITTIVITY * r3 / (math.pi * model.dc_conductivity * c ** 3)
+    k_abs = 12.0 * VACUUM_PERMITTIVITY * r3 / (math.pi * DEFAULT_MODEL.dc_conductivity * c ** 3)
     k_sca = 8.0 * r3 * r3 / (3.0 * math.pi * c ** 6)
 
     def planck(power: int, temperature: float) -> float:
         w = BOLTZMANN_KB * temperature / HBAR
         return w ** (power + 1) * _capped_planck(
-            power, nd * w / c, model.photon_effectiveness_cap)
+            power, nd * w / c, DEFAULT_MODEL.photon_effectiveness_cap)
 
     t_env = env.radiation_temperature
     absorption = k_abs * planck(4, t_env)
@@ -194,13 +191,11 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
 
 
 def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
-                       env: EnvironmentConfig,
-                       model: DecoherenceModel = DEFAULT_MODEL
-                       ) -> DecoherenceBudget:
+                       env: EnvironmentConfig) -> DecoherenceBudget:
     """All channel rates plus the combined visibility factor."""
     t_total = total_interference_time(species, grating)
-    rate_coll = collision_rate(species, env, model)
-    rate_abs, rate_em, rate_sca = blackbody_rates(species, env, grating, model)
+    rate_coll = collision_rate(species, env)
+    rate_abs, rate_em, rate_sca = blackbody_rates(species, env, grating)
     total = rate_coll + rate_abs + rate_em + rate_sca
     return DecoherenceBudget(
         rate_collision=rate_coll,
@@ -213,14 +208,9 @@ def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
 
 
 def visibility_factor_env(species: ClusterSpecies, grating: GratingConfig,
-                          env: EnvironmentConfig,
-                          model: DecoherenceModel = DEFAULT_MODEL) -> float:
+                          env: EnvironmentConfig) -> float:
     """Environmental visibility factor exp(-total exposure over 2 N T_T)."""
-    return decoherence_budget(species, grating, env, model).visibility_factor
-
-
-def model_constants_dict(model: DecoherenceModel = DEFAULT_MODEL) -> dict:
-    return asdict(model)
+    return decoherence_budget(species, grating, env).visibility_factor
 
 
 # -- critical contour -------------------------------------------------------
@@ -228,9 +218,7 @@ def model_constants_dict(model: DecoherenceModel = DEFAULT_MODEL) -> dict:
 def critical_contour(species: ClusterSpecies, grating: GratingConfig,
                      pressure_grid, temperature_grid,
                      env_template: EnvironmentConfig | None = None,
-                     level: float = 0.5,
-                     model: DecoherenceModel = DEFAULT_MODEL
-                     ) -> list[list[tuple[float, float]]]:
+                     level: float = 0.5) -> list[list[tuple[float, float]]]:
     """The visibility_factor = level set over a (pressure, T) grid.
 
     The temperature axis is the radiation (ambient) temperature; the gas
@@ -255,11 +243,11 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     base_env = env_template if env_template is not None else EnvironmentConfig()
 
     budget = -math.log(level) / total_interference_time(species, grating)
-    coll_coeff = collision_rate(species, replace(base_env, gas_pressure=1.0), model)
+    coll_coeff = collision_rate(species, replace(base_env, gas_pressure=1.0))
 
     def bb_rate(temperature: float) -> float:
         env = replace(base_env, gas_pressure=0.0, environment_temperature=temperature)
-        return sum(blackbody_rates(species, env, grating, model))
+        return sum(blackbody_rates(species, env, grating))
 
     bb = [bb_rate(t) for t in temperatures]
     vertices = [(p, t) for p, t in zip([(budget - b) / coll_coeff for b in bb], temperatures)

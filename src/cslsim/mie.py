@@ -60,12 +60,6 @@ def _refractive_root(eps: complex) -> complex:
     return u
 
 
-def multipole_components(ell: int, rho: float, eps: complex) -> tuple[float, float]:
-    """Electric and magnetic multipole components (sigma_E, sigma_H) at order ell."""
-    terms = multipole_terms(rho, eps, ell)
-    return terms.sigma_e[-1], terms.sigma_h[-1]
-
-
 def _sigma_e(l, rho, eps, u, js, hs):
     num = (eps * js[l] * (u * rho * js[l - 1] - l * js[l]).conjugate()).imag
     den = abs(l * (eps - 1.0) * js[l] * hs[l]

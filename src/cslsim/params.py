@@ -109,8 +109,8 @@ class ClusterSpecies:
         return dataclasses.replace(self, mass=mass_kg)
 
 
-def gold_cluster(mass_amu: float, density: float = GOLD_DENSITY) -> ClusterSpecies:
-    return ClusterSpecies.from_amu(mass_amu, density, GOLD_PERMITTIVITY_157NM, "gold")
+def gold_cluster(mass_amu: float) -> ClusterSpecies:
+    return ClusterSpecies.from_amu(mass_amu, GOLD_DENSITY, GOLD_PERMITTIVITY_157NM, "gold")
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,9 @@ class GratingConfig:
         return dataclasses.replace(self, laser_flux=flux)
 
 
-def default_grating(talbot_order: int = 2, laser_flux: float = 1.0) -> GratingConfig:
+def default_grating() -> GratingConfig:
     """157 nm fluorine-laser grating, second Talbot order."""
-    return GratingConfig(157e-9, talbot_order, laser_flux)
+    return GratingConfig(157e-9)
 
 
 @dataclass(frozen=True)
@@ -232,23 +232,35 @@ def total_interference_time(species: ClusterSpecies, grating: GratingConfig) -> 
 
 # -- config files -----------------------------------------------------------
 
-_SPECIES_KEYS = {"label", "mass_amu", "density_kg_m3", "eps_re", "eps_im"}
-_GRATING_KEYS = {"wavelength_nm", "talbot_order", "flux_J_m2"}
-_CSL_KEYS = {"rc_nm", "lambda0_hz", "m0_amu"}
-_ENV_KEYS = {"pressure_mbar", "gas_temperature_K", "environment_temperature_K",
-             "cluster_temperature_K", "gas_mass_amu", "gas_polarizability_A3"}
-_KNOWN_SECTIONS = {"species": _SPECIES_KEYS, "grating": _GRATING_KEYS,
-                   "csl": _CSL_KEYS, "environment": _ENV_KEYS}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run can take from a config file."""
+    """Everything a CLI run can take from a config file; a section the file
+    leaves out takes these defaults."""
 
-    species: ClusterSpecies | None = None
-    grating: GratingConfig | None = None
-    csl: CslParams | None = None
-    environment: EnvironmentConfig | None = None
+    species: ClusterSpecies = gold_cluster(1.9697e5)
+    grating: GratingConfig = default_grating()
+    csl: CslParams = CslParams()
+    environment: EnvironmentConfig = EnvironmentConfig()
+
+
+def _nm(value: float) -> float:
+    return value * 1e-9
+
+
+# Optional float keys: config key -> (dataclass field, conversion to SI).
+_GRATING_KEYS = {"wavelength_nm": ("laser_wavelength", _nm),
+                 "flux_J_m2": ("laser_flux", float)}
+_CSL_KEYS = {"rc_nm": ("r_c", _nm), "lambda0_hz": ("lambda0", float),
+             "m0_amu": ("m0", amu_to_kg)}
+_ENV_KEYS = {"pressure_mbar": ("gas_pressure", mbar_to_pa),
+             "gas_temperature_K": ("gas_temperature", float),
+             "gas_mass_amu": ("gas_mass", amu_to_kg),
+             "gas_polarizability_A3": ("gas_polarizability_volume", lambda a: a * 1e-30),
+             "environment_temperature_K": ("environment_temperature", float),
+             "cluster_temperature_K": ("cluster_temperature", float)}
+_SPECIES_KEYS = {"label", "mass_amu", "density_kg_m3", "eps_re", "eps_im"}
+_KNOWN_SECTIONS = {"species": _SPECIES_KEYS, "grating": {*_GRATING_KEYS, "talbot_order"},
+                   "csl": _CSL_KEYS, "environment": _ENV_KEYS}
 
 
 def _float(section, key, raw):
@@ -256,6 +268,13 @@ def _float(section, key, raw):
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+
+
+def _given(section, sec, keys) -> dict:
+    """The keys that `sec` sets, as SI values under their field names; a key
+    left out is not passed, so the dataclass default applies."""
+    return {field: to_si(_float(section, key, sec[key]))
+            for key, (field, to_si) in keys.items() if key in sec}
 
 
 def load_config(path: str) -> RunConfig:
@@ -277,7 +296,7 @@ def load_config(path: str) -> RunConfig:
             if key not in _KNOWN_SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    species = grating = csl = env = None
+    sections = {}
 
     if parser.has_section("species"):
         sec = parser["species"]
@@ -285,12 +304,13 @@ def load_config(path: str) -> RunConfig:
         missing = required - set(sec)
         if missing:
             raise ConfigError(f"[species] missing keys: {sorted(missing)}")
-        species = ClusterSpecies.from_amu(
+        label = {"label": sec["label"]} if "label" in sec else {}
+        sections["species"] = ClusterSpecies.from_amu(
             _float("species", "mass_amu", sec["mass_amu"]),
             _float("species", "density_kg_m3", sec["density_kg_m3"]),
             complex(_float("species", "eps_re", sec["eps_re"]),
                     _float("species", "eps_im", sec["eps_im"])),
-            sec.get("label", "cluster"),
+            **label,
         )
 
     if parser.has_section("grating"):
@@ -298,40 +318,16 @@ def load_config(path: str) -> RunConfig:
         if "wavelength_nm" not in sec:
             raise ConfigError("[grating] missing key wavelength_nm")
         try:
-            order = int(sec.get("talbot_order", "2"))
+            order = {"talbot_order": int(sec["talbot_order"])} if "talbot_order" in sec else {}
         except ValueError as exc:
             raise ConfigError("[grating] talbot_order must be an integer") from exc
-        grating = GratingConfig(
-            _float("grating", "wavelength_nm", sec["wavelength_nm"]) * 1e-9,
-            order,
-            _float("grating", "flux_J_m2", sec.get("flux_J_m2", "1.0")),
-        )
+        sections["grating"] = GratingConfig(**_given("grating", sec, _GRATING_KEYS), **order)
 
     if parser.has_section("csl"):
-        sec = parser["csl"]
-        csl = CslParams(
-            r_c=_float("csl", "rc_nm", sec.get("rc_nm", "100")) * 1e-9,
-            lambda0=_float("csl", "lambda0_hz", sec.get("lambda0_hz", "0")),
-            m0=amu_to_kg(_float("csl", "m0_amu", sec.get("m0_amu", "1"))),
-        )
+        sections["csl"] = CslParams(**_given("csl", parser["csl"], _CSL_KEYS))
 
     if parser.has_section("environment"):
-        sec = parser["environment"]
+        sections["environment"] = EnvironmentConfig(
+            **_given("environment", parser["environment"], _ENV_KEYS))
 
-        def opt(key):
-            return _float("environment", key, sec[key]) if key in sec else None
-
-        env = EnvironmentConfig(
-            gas_pressure=mbar_to_pa(_float("environment", "pressure_mbar",
-                                           sec.get("pressure_mbar", "0"))),
-            gas_temperature=_float("environment", "gas_temperature_K",
-                                   sec.get("gas_temperature_K", "300")),
-            gas_mass=amu_to_kg(_float("environment", "gas_mass_amu",
-                                      sec.get("gas_mass_amu", "28"))),
-            gas_polarizability_volume=_float("environment", "gas_polarizability_A3",
-                                             sec.get("gas_polarizability_A3", "1.74")) * 1e-30,
-            environment_temperature=opt("environment_temperature_K"),
-            cluster_temperature=opt("cluster_temperature_K"),
-        )
-
-    return RunConfig(species=species, grating=grating, csl=csl, environment=env)
+    return RunConfig(**sections)

@@ -5,7 +5,6 @@ Provides exactly what the physics layers consume:
 * spherical Bessel j_l of complex argument (Miller downward recurrence),
 * spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
 * modified Bessel I_0, I_1, I_2 with exponentially-scaled variants,
-* erf,
 * the bracketed Illinois root solve that inverts them.
 
 All functions are pure and stateless.
@@ -182,13 +181,6 @@ def bessel_I(order: int, x: float) -> float:
 def log_bessel_I0(x: float) -> float:
     """ln I_0(x), finite for any x >= 0 representable as a double."""
     return x + math.log(bessel_I_scaled(0, x))
-
-
-def erf(x: float) -> float:
-    """Error function (delegates to the C library implementation)."""
-    if not math.isfinite(x):
-        raise DomainError(f"erf requires finite x, got {x}")
-    return math.erf(x)
 
 
 def _illinois(f, x0: float, x1: float, g0: float, g1: float) -> float:

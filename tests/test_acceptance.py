@@ -8,6 +8,7 @@ tighter ones used in the per-module suites.
 import json
 import math
 import random
+from math import erf
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from cslsim.params import (
 )
 from cslsim.specfun import (
     bessel_I,
-    erf,
     spherical_bessel_j,
     spherical_hankel_h1,
     spherical_yn_array,

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from cslsim.cli import (
     FIG1_HEADER,
     FIG2_HEADER,
     FIG3_HEADER,
+    build_parser,
     main,
 )
 from cslsim.interferometer import flux_for_target_visibility
@@ -199,10 +202,13 @@ def test_rerun_refuses_other_constants(tmp_path, key, field):
     assert not (tmp_path / "replay.csv").exists()
 
 
-def test_failed_fig3_leaves_no_files(tmp_path, monkeypatch):
+def test_failed_fig3_leaves_no_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert run(["fig3", "--masses", "1e6,-5", "--out", "f.csv"]) == EXIT_USAGE
-    assert list(tmp_path.iterdir()) == []
+    # a bad mass, and masses whose six-digit file names coincide
+    for masses in ("1e6,-5", "1e6,1e6,1000000", "1e6,1.0000001e6"):
+        assert run(["fig3", "--masses", masses, "--out", "f.csv"]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+    assert "1000000.0 and 1000000.1" in capsys.readouterr().err
 
 
 def test_bad_mass_is_reported_in_amu(tmp_path, capsys):
@@ -259,8 +265,23 @@ def test_unwritable_output_is_usage_error(tmp_path):
 
 
 def test_removed_global_flags_are_usage_errors(tmp_path):
-    for flag in (["--format", "json"], ["--jobs", "2"]):
-        assert run([*flag, "fig1", "--out", str(tmp_path / "f.csv")]) == EXIT_USAGE
+    cfg = tmp_path / "probe.ini"
+    cfg.write_text(CONFIG_TEXT)
+    for argv in (["--format", "json", "fig1"], ["--jobs", "2", "fig1"],
+                 ["fig2", "--species", str(cfg)], ["observables", "--grating", str(cfg)]):
+        assert run([*argv, "--out", str(tmp_path / "f.csv")]) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("cslsim ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_cli_import_loads_no_scipy():
@@ -299,7 +320,7 @@ def test_missing_config_is_usage_error(tmp_path):
 def test_oversized_species_is_geometry_error(tmp_path):
     cfg = tmp_path / "big.ini"
     cfg.write_text(CONFIG_TEXT.replace("1e6", "1e11"))
-    assert run(["observables", "--species", str(cfg),
+    assert run(["--config", str(cfg), "observables",
                 "--out", str(tmp_path / "o.json")]) == EXIT_GEOMETRY
 
 
@@ -307,7 +328,7 @@ def test_observables_with_config(tmp_path):
     cfg = tmp_path / "probe.ini"
     cfg.write_text(CONFIG_TEXT)
     out = tmp_path / "obs.json"
-    code = run(["observables", "--species", str(cfg), "--flux", "1.0",
+    code = run(["--config", str(cfg), "observables", "--flux", "1.0",
                 "--out", str(out)])
     assert code == EXIT_OK
     data = json.loads(out.read_text())

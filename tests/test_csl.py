@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 
 from cslsim.csl import (
@@ -189,6 +190,19 @@ def test_exclusion_boundary_loglog_slope():
     logm = np.log10([p[1] / AMU for p in pts])
     slopes = np.diff(logm) / np.diff(logl)
     assert np.all(np.abs(slopes + 1.0 / 3.0) < 1e-6)
+
+
+@given(st.floats(-18.0, -8.0), st.floats(0.1, 2.0), st.integers(2, 12),
+       st.floats(0.01, 0.99), st.floats(-8.0, -5.0))
+@settings(max_examples=100, deadline=None)
+def test_exclusion_boundary_slope_on_random_grids(lo, step, count, threshold, log10_rc):
+    # the slope -1/3 holds for any grid, threshold and localization length
+    lams = [10.0 ** (lo + i * step) for i in range(count)]
+    pts = exclusion_boundary(default_grating(), make_csl(1e-10, r_c=10.0 ** log10_rc),
+                             lams, threshold)
+    for (l0, m0), (l1, m1) in zip(pts, pts[1:]):
+        slope = math.log(m1 / m0) / math.log(l1 / l0)
+        assert abs(slope + 1.0 / 3.0) < 1e-12
 
 
 def test_exclusion_boundary_rejects_bad_grid():

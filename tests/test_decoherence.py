@@ -2,20 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 import cslsim.decoherence as decoherence
 from cslsim.decoherence import (
     DEFAULT_MODEL,
-    DecoherenceModel,
     blackbody_rates,
     collision_cross_section,
     collision_rate,
     critical_contour,
     decoherence_budget,
     dispersion_coefficient,
-    model_constants_dict,
     visibility_factor_env,
 )
 from cslsim.errors import DomainError
@@ -40,7 +38,7 @@ def env(pressure_mbar=0.0, gas_T=300.0, rad_T=300.0):
                              environment_temperature=rad_T)
 
 
-def blackbody_oracle(species, environment, grating, model=DEFAULT_MODEL):
+def blackbody_oracle(species, environment, grating):
     """The three thermal photon rates by adaptive quadrature of cross
     section x photon flux x capped effectiveness over the Planck spectrum."""
     nd = grating.talbot_order * grating.period
@@ -48,11 +46,11 @@ def blackbody_oracle(species, environment, grating, model=DEFAULT_MODEL):
     c = SPEED_OF_LIGHT
 
     def effectiveness(omega):
-        return min((nd * omega / c) ** 2, model.photon_effectiveness_cap)
+        return min((nd * omega / c) ** 2, DEFAULT_MODEL.photon_effectiveness_cap)
 
     def absorption(omega):
         sigma_abs = (4.0 * math.pi * (omega / c) * r3
-                     * 3.0 * VACUUM_PERMITTIVITY * omega / model.dc_conductivity)
+                     * 3.0 * VACUUM_PERMITTIVITY * omega / DEFAULT_MODEL.dc_conductivity)
         return sigma_abs * omega * omega / (math.pi ** 2 * c * c) * effectiveness(omega)
 
     def scattering(omega):
@@ -71,15 +69,15 @@ def blackbody_oracle(species, environment, grating, model=DEFAULT_MODEL):
             planck(scattering, t_env))
 
 
-def collision_oracle(species, environment, model=DEFAULT_MODEL):
+def collision_oracle(species, environment):
     """n_gas <sigma v> by adaptive quadrature over the Maxwell-Boltzmann speeds."""
-    c6 = dispersion_coefficient(species, environment, model)
+    c6 = dispersion_coefficient(species, environment)
     v_p = math.sqrt(2.0 * BOLTZMANN_KB * environment.gas_temperature / environment.gas_mass)
     value, _ = quad(lambda u: u ** 3 * math.exp(-u * u)
-                    * collision_cross_section(v_p * u, c6, model),
+                    * collision_cross_section(v_p * u, c6),
                     1e-12, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
     n_gas = environment.gas_pressure / (BOLTZMANN_KB * environment.gas_temperature)
-    return n_gas * 4.0 / math.sqrt(math.pi) * v_p * value * model.collision_effectiveness
+    return n_gas * 4.0 / math.sqrt(math.pi) * v_p * value * DEFAULT_MODEL.collision_effectiveness
 
 
 @pytest.mark.parametrize("mass", [1e5, 1e6, 1e7, 1e8])
@@ -282,6 +280,25 @@ def test_contour_vertices_are_the_oracle_grid_crossings(mass):
     assert len(vertices) == sign_changes
 
 
+@given(st.floats(5.0, 8.5), st.floats(5.0, 8.5))
+@settings(max_examples=30, deadline=None)
+def test_contours_nest_on_a_shared_grid(log10_m1, log10_m2):
+    assume(abs(log10_m1 - log10_m2) >= 0.01)
+    light, heavy = sorted([log10_m1, log10_m2])
+    grating = default_grating()
+    pressures = [10.0 ** (-14.0 + 8.0 * i / 39) * MBAR for i in range(40)]
+    temperatures = [4.0 + 396.0 * i / 39 for i in range(40)]
+    on_grid_t = {}
+    for log10_mass in (light, heavy):
+        lines = critical_contour(gold_cluster(10.0 ** log10_mass), grating,
+                                 pressures, temperatures)
+        vertices = lines[0] if lines else []
+        on_grid_t[log10_mass] = {t: p for p, t in vertices if t in temperatures}
+    # the heavier cluster needs the better vacuum at every shared temperature
+    for t in on_grid_t[light].keys() & on_grid_t[heavy].keys():
+        assert on_grid_t[heavy][t] < on_grid_t[light][t]
+
+
 @st.composite
 def shuffled_grid(draw, lo, hi):
     """2-30 values in [lo, hi], some of them repeated, in random order."""
@@ -325,9 +342,9 @@ def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
     # With T within a factor of two of B every subtraction below is exact,
     # and the grid pressure B - T[1] puts the contour on a grid node.
     monkeypatch.setattr(decoherence, "collision_rate",
-                        lambda species, environment, model: environment.gas_pressure)
+                        lambda species, environment: environment.gas_pressure)
     monkeypatch.setattr(decoherence, "blackbody_rates",
-                        lambda species, environment, grating, model:
+                        lambda species, environment, grating:
                         (environment.radiation_temperature, 0.0, 0.0))
     species, grating = gold_cluster(1e6), default_grating()
     budget = math.log(2.0) / total_interference_time(species, grating)
@@ -366,9 +383,3 @@ def test_contour_grid_validation():
         critical_contour(gold_cluster(1e6), grating, [1e-9, -1e-8], [100.0, 200.0])
     with pytest.raises(DomainError):
         critical_contour(gold_cluster(1e6), grating, [1e-9, math.nan], [100.0, 200.0])
-
-
-def test_model_constants_round_trip():
-    d = model_constants_dict()
-    assert d == model_constants_dict(DecoherenceModel())
-    assert d["c6_prefactor"] == DEFAULT_MODEL.c6_prefactor

@@ -8,7 +8,6 @@ from cslsim.errors import DomainError, GeometryError
 from cslsim.mie import (
     absorption_profile,
     absorption_sums,
-    multipole_components,
     multipole_terms,
 )
 from cslsim.params import (
@@ -81,8 +80,7 @@ def test_dipole_limit_small_sphere():
 
 def test_quadrupole_suppression_at_small_rho():
     rho = 0.05
-    se1, _ = multipole_components(1, rho, GOLD_EPS)
-    se2, _ = multipole_components(2, rho, GOLD_EPS)
+    se1, se2 = multipole_terms(rho, GOLD_EPS, 2).sigma_e
     assert abs(se2 / se1) < 50.0 * rho ** 2
 
 
@@ -170,8 +168,8 @@ def test_geometry_guard_rejects_large_sphere():
 
 def test_multipole_components_domain_errors():
     with pytest.raises(DomainError):
-        multipole_components(0, 0.5, GOLD_EPS)
+        multipole_terms(0.5, GOLD_EPS, 0)
     with pytest.raises(DomainError):
-        multipole_components(1, -0.5, GOLD_EPS)
+        multipole_terms(-0.5, GOLD_EPS, 1)
     with pytest.raises(DomainError):
-        multipole_components(1, 0.5, 1.0 - 0.1j)
+        multipole_terms(0.5, 1.0 - 0.1j, 1)

@@ -10,6 +10,8 @@ from cslsim.params import (
     ClusterSpecies,
     GratingConfig,
     CslParams,
+    EnvironmentConfig,
+    RunConfig,
     cluster_radius,
     default_grating,
     gold_cluster,
@@ -71,7 +73,7 @@ def test_talbot_time_per_amu():
 
 def test_total_interference_time_near_60ms():
     species = gold_cluster(1e6)
-    grating = default_grating(talbot_order=2)
+    grating = default_grating()
     total = total_interference_time(species, grating)
     assert abs(total - 60e-3) / 60e-3 < 0.10
     assert total == pytest.approx(61.8e-3, rel=1e-2)
@@ -162,6 +164,15 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.csl.r_c == pytest.approx(100e-9)
     assert cfg.csl.lambda0 == 1e-10
     assert cfg.environment.gas_pressure == pytest.approx(1e-7, rel=1e-12)
+
+
+def test_load_config_takes_defaults_for_what_a_file_leaves_out(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[csl]\nlambda0_hz = 1e-10\n")
+    assert load_config(str(path)) == RunConfig(csl=CslParams(lambda0=1e-10))
+    path.write_text("[environment]\npressure_mbar = 1e-9\n")
+    assert load_config(str(path)).environment == EnvironmentConfig(
+        gas_pressure=mbar_to_pa(1e-9))
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

@@ -4,13 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from cslsim.errors import DomainError
 from cslsim.specfun import (
     bessel_I,
     bessel_I_scaled,
-    erf,
     log_bessel_I0,
     spherical_bessel_j,
     spherical_hankel_h1,
@@ -41,12 +39,6 @@ def iv_series_oracle(order, x, terms=80):
         total += (x / 2.0) ** (2 * m + order) / (
             math.factorial(m) * math.factorial(m + order))
     return total
-
-
-def erf_quadrature_oracle(x):
-    value, _ = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t),
-                    0.0, x, epsabs=1e-14, epsrel=1e-13)
-    return value
 
 
 # -- spherical Bessel j -------------------------------------------------------
@@ -199,33 +191,3 @@ def test_bessel_I_rejects_negative():
         bessel_I(0, -0.5)
     with pytest.raises(DomainError):
         bessel_I(3, 1.0)
-
-
-# -- erf ----------------------------------------------------------------------
-
-def test_erf_odd_symmetry_and_zero():
-    assert erf(0.0) == 0.0
-    for x in (0.3, 1.7, 4.2):
-        assert erf(-x) == -erf(x)
-        assert -1.0 < erf(x) < 1.0
-
-
-def test_erf_against_quadrature_value():
-    assert erf(0.785) == pytest.approx(erf_quadrature_oracle(0.785), abs=1e-12)
-    assert erf(0.785) == pytest.approx(0.7330689, rel=1e-6)
-
-
-def test_erf_tail():
-    assert abs(erf(6.0) - 1.0) < 1e-15
-
-
-def test_erf_quadrature_agreement_random_points():
-    rng = np.random.default_rng(20260826)
-    xs = rng.uniform(-6.0, 6.0, size=1000)
-    for x in xs:
-        assert abs(erf(float(x)) - erf_quadrature_oracle(float(x))) < 1e-10
-
-
-def test_erf_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        erf(float("inf"))
