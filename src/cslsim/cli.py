@@ -62,7 +62,7 @@ EXIT_GEOMETRY = 4
 FIG1_HEADER = "lambda0_Hz,m_c_amu,geometry_factor"
 FIG2_HEADER = "mass_amu,radius_nm,flux_J_m2,n0,n1,transmissivity,status"
 FIG3_HEADER = "segment,pressure_mbar,temperature_K"
-SCHEMAS = {"fig1": "fig1.v2", "fig2": "fig2.v2", "fig3": "fig3.v2"}
+SCHEMAS = {"fig1": "fig1.v2", "fig2": "fig2.v3", "fig3": "fig3.v2"}
 
 
 def _fmt(x: float) -> str:
@@ -340,7 +340,8 @@ def cmd_budget(ns, config, argv) -> int:
     if ns.mass_amu is not None:
         species = ClusterSpecies.from_amu(ns.mass_amu, species.bulk_density,
                                           species.permittivity, species.label)
-    csl = dataclasses.replace(config.csl, lambda0=ns.lambda0)
+    csl = config.csl if ns.lambda0 is None else dataclasses.replace(
+        config.csl, lambda0=ns.lambda0)
     env = dataclasses.replace(
         env_base,
         gas_pressure=mbar_to_pa(ns.pressure_mbar) if ns.pressure_mbar is not None
@@ -475,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="combined CSL vs environment report")
     p.add_argument("--mass-amu", type=float, default=None)
-    p.add_argument("--lambda0", type=float, default=0.0, help="Hz")
+    p.add_argument("--lambda0", type=float, default=None,
+                   help="Hz; default: the config's [csl] lambda0_hz")
     p.add_argument("--pressure-mbar", type=float, default=None)
     p.add_argument("--temperature-K", type=float, default=None)
     p.add_argument("--talbot-order", type=int, default=None)

@@ -138,7 +138,8 @@ def _bose_tail(m: int, x: float) -> float:
     return math.factorial(m) * total
 
 
-_BOSE_INTEGRAL = {m: _bose_tail(m, 0.0) for m in (6, 8)}
+# The complete integrals m! zeta(m+1), as _bose_tail(m, 0.0) rounds them.
+_BOSE_INTEGRAL = {6: 726.0114797149829, 8: 40400.97839874761}
 
 
 def _capped_planck(power: int, a: float, cap: float) -> float:

@@ -13,21 +13,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
 from .params import PLANCK_H, ClusterSpecies, GratingConfig, cluster_radius
-from .specfun import spherical_hankel_array, spherical_jn_array
+from .specfun import MAX_ORDER, spherical_hankel_array, spherical_jn_array
 
 _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
 _TAIL_RUN = 5            # consecutive terms that must satisfy the bound
-_HARD_CAP = 200          # absolute truncation cap
+_LMAX = MAX_ORDER - 1    # sigma_H at order l reads the Bessel arrays at l + 1
 _DEGENERATE_DEN = 1e-30
-
-
-@dataclass(frozen=True)
-class MultipoleTerms:
-    """Per-order multipole components at scaled radius rho = k_L R."""
-
-    rho: float
-    sigma_e: tuple[float, ...]   # sigma_l^(E), l = 1..len
-    sigma_h: tuple[float, ...]   # sigma_l^(H), l = 1..len
 
 
 @dataclass(frozen=True)
@@ -77,10 +68,15 @@ def _sigma_h(l, rho, u, js, hs):
     return num / den
 
 
-def multipole_terms(rho: float, eps: complex, lmax: int) -> MultipoleTerms:
-    """All multipole components up to lmax in one pass (shared Bessel arrays)."""
-    if lmax < 1 or lmax > _HARD_CAP:
-        raise DomainError(f"lmax must be in [1, {_HARD_CAP}], got {lmax}")
+def multipole_orders(rho: float, eps: complex, lmax: int):
+    """(sigma_E, sigma_H) for l = 1 .. lmax at scaled radius rho = k_L R.
+
+    The Bessel arrays are built here, once; each pair of components is
+    computed only when it is drawn, so a sum that stops early pays for no
+    order past its stopping point.
+    """
+    if lmax < 1 or lmax > _LMAX:
+        raise DomainError(f"lmax must be in [1, {_LMAX}], got {lmax}")
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError(f"rho must be positive, got {rho}")
     eps = complex(eps)
@@ -89,14 +85,17 @@ def multipole_terms(rho: float, eps: complex, lmax: int) -> MultipoleTerms:
     u = _refractive_root(eps)
     js = spherical_jn_array(lmax + 1, u * rho)
     hs = spherical_hankel_array(lmax + 1, rho)
-    se = tuple(_sigma_e(l, rho, eps, u, js, hs) for l in range(1, lmax + 1))
-    sh = tuple(_sigma_h(l, rho, u, js, hs) for l in range(1, lmax + 1))
-    return MultipoleTerms(rho=rho, sigma_e=se, sigma_h=sh)
+    return ((_sigma_e(l, rho, eps, u, js, hs), _sigma_h(l, rho, u, js, hs))
+            for l in range(1, lmax + 1))
 
 
 def truncation_budget(rho: float) -> int:
-    """Wiscombe-style order budget for the multipole sums."""
-    return min(_HARD_CAP, max(50, math.ceil(rho + 4.0 * rho ** (1.0 / 3.0) + 10.0)))
+    """First order budget of the multipole sums, rho + 4 rho^(1/3) + 6.
+
+    It is at least 16: under the geometry guard (rho < pi) the tail test
+    stops by l = 15.
+    """
+    return min(_LMAX, max(16, math.ceil(rho + 4.0 * rho ** (1.0 / 3.0) + 6.0)))
 
 
 def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int, bool]:
@@ -108,33 +107,32 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int, bool]:
         S0 = sum_l (2l+1) pi / rho * (sigma_E - sigma_H)
         S1 = sum_l (2l+1) pi / rho * (-1)^(l-1) * (sigma_E + sigma_H)
 
-    Both carry the common prefactor 4 F_L / (h nu_L k_L^2) in n0, n1.
+    Both carry the common prefactor 4 F_L / (h nu_L k_L^2) in n0, n1.  The
+    sums stop once _TAIL_RUN consecutive terms fall below _TAIL_TOL of the
+    partial sum.  A budget that runs out first is doubled, up to _LMAX, and
+    the sums start again; at _LMAX they are returned unconverged.
     """
     budget = truncation_budget(rho)
-    terms = multipole_terms(rho, eps, budget)
-    s0 = 0.0
-    s1 = 0.0
-    run = 0
-    used = 0
-    converged = False
-    for l in range(1, budget + 1):
-        weight = (2 * l + 1) * math.pi / rho
-        se = terms.sigma_e[l - 1]
-        sh = terms.sigma_h[l - 1]
-        d0 = weight * (se - sh)
-        d1 = weight * (-1.0) ** (l - 1) * (se + sh)
-        s0 += d0
-        s1 += d1
-        used = l
-        scale = max(abs(s0), abs(s1), 1e-300)
-        if max(abs(d0), abs(d1)) < _TAIL_TOL * scale:
-            run += 1
-            if run >= _TAIL_RUN:
-                converged = True
-                break
-        else:
-            run = 0
-    return s0, s1, used, converged
+    while True:
+        s0 = 0.0
+        s1 = 0.0
+        run = 0
+        for l, (se, sh) in enumerate(multipole_orders(rho, eps, budget), 1):
+            weight = (2 * l + 1) * math.pi / rho
+            d0 = weight * (se - sh)
+            d1 = weight * (-1.0) ** (l - 1) * (se + sh)
+            s0 += d0
+            s1 += d1
+            scale = max(abs(s0), abs(s1), 1e-300)
+            if max(abs(d0), abs(d1)) < _TAIL_TOL * scale:
+                run += 1
+                if run >= _TAIL_RUN:
+                    return s0, s1, l, True
+            else:
+                run = 0
+        if budget == _LMAX:
+            return s0, s1, budget, False
+        budget = min(2 * budget, _LMAX)
 
 
 def absorption_profile(species: ClusterSpecies, grating: GratingConfig,

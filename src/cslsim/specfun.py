@@ -2,7 +2,8 @@
 
 Provides exactly what the physics layers consume:
 
-* spherical Bessel j_l of complex argument (Miller downward recurrence),
+* spherical Bessel j_l of complex or real argument (Miller downward
+  recurrence),
 * spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
 * modified Bessel I_0, I_1, I_2 with exponentially-scaled variants,
 * the bracketed Illinois root solve that inverts them.
@@ -25,37 +26,53 @@ _IV_SERIES_MAX_X = 30.0  # series/asymptotic crossover for I_k
 _IV_OVERFLOW_X = 700.0   # exp(x) overflows just above this
 
 
-def _as_finite_complex(z) -> complex:
-    z = complex(z)
+def _as_finite(z):
+    # A real number stays a float, anything else becomes a complex.
+    z = float(z) if isinstance(z, (int, float)) else complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"argument must be finite, got {z}")
     return z
 
 
-def _jl_series(ell: int, z: complex) -> complex:
-    # j_l(z) = z^l/(2l+1)!! * [1 - (z^2/2)/(2l+3) + ...]; two terms suffice
-    # for |z| <= 1e-6 at double precision.
-    lead = 1.0 + 0.0j
+def _jl_series(ell: int, z):
+    # j_l(z) = z^l sum_m (-z^2/2)^m / (m! (2l+2m+1)!!), summed until a term
+    # no longer moves the total; for |z| <= 1 that takes at most ~10 terms.
+    term = 1.0
     for k in range(1, ell + 1):
-        lead *= z / (2 * k + 1)
-    return lead * (1.0 - 0.5 * z * z / (2 * ell + 3))
+        term *= z / (2 * k + 1)
+    total = term
+    m = 0
+    while abs(term) > 1e-17 * abs(total):
+        m += 1
+        term *= -0.5 * z * z / (m * (2 * ell + 2 * m + 1))
+        total += term
+    return total
 
 
-def spherical_jn_array(lmax: int, z) -> list[complex]:
-    """j_0(z) .. j_lmax(z) from a single normalized downward pass."""
+def spherical_jn_array(lmax: int, z) -> list:
+    """j_0(z) .. j_lmax(z) from a single normalized downward pass.
+
+    A complex z gives complex values.  A real z (int or float) runs the
+    same pass in float arithmetic and gives floats, equal to the real part
+    of the complex pass at half its cost.
+    """
     if lmax < 0 or lmax > MAX_ORDER:
         raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
-    z = _as_finite_complex(z)
+    z = _as_finite(z)
+    if isinstance(z, float):
+        zero, sin, cos = 0.0, math.sin, math.cos
+    else:
+        zero, sin, cos = 0.0j, cmath.sin, cmath.cos
     az = abs(z)
     if az == 0.0:
-        return [1.0 + 0.0j] + [0.0j] * lmax
+        return [zero + 1.0] + [zero] * lmax
     if az < _TINY_Z:
         return [_jl_series(l, z) for l in range(lmax + 1)]
 
     lstart = lmax + max(20, math.ceil(1.5 * az))
-    out = [0.0j] * (lmax + 1)
-    f_hi = 0.0j          # trial value at order l+1
-    f = 1e-280 + 0.0j    # trial value at order l
+    out = [zero] * (lmax + 1)
+    f_hi = zero          # trial value at order l+1
+    f = zero + 1e-280    # trial value at order l
     for l in range(lstart, 0, -1):
         f_lo = (2 * l + 1) / z * f - f_hi
         f_hi, f = f, f_lo
@@ -68,8 +85,9 @@ def spherical_jn_array(lmax: int, z) -> list[complex]:
                 out[i] *= _RESCALE
 
     # Normalize against whichever closed-form seed is better conditioned.
-    j0 = cmath.sin(z) / z
-    j1 = j0 / z - cmath.cos(z) / z
+    j0 = sin(z) / z
+    # The closed form j1 loses ~2 log10(1/|z|) digits to cancellation.
+    j1 = _jl_series(1, z) if az < 1.0 else j0 / z - cos(z) / z
     f0, f1 = f, f_hi
     if abs(f0) >= abs(f1):
         ref_true, ref_trial = j0, f0
@@ -111,8 +129,8 @@ def spherical_yn_array(lmax: int, x: float) -> list[float]:
 def spherical_hankel_array(lmax: int, x: float) -> list[complex]:
     """h_0^(1)(x) .. h_lmax^(1)(x) = j_l(x) + i y_l(x), real x > 0."""
     ys = spherical_yn_array(lmax, x)
-    js = spherical_jn_array(lmax, complex(x))
-    return [complex(j.real, y) for j, y in zip(js, ys)]
+    js = spherical_jn_array(lmax, float(x))
+    return [complex(j, y) for j, y in zip(js, ys)]
 
 
 def spherical_hankel_h1(ell: int, x: float) -> complex:

@@ -6,6 +6,7 @@ them is called by the package itself.
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from cslsim.errors import DomainError
@@ -59,3 +60,38 @@ def dipole_absorption_cross_section(species: ClusterSpecies,
     eps = complex(species.permittivity)
     return (4.0 * math.pi * grating.wavenumber * radius ** 3
             * ((eps - 1.0) / (eps + 2.0)).imag)
+
+
+def standing_wave_sums_oracle(rho: float, eps: complex,
+                              lmax: int = 40) -> tuple[float, float]:
+    """The standing-wave multipole sums (S0, S1) at 40 digits.
+
+    The same series as `mie.absorption_sums`, to a fixed order and without
+    a tail test, with j_l and h_l^(1) taken from mpmath's cylinder
+    functions, j_l(z) = sqrt(pi / 2z) J_(l+1/2)(z), instead of the
+    package's recurrences.
+    """
+    with mp.workdps(40):
+        rho = mp.mpf(rho)
+        eps = mp.mpc(eps)
+        u = mp.sqrt(eps)
+        if mp.im(u) < 0:
+            u = -u
+
+        def sph(bessel, n, z):
+            return mp.sqrt(mp.pi / (2 * z)) * bessel(n + mp.mpf(1) / 2, z)
+
+        js = [sph(mp.besselj, n, u * rho) for n in range(lmax + 2)]
+        hs = [sph(mp.besselj, n, rho) + 1j * sph(mp.bessely, n, rho)
+              for n in range(lmax + 2)]
+        s0 = s1 = mp.mpf(0)
+        for l in range(1, lmax + 1):
+            sigma_e = (mp.im(eps * js[l] * mp.conj(u * rho * js[l - 1] - l * js[l]))
+                       / abs(l * (eps - 1) * js[l] * hs[l]
+                             + u * rho * (js[l - 1] * hs[l] - u * js[l] * hs[l - 1])) ** 2)
+            sigma_h = (mp.im(u * mp.conj(js[l]) * js[l - 1])
+                       / (rho * abs(js[l] * hs[l + 1] - u * js[l + 1] * hs[l]) ** 2))
+            weight = (2 * l + 1) * mp.pi / rho
+            s0 += weight * (sigma_e - sigma_h)
+            s1 += weight * (-1) ** (l - 1) * (sigma_e + sigma_h)
+        return float(s0), float(s1)

@@ -23,6 +23,8 @@ from cslsim.interferometer import flux_for_target_visibility
 from cslsim.params import CslParams, default_grating, gold_cluster
 from oracles import csl_visibility_ratio_oracle
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 CONFIG_TEXT = """\
 [species]
 label = probe
@@ -157,7 +159,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
         assert (tmp_path / f"replay_m{mass}.csv").read_bytes() == original
 
 
-@pytest.mark.parametrize("schema", ["fig1.v1", "fig2.v1", "fig3.v1"])
+@pytest.mark.parametrize("schema", ["fig1.v1", "fig2.v1", "fig2.v2", "fig3.v1"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -274,7 +276,7 @@ def test_removed_global_flags_are_usage_errors(tmp_path):
 
 
 def test_readme_commands_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
     commands = [shlex.split(line)[1:] for block in blocks
                 for line in block.splitlines() if line.startswith("cslsim ")]
@@ -367,6 +369,27 @@ def test_budget_csl_numbers_match_the_oracle(tmp_path):
     assert data["csl_visibility_ratio"] == pytest.approx(oracle, rel=1e-6)
     assert data["csl_visibility_ratio"] == pytest.approx(
         math.exp(-data["csl_exponent"]), rel=1e-12)
+
+
+def test_budget_takes_lambda0_from_the_config(tmp_path):
+    ini = re.search(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    flags=re.M | re.S).group(1)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "budget.json"
+
+    def budget(*argv):
+        assert run([*argv, "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    def lambda0(*argv):
+        return json.loads(budget(*argv))["csl"]["lambda0_Hz"]
+
+    assert lambda0("--config", str(cfg), "budget") == 1e-10
+    assert lambda0("--config", str(cfg), "budget", "--lambda0", "3e-12") == 3e-12
+    # without a config the rate is the dataclass default 0.0, as it was
+    # when the flag itself defaulted to 0.0
+    assert budget("budget") == budget("budget", "--lambda0", "0.0")
 
 
 def test_csv_uses_lf_and_17_sig_figs(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -92,6 +93,16 @@ def test_blackbody_rates_match_quadrature_oracle(mass):
     hot_cluster = EnvironmentConfig(environment_temperature=77.0, cluster_temperature=3000.0)
     assert blackbody_rates(gold_cluster(mass), hot_cluster, grating) == pytest.approx(
         blackbody_oracle(gold_cluster(mass), hot_cluster, grating), rel=1e-9)
+
+
+def test_bose_integral_literals_are_the_tail_sums_at_zero():
+    # The literals must stay the floats _bose_tail(m, 0) produces: the
+    # correctly rounded m! zeta(m+1) would move fig3 and budget bytes.
+    assert decoherence._BOSE_INTEGRAL == {
+        m: decoherence._bose_tail(m, 0.0) for m in (6, 8)}
+    for m, value in decoherence._BOSE_INTEGRAL.items():
+        exact = mp.factorial(m) * mp.zeta(m + 1)
+        assert abs(value - exact) / exact < 3e-15
 
 
 def test_collision_rate_matches_quadrature_oracle():

@@ -4,11 +4,13 @@ import math
 import mpmath as mp
 import pytest
 
-from cslsim.errors import DomainError, GeometryError
+import cslsim.mie as mie
+from cslsim.cli import EXIT_NONCONVERGENCE, main
+from cslsim.errors import DomainError, GeometryError, NonConvergenceError
 from cslsim.mie import (
     absorption_profile,
     absorption_sums,
-    multipole_terms,
+    multipole_orders,
 )
 from cslsim.params import (
     PLANCK_H,
@@ -17,7 +19,7 @@ from cslsim.params import (
     default_grating,
     gold_cluster,
 )
-from oracles import dipole_absorption_cross_section
+from oracles import dipole_absorption_cross_section, standing_wave_sums_oracle
 
 GOLD_EPS = 0.9 + 3.2j
 
@@ -80,7 +82,7 @@ def test_dipole_limit_small_sphere():
 
 def test_quadrupole_suppression_at_small_rho():
     rho = 0.05
-    se1, se2 = multipole_terms(rho, GOLD_EPS, 2).sigma_e
+    (se1, _), (se2, _) = multipole_orders(rho, GOLD_EPS, 2)
     assert abs(se2 / se1) < 50.0 * rho ** 2
 
 
@@ -122,8 +124,7 @@ def test_geometry_depends_only_on_rho():
 def test_n0_series_sign_structure():
     # every assembled n0 term is >= 0 for an absorbing sphere
     for rho in (0.05, 0.3, 0.64, 1.5):
-        terms = multipole_terms(rho, GOLD_EPS, 30)
-        contributions = [se - sh for se, sh in zip(terms.sigma_e, terms.sigma_h)]
+        contributions = [se - sh for se, sh in multipole_orders(rho, GOLD_EPS, 30)]
         assert all(c >= -1e-25 for c in contributions)
         s0, _, _, _ = absorption_sums(rho, GOLD_EPS)
         assert s0 > 0.0
@@ -168,8 +169,57 @@ def test_geometry_guard_rejects_large_sphere():
 
 def test_multipole_components_domain_errors():
     with pytest.raises(DomainError):
-        multipole_terms(0.5, GOLD_EPS, 0)
+        multipole_orders(0.5, GOLD_EPS, 0)
     with pytest.raises(DomainError):
-        multipole_terms(-0.5, GOLD_EPS, 1)
+        multipole_orders(0.5, GOLD_EPS, mie._LMAX + 1)
     with pytest.raises(DomainError):
-        multipole_terms(0.5, 1.0 - 0.1j, 1)
+        multipole_orders(-0.5, GOLD_EPS, 1)
+    with pytest.raises(DomainError):
+        multipole_orders(0.5, 1.0 - 0.1j, 1)
+
+
+@pytest.mark.parametrize("eps", [GOLD_EPS, 1.5 + 0.01j])
+@pytest.mark.parametrize("rho", [0.001, 0.05, 0.3, 1.0, 2.0, 3.1])
+def test_both_sums_match_the_mpmath_standing_wave_oracle(rho, eps):
+    s0, s1, _, converged = absorption_sums(rho, eps)
+    o0, o1 = standing_wave_sums_oracle(rho, eps)
+    assert converged
+    assert s0 == pytest.approx(o0, rel=1e-12, abs=0.0)
+    assert s1 == pytest.approx(o1, rel=1e-12, abs=0.0)
+
+
+def _record_budgets(monkeypatch):
+    budgets = []
+    orders = mie.multipole_orders
+
+    def spy(rho, eps, lmax):
+        budgets.append(lmax)
+        return orders(rho, eps, lmax)
+
+    monkeypatch.setattr(mie, "multipole_orders", spy)
+    return budgets
+
+
+@pytest.mark.parametrize("rho", [0.01, 0.5, 3.1])
+def test_a_short_first_budget_doubles_to_the_same_sums(monkeypatch, rho):
+    budgets = _record_budgets(monkeypatch)
+    expected = absorption_sums(rho, GOLD_EPS)
+    assert budgets == [16]  # the first budget suffices below the guard
+    budgets.clear()
+    monkeypatch.setattr(mie, "truncation_budget", lambda rho: 2)
+    assert absorption_sums(rho, GOLD_EPS) == expected
+    assert budgets == [2 ** k for k in range(1, len(budgets) + 1)]
+    assert budgets[-2] < expected[2] <= budgets[-1]
+
+
+def test_a_sum_that_never_meets_its_tail_test_stops_at_the_cap(monkeypatch, tmp_path):
+    monkeypatch.setattr(mie, "_TAIL_TOL", 0.0)
+    budgets = _record_budgets(monkeypatch)
+    _, _, order, converged = absorption_sums(0.5, GOLD_EPS)
+    assert (order, converged) == (mie._LMAX, False)
+    assert budgets == [16, 32, 64, 128, mie._LMAX]
+    with pytest.raises(NonConvergenceError):
+        absorption_profile(gold_cluster(1e6), default_grating())
+    out = tmp_path / "absorption.json"
+    assert main(["absorption", "--out", str(out)]) == EXIT_NONCONVERGENCE
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from cslsim.specfun import (
     bessel_I_scaled,
     log_bessel_I0,
     spherical_bessel_j,
+    spherical_hankel_array,
     spherical_hankel_h1,
     spherical_jn_array,
     spherical_yn_array,
@@ -123,6 +125,28 @@ def test_wronskian_identity(x):
     for ell in range(1, 21):
         w = js[ell].real * ys[ell - 1] - js[ell - 1].real * ys[ell]
         assert w == pytest.approx(1.0 / (x * x), rel=1e-10)
+
+
+def _jl_part(x):
+    return [h.real for h in spherical_hankel_array(40, x)]
+
+
+@given(st.floats(min_value=1e-5, max_value=math.pi))
+@settings(max_examples=200, deadline=None)
+def test_real_pass_of_hankel_matches_the_complex_pass(x):
+    for jl, ref in zip(_jl_part(x), spherical_jn_array(40, complex(x))):
+        if abs(ref) > 1e-250:
+            assert abs(jl - ref.real) <= 1e-13 * abs(ref.real)
+
+
+@pytest.mark.parametrize("x", [1e-5, 3e-3, 0.2, 1.0, 2.5, math.pi])
+def test_real_pass_of_hankel_matches_mpmath(x):
+    with mp.workdps(30):
+        for ell, jl in enumerate(_jl_part(x)):
+            ref = float(mp.sqrt(mp.pi / (2 * mp.mpf(x)))
+                        * mp.besselj(ell + mp.mpf(1) / 2, x))
+            if abs(ref) > 1e-250:
+                assert abs(jl - ref) <= 1e-13 * abs(ref), ell
 
 
 def test_h1_rejects_nonpositive():
