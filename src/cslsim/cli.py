@@ -34,7 +34,7 @@ from .errors import (
 )
 from .interferometer import (
     flux_for_target_visibility,
-    observables,
+    observables_from_profile,
     solve_modulation_for_visibility,
     transmissivity,
 )
@@ -48,6 +48,7 @@ from .params import (
     RunConfig,
     amu_to_kg,
     cluster_radius,
+    kg_to_amu,
     load_config,
     mbar_to_pa,
     pa_to_mbar,
@@ -62,11 +63,14 @@ EXIT_GEOMETRY = 4
 FIG1_HEADER = "lambda0_Hz,m_c_amu,geometry_factor"
 FIG2_HEADER = "mass_amu,radius_nm,flux_J_m2,n0,n1,transmissivity,status"
 FIG3_HEADER = "segment,pressure_mbar,temperature_K"
-SCHEMAS = {"fig1": "fig1.v2", "fig2": "fig2.v3", "fig3": "fig3.v2"}
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _csv(rows: list[str]) -> str:
+    return "\n".join(rows) + "\n"
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float, int]:
@@ -86,18 +90,15 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
-def _log_grid(lo_log10: float, hi_log10: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [10.0 ** lo_log10]
-    step = (hi_log10 - lo_log10) / (steps - 1)
-    return [10.0 ** (lo_log10 + i * step) for i in range(steps)]
-
-
 def _lin_grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
     step = (hi - lo) / (steps - 1)
     return [lo + i * step for i in range(steps)]
+
+
+def _log_grid(lo_log10: float, hi_log10: float, steps: int) -> list[float]:
+    return [10.0 ** x for x in _lin_grid(lo_log10, hi_log10, steps)]
 
 
 def _species_dict(species: ClusterSpecies) -> dict:
@@ -125,7 +126,7 @@ def _manifest(command: str, args_dict: dict, argv: list[str]) -> dict:
     return {
         "tool": "cslsim",
         "version": __version__,
-        "schema": SCHEMAS.get(command),
+        "schema": SWEEPS[command][0],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "command_line": argv,
@@ -158,9 +159,39 @@ def _write_manifest(out_path: str | None, manifest: dict) -> None:
         _write_text(str(out_path) + ".manifest.json", text)
 
 
+# -- sweep arguments ----------------------------------------------------------
+# A sweep's `args` are flat JSON values: the manifest stores them, and the
+# sweep's files are computed from them alone.
+
+def _sweep_args(config: RunConfig) -> dict:
+    """The species and grating settings that fig2 and fig3 read."""
+    species, grating = config.species, config.grating
+    return {"label": species.label, "density_kg_m3": species.bulk_density,
+            "eps_re": species.permittivity.real, "eps_im": species.permittivity.imag,
+            "wavelength_m": grating.laser_wavelength, "talbot_order": grating.talbot_order}
+
+
+def _species_from(args: dict, mass_amu: float) -> ClusterSpecies:
+    return ClusterSpecies.from_amu(mass_amu, args["density_kg_m3"],
+                                   complex(args["eps_re"], args["eps_im"]), args["label"])
+
+
 # -- fig1 --------------------------------------------------------------------
 
-def _fig1_rows(args: dict) -> list[str]:
+def _fig1_args(ns, config: RunConfig) -> dict:
+    lo, hi, steps = _parse_range(ns.lambda0_range, "lambda0-range")
+    return {
+        "wavelength_m": config.grating.laser_wavelength,
+        "talbot_order": config.grating.talbot_order,
+        "rc_m": ns.rc_nm * 1e-9 if ns.rc_nm is not None else config.csl.r_c,
+        "m0_amu": kg_to_amu(config.csl.m0),
+        "lo_log10": lo, "hi_log10": hi, "steps": steps,
+        "threshold": ns.threshold,
+        "markers": [1e-10, 1e-16],
+    }
+
+
+def _fig1_files(args: dict, out: str | None) -> dict:
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
     csl = CslParams(r_c=args["rc_m"], lambda0=1.0, m0=amu_to_kg(args["m0_amu"]))
     grid = _log_grid(args["lo_log10"], args["hi_log10"], args["steps"])
@@ -169,34 +200,25 @@ def _fig1_rows(args: dict) -> list[str]:
     g = _fmt(geometry_factor(grating, csl))
     boundary = exclusion_boundary(grating, csl, sorted(grid + markers, reverse=True),
                                   args["threshold"])
-    return [FIG1_HEADER] + [",".join([_fmt(lam), _fmt(mc / amu_to_kg(1.0)), g])
-                            for lam, mc in boundary]
-
-
-def cmd_fig1(ns, config, argv) -> int:
-    lo, hi, steps = _parse_range(ns.lambda0_range, "lambda0-range")
-    csl, grating = config.csl, config.grating
-    args = {
-        "wavelength_m": grating.laser_wavelength,
-        "talbot_order": grating.talbot_order,
-        "rc_m": ns.rc_nm * 1e-9 if ns.rc_nm is not None else csl.r_c,
-        "m0_amu": 1.0,
-        "lo_log10": lo, "hi_log10": hi, "steps": steps,
-        "threshold": ns.threshold,
-        "markers": [1e-10, 1e-16],
-    }
-    rows = _fig1_rows(args)
-    _write_text(ns.out, "\n".join(rows) + "\n")
-    _write_manifest(ns.out, _manifest("fig1", args, argv))
-    return EXIT_OK
+    return {out: _csv([FIG1_HEADER] + [",".join([_fmt(lam), _fmt(mc / amu_to_kg(1.0)), g])
+                                       for lam, mc in boundary])}
 
 
 # -- fig2 --------------------------------------------------------------------
 
-def _fig2_rows(args: dict) -> list[str]:
-    species = ClusterSpecies.from_amu(
-        1.0, args["density_kg_m3"],
-        complex(args["eps_re"], args["eps_im"]), args["label"])
+def _fig2_args(ns, config: RunConfig) -> dict:
+    lo, hi, steps = _parse_range(ns.mass_range, "mass-range")
+    if not math.isfinite(ns.target_V):
+        raise ConfigError(f"--target-V must be finite, got {ns.target_V}")
+    return {
+        **_sweep_args(config),
+        "lo_log10": lo, "hi_log10": hi, "steps": steps,
+        "target_v": ns.target_V,
+    }
+
+
+def _fig2_files(args: dict, out: str | None) -> dict:
+    species = _species_from(args, 1.0)
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
     target_v = args["target_v"]
     # n1 at the target V depends on neither the mass nor the Talbot order
@@ -228,77 +250,12 @@ def _fig2_rows(args: dict) -> list[str]:
             # n1 <= 0 at this sphere size: no flux reaches the target V
             cells += ["nan"] * 4 + ["unreachable"]
         rows.append(",".join(cells))
-    return rows
-
-
-def cmd_fig2(ns, config, argv) -> int:
-    lo, hi, steps = _parse_range(ns.mass_range, "mass-range")
-    if not math.isfinite(ns.target_V):
-        raise ConfigError(f"--target-V must be finite, got {ns.target_V}")
-    species, grating = config.species, config.grating
-    args = {
-        "label": species.label,
-        "density_kg_m3": species.bulk_density,
-        "eps_re": species.permittivity.real,
-        "eps_im": species.permittivity.imag,
-        "wavelength_m": grating.laser_wavelength,
-        "talbot_order": grating.talbot_order,
-        "lo_log10": lo, "hi_log10": hi, "steps": steps,
-        "target_v": ns.target_V,
-    }
-    rows = _fig2_rows(args)
-    _write_text(ns.out, "\n".join(rows) + "\n")
-    _write_manifest(ns.out, _manifest("fig2", args, argv))
-    return EXIT_OK
+    return {out: _csv(rows)}
 
 
 # -- fig3 --------------------------------------------------------------------
 
-def _fig3_rows(args: dict, mass_amu: float) -> list[str]:
-    species = ClusterSpecies.from_amu(
-        mass_amu, args["density_kg_m3"],
-        complex(args["eps_re"], args["eps_im"]), args["label"])
-    grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
-    env = EnvironmentConfig(
-        gas_pressure=0.0,
-        gas_temperature=args["gas_temperature_K"],
-        gas_mass=amu_to_kg(args["gas_mass_amu"]),
-        gas_polarizability_volume=args["gas_polarizability_A3"] * 1e-30,
-    )
-    pressures = [mbar_to_pa(p) for p in
-                 _log_grid(args["p_lo_log10"], args["p_hi_log10"], args["p_steps"])]
-    temperatures = _lin_grid(args["t_lo"], args["t_hi"], args["t_steps"])
-    contours = critical_contour(species, grating, pressures, temperatures,
-                                env_template=env, level=args["level"])
-    rows = [FIG3_HEADER]
-    for seg_idx, line in enumerate(contours):
-        for p_pa, t_k in line:
-            rows.append(",".join([str(seg_idx), _fmt(pa_to_mbar(p_pa)), _fmt(t_k)]))
-    return rows
-
-
-def _write_fig3(args: dict, out_base: str) -> list[str]:
-    """One CSV per mass, named <stem>_m<mass><suffix>; returns the paths.
-
-    Every mass is computed before any file is written, so a mass that
-    fails leaves no output behind.  Two masses that agree in the six
-    digits of the name would share a file, so they are refused first.
-    """
-    stem = Path(out_base)
-    masses = {}
-    for mass_amu in args["masses_amu"]:
-        path = str(stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}"))
-        if path in masses:
-            raise ConfigError(f"masses {masses[path]!r} and {mass_amu!r} amu "
-                              f"would both be written to {path}")
-        masses[path] = mass_amu
-    texts = ["\n".join(_fig3_rows(args, mass_amu)) + "\n" for mass_amu in masses.values()]
-    for path, text in zip(masses, texts):
-        _write_text(path, text)
-    return list(masses)
-
-
-def cmd_fig3(ns, config, argv) -> int:
+def _fig3_args(ns, config: RunConfig) -> dict:
     p_lo, p_hi, p_steps = _parse_range(ns.p_range, "p-range")
     t_lo, t_hi, t_steps = _parse_range(ns.T_range, "T-range")
     if p_steps < 2 or t_steps < 2:
@@ -309,33 +266,66 @@ def cmd_fig3(ns, config, argv) -> int:
         raise ConfigError(f"--masses: {exc}") from exc
     if not masses:
         raise ConfigError("--masses must list at least one mass in amu")
-    species, grating, env = config.species, config.grating, config.environment
-    args = {
-        "label": species.label,
-        "density_kg_m3": species.bulk_density,
-        "eps_re": species.permittivity.real,
-        "eps_im": species.permittivity.imag,
-        "wavelength_m": grating.laser_wavelength,
-        "talbot_order": grating.talbot_order,
+    env = config.environment
+    return {
+        **_sweep_args(config),
         "gas_temperature_K": env.gas_temperature,
         "gas_mass_amu": env.gas_mass / amu_to_kg(1.0),
         "gas_polarizability_A3": env.gas_polarizability_volume * 1e30,
+        "cluster_temperature_K": env.cluster_temperature,
         "p_lo_log10": p_lo, "p_hi_log10": p_hi, "p_steps": p_steps,
         "t_lo": t_lo, "t_hi": t_hi, "t_steps": t_steps,
         "level": 0.5,
         "masses_amu": masses,
     }
-    out_base = ns.out or "fig3.csv"
-    written = _write_fig3(args, out_base)
-    manifest = _manifest("fig3", args, argv)
-    manifest["outputs"] = written
-    _write_manifest(out_base, manifest)
-    return EXIT_OK
+
+
+def _fig3_files(args: dict, out: str | None) -> dict:
+    """One CSV per mass, named <stem>_m<mass><suffix>.
+
+    Two masses that agree in the six digits of the name would share a
+    file, so they are refused before anything is computed.
+    """
+    stem = Path(out or "fig3_rerun.csv")  # only rerun has no default --out
+    masses = {}
+    for mass_amu in args["masses_amu"]:
+        path = str(stem.with_name(f"{stem.stem}_m{mass_amu:g}{stem.suffix or '.csv'}"))
+        if path in masses:
+            raise ConfigError(f"masses {masses[path]!r} and {mass_amu!r} amu "
+                              f"would both be written to {path}")
+        masses[path] = mass_amu
+    grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
+    env = EnvironmentConfig(
+        gas_pressure=0.0,
+        gas_temperature=args["gas_temperature_K"],
+        gas_mass=amu_to_kg(args["gas_mass_amu"]),
+        gas_polarizability_volume=args["gas_polarizability_A3"] * 1e-30,
+        cluster_temperature=args["cluster_temperature_K"],
+    )
+    pressures = [mbar_to_pa(p) for p in
+                 _log_grid(args["p_lo_log10"], args["p_hi_log10"], args["p_steps"])]
+    temperatures = _lin_grid(args["t_lo"], args["t_hi"], args["t_steps"])
+    files = {}
+    for path, mass_amu in masses.items():
+        contours = critical_contour(_species_from(args, mass_amu), grating, pressures,
+                                    temperatures, env_template=env, level=args["level"])
+        files[path] = _csv([FIG3_HEADER] + [
+            ",".join([str(seg_idx), _fmt(pa_to_mbar(p_pa)), _fmt(t_k)])
+            for seg_idx, line in enumerate(contours) for p_pa, t_k in line])
+    return files
+
+
+# command -> (schema, args from the parsed options and config, files from args)
+SWEEPS = {
+    "fig1": ("fig1.v3", _fig1_args, _fig1_files),
+    "fig2": ("fig2.v3", _fig2_args, _fig2_files),
+    "fig3": ("fig3.v3", _fig3_args, _fig3_files),
+}
 
 
 # -- scalar reports ----------------------------------------------------------
 
-def cmd_budget(ns, config, argv) -> int:
+def _budget(ns, config: RunConfig) -> dict:
     species, grating, env_base = config.species, config.grating, config.environment
     if ns.mass_amu is not None:
         species = ClusterSpecies.from_amu(ns.mass_amu, species.bulk_density,
@@ -353,7 +343,7 @@ def cmd_budget(ns, config, argv) -> int:
     )
     reduction = csl_visibility_ratio(species, grating, csl)
     budget = decoherence_budget(species, grating, env)
-    report = {
+    return {
         "species": _species_dict(species),
         "grating": _grating_dict(grating),
         "csl": {"r_c_m": csl.r_c, "lambda0_Hz": csl.lambda0,
@@ -376,67 +366,77 @@ def cmd_budget(ns, config, argv) -> int:
         },
         "interference_time_s": budget.exposure_time,
     }
-    _write_text(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def cmd_observables(ns, config, argv) -> int:
-    species, grating = config.species, config.grating
-    if ns.flux is not None:
-        grating = grating.with_flux(ns.flux)
-    obs = observables(species, grating)
-    report = {
-        "species": _species_dict(species),
+def _observables(ns, config: RunConfig) -> dict:
+    grating = config.grating if ns.flux is None else config.grating.with_flux(ns.flux)
+    # absorption_profile raises unless the multipole sums converged
+    profile = absorption_profile(config.species, grating)
+    obs = observables_from_profile(profile)
+    return {
+        "species": _species_dict(config.species),
         "grating": _grating_dict(grating),
         "n0": obs.n0, "n1": obs.n1,
         "V": obs.visibility, "T": obs.transmissivity,
-    }
-    _write_text(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
-
-
-def cmd_absorption(ns, config, argv) -> int:
-    profile = absorption_profile(config.species, config.grating, ns.flux)
-    report = {
-        "species": _species_dict(config.species),
-        "flux_J_m2": profile.flux,
-        "n0": profile.n0, "n1": profile.n1,
         "l_max": profile.truncation_order,
-        "converged": profile.converged,
     }
-    _write_text(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-# -- rerun -------------------------------------------------------------------
-
-class _ManifestArgs(dict):
-    """A manifest's `args`: a missing key is a config error, not a KeyError."""
-
-    def __missing__(self, key):
-        raise ConfigError(f"manifest args lack {key!r}")
+REPORTS = {"budget": _budget, "observables": _observables}
 
 
-def cmd_rerun(ns, config, argv) -> int:
-    manifest = json.loads(Path(ns.manifest).read_text(encoding="utf-8"))
+# -- rerun and dispatch ------------------------------------------------------
+
+def _same_type(value, like) -> bool:
+    """Whether a manifest value has the JSON type of this build's value;
+    where that is an unset optional value (None), a float also fits."""
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_same_type(v, like[0]) for v in value)
+    return type(value) in ((type(None), float) if like is None else (type(like),))
+
+
+def _manifest_args(path: str, argv: list[str]) -> tuple[str, dict]:
+    """The command and `args` of a manifest this build can reproduce."""
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     command = manifest.get("command") if isinstance(manifest, dict) else None
-    args = manifest.get("args") if command in SCHEMAS else None
+    args = manifest.get("args") if command in SWEEPS else None
     if not isinstance(args, dict):
-        raise ConfigError(f"manifest does not describe a re-runnable sweep: {ns.manifest}")
+        raise ConfigError(f"manifest does not describe a re-runnable sweep: {path}")
     # another schema, other constants or another decoherence model mean
     # this build would not write the same bytes
     build = _manifest(command, args, argv)
     for key in ("schema", "constants", "decoherence_model"):
         if manifest.get(key) != build[key]:
-            raise ConfigError(f"{ns.manifest}: {key} {manifest.get(key)!r} cannot be "
+            raise ConfigError(f"{path}: {key} {manifest.get(key)!r} cannot be "
                               f"reproduced; this build has {build[key]!r}")
-    args = _ManifestArgs(args)
-    if command == "fig3":
-        _write_fig3(args, ns.out or "fig3_rerun.csv")
+    # the command's default args fix the key set and each value's type
+    defaults = SWEEPS[command][1](build_parser().parse_args([command]), RunConfig())
+    for key, like in defaults.items():
+        if key not in args:
+            raise ConfigError(f"manifest args lack {key!r}")
+        if not _same_type(args[key], like):
+            raise ConfigError(f"{path}: args {key!r} has the wrong type: {args[key]!r}")
+    return command, args
+
+
+def _run(ns, config: RunConfig, argv: list[str]) -> None:
+    if ns.command in REPORTS:
+        report = REPORTS[ns.command](ns, config)
+        _write_text(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return
+    if ns.command == "rerun":
+        command, args = _manifest_args(ns.manifest, argv)
     else:
-        rows = {"fig1": _fig1_rows, "fig2": _fig2_rows}[command](args)
-        _write_text(ns.out, "\n".join(rows) + "\n")
-    return EXIT_OK
+        command, args = ns.command, SWEEPS[ns.command][1](ns, config)
+    # every file is computed before any is written
+    files = SWEEPS[command][2](args, ns.out)
+    for path, text in files.items():
+        _write_text(path, text)
+    if ns.command != "rerun":
+        manifest = _manifest(command, args, argv)
+        if list(files) != [ns.out]:  # fig3 names its files after --out
+            manifest["outputs"] = list(files)
+        _write_manifest(ns.out, manifest)
 
 
 # -- parser ------------------------------------------------------------------
@@ -452,27 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig1", help="critical-mass exclusion boundary sweep")
     p.add_argument("--lambda0-range", default="-18:-6:25",
                    help="lo:hi:steps in log10(Hz)")
-    p.add_argument("--talbot-order", type=int, default=None)
     p.add_argument("--rc-nm", type=float, default=None)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2", help="fixed-visibility transmissivity vs mass")
     p.add_argument("--mass-range", default="5:8.5:60",
                    help="lo:hi:steps in log10(amu)")
     p.add_argument("--target-V", type=float, default=0.85)
-    p.add_argument("--talbot-order", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="critical pressure/temperature contours")
     p.add_argument("--masses", default="1e6,1e7,1e8", help="comma list, amu")
     p.add_argument("--p-range", default="-14:-6:60", help="lo:hi:steps in log10(mbar)")
     p.add_argument("--T-range", default="4:400:60", help="lo:hi:steps in K")
-    p.add_argument("--talbot-order", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("budget", help="combined CSL vs environment report")
     p.add_argument("--mass-amu", type=float, default=None)
@@ -480,27 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Hz; default: the config's [csl] lambda0_hz")
     p.add_argument("--pressure-mbar", type=float, default=None)
     p.add_argument("--temperature-K", type=float, default=None)
-    p.add_argument("--talbot-order", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("observables", help="n0, n1, visibility, transmissivity")
-    p.add_argument("--talbot-order", type=int, default=None)
     p.add_argument("--flux", type=float, default=None, help="J/m^2")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_observables)
-
-    p = sub.add_parser("absorption", help="absorbed-photon parameters n0, n1")
-    p.add_argument("--talbot-order", type=int, default=None)
-    p.add_argument("--flux", type=float, default=None, help="J/m^2")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_absorption)
 
     p = sub.add_parser("rerun", help="re-execute a sweep from its manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rerun)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--out", default="fig3.csv" if name == "fig3" else None)
+        if name != "rerun":
+            p.add_argument("--talbot-order", type=int, default=None)
     return parser
 
 
@@ -516,19 +497,15 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(ns, "talbot_order", None) is not None:
             config = dataclasses.replace(config, grating=dataclasses.replace(
                 config.grating, talbot_order=ns.talbot_order))
-        return ns.func(ns, config, argv)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        _run(ns, config, argv)
+    except (CslSimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, GeometryError):
+            return EXIT_GEOMETRY
+        if isinstance(exc, (NonConvergenceError, UnachievableTargetError)):
+            return EXIT_NONCONVERGENCE
         return EXIT_USAGE
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except (NonConvergenceError, UnachievableTargetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except CslSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cslsim import params
 from cslsim.cli import (
     EXIT_GEOMETRY,
     EXIT_OK,
@@ -16,11 +18,14 @@ from cslsim.cli import (
     FIG1_HEADER,
     FIG2_HEADER,
     FIG3_HEADER,
+    REPORTS,
+    SWEEPS,
     build_parser,
     main,
 )
 from cslsim.interferometer import flux_for_target_visibility
-from cslsim.params import CslParams, default_grating, gold_cluster
+from cslsim.mie import absorption_profile
+from cslsim.params import CslParams, RunConfig, default_grating, gold_cluster
 from oracles import csl_visibility_ratio_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -148,7 +153,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
     assert run(["fig3", "--masses", "1e6,3e7", "--p-range=-14:-6:13",
                 "--T-range=4:400:13", "--out", str(out)]) == EXIT_OK
     meta = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())
-    assert meta["schema"] == "fig3.v2"
+    assert meta["schema"] == "fig3.v3"
     assert not (tmp_path / "fig3.csv.model.json").exists()
     replay = tmp_path / "replay.csv"
     assert run(["rerun", "--manifest", str(tmp_path / "fig3.csv.manifest.json"),
@@ -159,7 +164,8 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
         assert (tmp_path / f"replay_m{mass}.csv").read_bytes() == original
 
 
-@pytest.mark.parametrize("schema", ["fig1.v1", "fig2.v1", "fig2.v2", "fig3.v1"])
+@pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
+                                    "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -188,6 +194,27 @@ def test_rerun_names_a_missing_argument(tmp_path, capsys):
                 "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
     assert "'threshold'" in capsys.readouterr().err
     assert not (tmp_path / "replay.csv").exists()
+
+
+@pytest.mark.parametrize("command,key,value", [("fig1", "steps", "3"),
+                                               ("fig1", "threshold", None),
+                                               ("fig1", "markers", 5),
+                                               ("fig3", "masses_amu", "1e6"),
+                                               ("fig3", "cluster_temperature_K", "2000")])
+def test_rerun_refuses_a_mistyped_argument(tmp_path, capsys, command, key, value):
+    sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
+             "fig3": ["--masses", "1e7", "--p-range=-14:-6:5", "--T-range=4:400:5"]}
+    out = tmp_path / f"{command}.csv"
+    assert run([command, *sweep[command], "--out", str(out)]) == EXIT_OK
+    manifest = tmp_path / f"{command}.csv.manifest.json"
+    meta = json.loads(manifest.read_text())
+    meta["args"][key] = value
+    manifest.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", str(manifest),
+                "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
+    assert repr(key) in capsys.readouterr().err
+    assert not list(tmp_path.glob("replay*"))
 
 
 @pytest.mark.parametrize("key,field", [("constants", "planck_h"),
@@ -243,6 +270,23 @@ def test_fig2_ok_rows_carry_the_scalar_flux(tmp_path):
         if row[-1] == "ok":
             flux = flux_for_target_visibility(gold_cluster(float(row[0])), grating, 0.8)
             assert float(row[2]) == pytest.approx(flux, rel=1e-12)
+
+
+@given(st.floats(3.0, 11.0), st.floats(0.01, 2.0), st.integers(1, 12), st.floats(0.05, 1.7))
+@settings(max_examples=40, deadline=None)
+def test_fig2_rows_are_consistent(lo, span, steps, target_v):
+    # every target in [0.05, 1.7] is reachable: V(n1) rises to 1.71 on the branch
+    _, args_from, files = SWEEPS["fig2"]
+    ns = build_parser().parse_args(
+        ["fig2", f"--mass-range={lo!r}:{lo + span!r}:{steps}", f"--target-V={target_v!r}"])
+    (text,) = files(args_from(ns, RunConfig()), None).values()
+    period_nm = default_grating().period * 1e9
+    for row in text.splitlines()[1:]:
+        _, radius_nm, flux, n0, n1, _, status = row.split(",")
+        assert (status == "geometry_error") == (float(radius_nm) >= period_nm)
+        if status == "ok":
+            assert math.isfinite(float(flux))
+            assert float(n1) <= float(n0) * (1.0 + 1e-12)
 
 
 def test_fig2_unreachable_target_marks_every_row(tmp_path):
@@ -312,6 +356,7 @@ def test_bad_range_is_usage_error(tmp_path):
 def test_unknown_command_is_usage_error():
     assert run(["frobnicate"]) == EXIT_USAGE
     assert run(["csl-ratio", "--mass-amu", "5e5", "--lambda0", "1e-10"]) == EXIT_USAGE
+    assert run(["absorption"]) == EXIT_USAGE
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -337,6 +382,76 @@ def test_observables_with_config(tmp_path):
     assert data["n0"] >= data["n1"] > 0.0
     assert 0.0 <= data["V"] < 2.0
     assert 0.0 < data["T"] <= 1.0
+
+
+def test_observables_reports_the_truncation_order(tmp_path):
+    out = tmp_path / "obs.json"
+    assert run(["observables", "--out", str(out)]) == EXIT_OK
+    profile = absorption_profile(RunConfig().species, default_grating())
+    assert json.loads(out.read_text())["l_max"] == profile.truncation_order
+
+
+# Every config key: (value in the base file, changed value).
+KEY_WALK = {
+    "species": {"label": ("probe", "other"), "mass_amu": ("1e6", "2e6"),
+                "density_kg_m3": ("19300", "10500"), "eps_re": ("0.9", "1.2"),
+                "eps_im": ("3.2", "2.0")},
+    "grating": {"wavelength_nm": ("157", "160"), "flux_J_m2": ("1.0", "2.0")},
+    "csl": {"rc_nm": ("100", "50"), "lambda0_hz": ("1e-10", "1e-9"), "m0_amu": ("1", "2")},
+    "environment": {"pressure_mbar": ("1e-9", "1e-8"), "gas_temperature_K": ("300", "200"),
+                    "gas_mass_amu": ("28", "40"), "gas_polarizability_A3": ("1.74", "1.64"),
+                    "environment_temperature_K": ("300", "200"),
+                    "cluster_temperature_K": ("300", "2000")},
+}
+CSL_KEYS, ENV_KEYS = set(KEY_WALK["csl"]), set(KEY_WALK["environment"])
+# The keys a command does not read; every other key must move its output.
+NOT_APPLICABLE = {
+    # the CSL boundary alone: lambda0 is its axis, and it has no absorption,
+    # decoherence or species
+    "fig1": {"flux_J_m2", "lambda0_hz", *ENV_KEYS, *KEY_WALK["species"]},
+    # the flux is solved for, the mass is the axis and the label is not
+    # written; no CSL and no decoherence
+    "fig2": {"flux_J_m2", "mass_amu", "label", *CSL_KEYS, *ENV_KEYS},
+    # pressure and radiation temperature are the axes, --masses sets the
+    # masses, the label is not written, and the rates take the model's
+    # conductivity, not eps at the laser wavelength; no absorption or CSL
+    "fig3": {"flux_J_m2", "pressure_mbar", "environment_temperature_K", "mass_amu",
+             "label", "eps_re", "eps_im", *CSL_KEYS},
+    "budget": set(),
+    "observables": {*CSL_KEYS, *ENV_KEYS},
+}
+WALK_ARGV = {"fig1": ["--lambda0-range=-12:-8:3"], "fig2": ["--mass-range=5:8:4"],
+             "fig3": ["--masses", "1e6,1e8", "--p-range=-14:-6:16", "--T-range=4:400:16"],
+             "budget": [], "observables": []}
+
+
+def test_key_walk_covers_every_key_and_command():
+    assert {section: set(keys) for section, keys in KEY_WALK.items()} == {
+        "species": params._SPECIES_KEYS, "grating": set(params._GRATING_KEYS),
+        "csl": set(params._CSL_KEYS), "environment": set(params._ENV_KEYS)}
+    assert set(WALK_ARGV) == set(NOT_APPLICABLE) == {*SWEEPS, *REPORTS}
+
+
+@pytest.mark.parametrize("command", sorted(WALK_ARGV))
+def test_every_config_key_reaches_the_commands_that_read_it(tmp_path, command):
+    def outputs(name, changed=None):
+        work = tmp_path / name
+        work.mkdir()
+        cfg = work / "run.ini"
+        cfg.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {changed if key == name else base}\n"
+                                       for key, (base, _) in keys.items())
+            for section, keys in KEY_WALK.items()))
+        assert run(["--config", str(cfg), command, *WALK_ARGV[command],
+                    "--out", str(work / "out")]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in work.glob("out*")
+                if not p.name.endswith(".manifest.json")}
+
+    base = outputs("base")
+    moved = {key for keys in KEY_WALK.values() for key, (_, changed) in keys.items()
+             if outputs(key, changed) != base}
+    every = {key for keys in KEY_WALK.values() for key in keys}
+    assert moved == every - NOT_APPLICABLE[command]
 
 
 def test_budget_report(tmp_path):

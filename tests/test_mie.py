@@ -220,6 +220,6 @@ def test_a_sum_that_never_meets_its_tail_test_stops_at_the_cap(monkeypatch, tmp_
     assert budgets == [16, 32, 64, 128, mie._LMAX]
     with pytest.raises(NonConvergenceError):
         absorption_profile(gold_cluster(1e6), default_grating())
-    out = tmp_path / "absorption.json"
-    assert main(["absorption", "--out", str(out)]) == EXIT_NONCONVERGENCE
+    out = tmp_path / "observables.json"
+    assert main(["observables", "--out", str(out)]) == EXIT_NONCONVERGENCE
     assert not out.exists()
