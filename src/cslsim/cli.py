@@ -78,27 +78,9 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ConfigError(f"--{name} must be lo:hi:steps, got {text!r}")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--{name}: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"--{name}: lo and hi must be finite, got {text!r}")
-    if steps < 1:
-        raise ConfigError(f"--{name}: steps must be >= 1")
-    if steps > 1 and not lo < hi:
-        raise ConfigError(f"--{name}: lo must be < hi for steps > 1")
-    return lo, hi, steps
-
-
-def _lin_grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [lo]
-    step = (hi - lo) / (steps - 1)
-    return [lo + i * step for i in range(steps)]
-
-
-def _log_grid(lo_log10: float, hi_log10: float, steps: int) -> list[float]:
-    return [10.0 ** x for x in _lin_grid(lo_log10, hi_log10, steps)]
 
 
 def _species_dict(species: ClusterSpecies) -> dict:
@@ -161,7 +143,9 @@ def _write_manifest(out_path: str | None, manifest: dict) -> None:
 
 # -- sweep arguments ----------------------------------------------------------
 # A sweep's `args` are flat JSON values: the manifest stores them, and the
-# sweep's files are computed from them alone.
+# sweep's files are computed from them alone.  The files functions check
+# each value's range where they read it, so options and manifests pass the
+# same checks, and an error names the args key.
 
 def _sweep_args(config: RunConfig) -> dict:
     """The species and grating settings that fig2 and fig3 read."""
@@ -169,6 +153,22 @@ def _sweep_args(config: RunConfig) -> dict:
     return {"label": species.label, "density_kg_m3": species.bulk_density,
             "eps_re": species.permittivity.real, "eps_im": species.permittivity.imag,
             "wavelength_m": grating.laser_wavelength, "talbot_order": grating.talbot_order}
+
+
+def _grid(args: dict, lo_key: str, hi_key: str, steps_key: str) -> list[float]:
+    """args[steps_key] evenly spaced values from args[lo_key] to args[hi_key]."""
+    lo, hi, steps = args[lo_key], args[hi_key], args[steps_key]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{lo_key!r} and {hi_key!r} must be finite, got {lo}, {hi}")
+    if steps < 1:
+        raise ConfigError(f"{steps_key!r} must be >= 1, got {steps}")
+    if steps == 1:
+        return [lo]
+    if not lo < hi:
+        raise ConfigError(f"{lo_key!r} must be < {hi_key!r} for {steps_key!r} > 1, "
+                          f"got {lo}, {hi}")
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(steps)]
 
 
 def _species_from(args: dict, mass_amu: float) -> ClusterSpecies:
@@ -194,7 +194,7 @@ def _fig1_args(ns, config: RunConfig) -> dict:
 def _fig1_files(args: dict, out: str | None) -> dict:
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
     csl = CslParams(r_c=args["rc_m"], lambda0=1.0, m0=amu_to_kg(args["m0_amu"]))
-    grid = _log_grid(args["lo_log10"], args["hi_log10"], args["steps"])
+    grid = [10.0 ** x for x in _grid(args, "lo_log10", "hi_log10", "steps")]
     # a grid value that rounds differently from a marker is the same point
     markers = [m for m in args["markers"] if not any(math.isclose(m, g) for g in grid)]
     g = _fmt(geometry_factor(grating, csl))
@@ -208,8 +208,6 @@ def _fig1_files(args: dict, out: str | None) -> dict:
 
 def _fig2_args(ns, config: RunConfig) -> dict:
     lo, hi, steps = _parse_range(ns.mass_range, "mass-range")
-    if not math.isfinite(ns.target_V):
-        raise ConfigError(f"--target-V must be finite, got {ns.target_V}")
     return {
         **_sweep_args(config),
         "lo_log10": lo, "hi_log10": hi, "steps": steps,
@@ -218,17 +216,19 @@ def _fig2_args(ns, config: RunConfig) -> dict:
 
 
 def _fig2_files(args: dict, out: str | None) -> dict:
-    species = _species_from(args, 1.0)
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
     target_v = args["target_v"]
+    if not math.isfinite(target_v):
+        raise ConfigError(f"'target_v' must be finite, got {target_v}")
+    masses = [10.0 ** x for x in _grid(args, "lo_log10", "hi_log10", "steps")]
     # n1 at the target V depends on neither the mass nor the Talbot order
     try:
         n1_target = solve_modulation_for_visibility(target_v)
     except UnachievableTargetError:
         n1_target = None
     rows = [FIG2_HEADER]
-    for mass_amu in _log_grid(args["lo_log10"], args["hi_log10"], args["steps"]):
-        sp = species.with_mass(amu_to_kg(mass_amu))
+    for mass_amu in masses:
+        sp = _species_from(args, mass_amu)
         radius = cluster_radius(sp)
         cells = [_fmt(mass_amu), _fmt(radius * 1e9)]
         if n1_target is None:
@@ -258,14 +258,10 @@ def _fig2_files(args: dict, out: str | None) -> dict:
 def _fig3_args(ns, config: RunConfig) -> dict:
     p_lo, p_hi, p_steps = _parse_range(ns.p_range, "p-range")
     t_lo, t_hi, t_steps = _parse_range(ns.T_range, "T-range")
-    if p_steps < 2 or t_steps < 2:
-        raise ConfigError("fig3 needs at least 2 grid points on each axis")
     try:
         masses = [float(m) for m in ns.masses.split(",") if m]
     except ValueError as exc:
         raise ConfigError(f"--masses: {exc}") from exc
-    if not masses:
-        raise ConfigError("--masses must list at least one mass in amu")
     env = config.environment
     return {
         **_sweep_args(config),
@@ -286,6 +282,8 @@ def _fig3_files(args: dict, out: str | None) -> dict:
     Two masses that agree in the six digits of the name would share a
     file, so they are refused before anything is computed.
     """
+    if not args["masses_amu"]:
+        raise ConfigError("'masses_amu' must list at least one mass in amu")
     stem = Path(out or "fig3_rerun.csv")  # only rerun has no default --out
     masses = {}
     for mass_amu in args["masses_amu"]:
@@ -302,9 +300,9 @@ def _fig3_files(args: dict, out: str | None) -> dict:
         gas_polarizability_volume=args["gas_polarizability_A3"] * 1e-30,
         cluster_temperature=args["cluster_temperature_K"],
     )
-    pressures = [mbar_to_pa(p) for p in
-                 _log_grid(args["p_lo_log10"], args["p_hi_log10"], args["p_steps"])]
-    temperatures = _lin_grid(args["t_lo"], args["t_hi"], args["t_steps"])
+    pressures = [mbar_to_pa(10.0 ** x)
+                 for x in _grid(args, "p_lo_log10", "p_hi_log10", "p_steps")]
+    temperatures = _grid(args, "t_lo", "t_hi", "t_steps")
     files = {}
     for path, mass_amu in masses.items():
         contours = critical_contour(_species_from(args, mass_amu), grating, pressures,
@@ -402,14 +400,15 @@ def _manifest_args(path: str, argv: list[str]) -> tuple[str, dict]:
     args = manifest.get("args") if command in SWEEPS else None
     if not isinstance(args, dict):
         raise ConfigError(f"manifest does not describe a re-runnable sweep: {path}")
-    # another schema, other constants or another decoherence model mean
-    # this build would not write the same bytes
+    # another version, schema, constants or decoherence model mean this
+    # build would not write the same bytes
     build = _manifest(command, args, argv)
-    for key in ("schema", "constants", "decoherence_model"):
+    for key in ("version", "schema", "constants", "decoherence_model"):
         if manifest.get(key) != build[key]:
-            raise ConfigError(f"{path}: {key} {manifest.get(key)!r} cannot be "
+            raise ConfigError(f"{path}: {key!r} {manifest.get(key)!r} cannot be "
                               f"reproduced; this build has {build[key]!r}")
-    # the command's default args fix the key set and each value's type
+    # the command's default args fix the key set and each value's type; the
+    # files function checks the ranges
     defaults = SWEEPS[command][1](build_parser().parse_args([command]), RunConfig())
     for key, like in defaults.items():
         if key not in args:

@@ -23,24 +23,23 @@ _DEGENERATE_DEN = 1e-30
 
 @dataclass(frozen=True)
 class AbsorptionProfile:
-    """n(x) = n0 + n1 cos(2 pi x / d) for one species, grating, and flux."""
+    """n(x) = n0 + n1 cos(2 pi x / d) for one species, grating, and flux,
+    from multipole sums that converged at `truncation_order`."""
 
     n0: float
     n1: float
     flux: float
     truncation_order: int
-    converged: bool
 
     def __post_init__(self):
-        if self.converged and self.n0 < abs(self.n1) * (1.0 - 1e-12):
+        if self.n0 < abs(self.n1) * (1.0 - 1e-12):
             raise DomainError(
                 f"n(x) would go negative: n0={self.n0}, n1={self.n1}")
 
     def scaled_to(self, flux: float) -> "AbsorptionProfile":
         """Both parameters are exactly linear in the pulse flux."""
         s = flux / self.flux
-        return AbsorptionProfile(self.n0 * s, self.n1 * s, flux,
-                                 self.truncation_order, self.converged)
+        return AbsorptionProfile(self.n0 * s, self.n1 * s, flux, self.truncation_order)
 
 
 def _refractive_root(eps: complex) -> complex:
@@ -98,8 +97,8 @@ def truncation_budget(rho: float) -> int:
     return min(_LMAX, max(16, math.ceil(rho + 4.0 * rho ** (1.0 / 3.0) + 6.0)))
 
 
-def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int, bool]:
-    """Dimensionless multipole sums (S0, S1, truncation order, converged).
+def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
+    """Dimensionless multipole sums (S0, S1) and the order l they stopped at.
 
     S0 is the position-average series (all contributions of one sign for an
     absorbing sphere), S1 the alternating modulation series:
@@ -110,7 +109,8 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int, bool]:
     Both carry the common prefactor 4 F_L / (h nu_L k_L^2) in n0, n1.  The
     sums stop once _TAIL_RUN consecutive terms fall below _TAIL_TOL of the
     partial sum.  A budget that runs out first is doubled, up to _LMAX, and
-    the sums start again; at _LMAX they are returned unconverged.
+    the sums start again; sums that still fail the test at _LMAX raise
+    NonConvergenceError, so only converged sums are returned.
     """
     budget = truncation_budget(rho)
     while True:
@@ -127,11 +127,13 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int, bool]:
             if max(abs(d0), abs(d1)) < _TAIL_TOL * scale:
                 run += 1
                 if run >= _TAIL_RUN:
-                    return s0, s1, l, True
+                    return s0, s1, l
             else:
                 run = 0
         if budget == _LMAX:
-            return s0, s1, budget, False
+            raise NonConvergenceError(
+                f"multipole sums did not meet tail bound {_TAIL_TOL} by l={budget} "
+                f"(rho={rho:.4f})")
         budget = min(2 * budget, _LMAX)
 
 
@@ -150,12 +152,8 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
 
     k = grating.wavenumber
     rho = k * radius
-    s0, s1, used, converged = absorption_sums(rho, species.permittivity)
-    if not converged:
-        raise NonConvergenceError(
-            f"multipole sums did not meet tail bound {_TAIL_TOL} by l={used} "
-            f"(rho={rho:.4f})")
+    s0, s1, used = absorption_sums(rho, species.permittivity)
     prefactor = 4.0 * flux / (PLANCK_H * grating.laser_frequency * k * k)
     return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, flux=flux,
-                             truncation_order=used, converged=converged)
+                             truncation_order=used)
 

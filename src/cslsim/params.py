@@ -101,13 +101,6 @@ class ClusterSpecies:
     def mass_amu(self) -> float:
         return kg_to_amu(self.mass)
 
-    @property
-    def radius(self) -> float:
-        return cluster_radius(self)
-
-    def with_mass(self, mass_kg: float) -> "ClusterSpecies":
-        return dataclasses.replace(self, mass=mass_kg)
-
 
 def gold_cluster(mass_amu: float) -> ClusterSpecies:
     return ClusterSpecies.from_amu(mass_amu, GOLD_DENSITY, GOLD_PERMITTIVITY_157NM, "gold")

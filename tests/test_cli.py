@@ -200,15 +200,23 @@ def test_rerun_names_a_missing_argument(tmp_path, capsys):
                                                ("fig1", "threshold", None),
                                                ("fig1", "markers", 5),
                                                ("fig3", "masses_amu", "1e6"),
-                                               ("fig3", "cluster_temperature_K", "2000")])
+                                               ("fig3", "cluster_temperature_K", "2000"),
+                                               # right types, values this build refuses
+                                               ("fig1", "steps", 0),
+                                               ("fig1", "hi_log10", -20.0),
+                                               ("fig2", "hi_log10", 4.0),
+                                               ("fig2", "target_v", math.nan),
+                                               ("fig3", "masses_amu", []),
+                                               ("fig1", "version", "9.9")])
 def test_rerun_refuses_a_mistyped_argument(tmp_path, capsys, command, key, value):
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
+             "fig2": ["--mass-range=5:6:3"],
              "fig3": ["--masses", "1e7", "--p-range=-14:-6:5", "--T-range=4:400:5"]}
     out = tmp_path / f"{command}.csv"
     assert run([command, *sweep[command], "--out", str(out)]) == EXIT_OK
     manifest = tmp_path / f"{command}.csv.manifest.json"
     meta = json.loads(manifest.read_text())
-    meta["args"][key] = value
+    (meta if key == "version" else meta["args"])[key] = value
     manifest.write_text(json.dumps(meta))
     capsys.readouterr()
     assert run(["rerun", "--manifest", str(manifest),
@@ -347,6 +355,7 @@ def test_bad_range_is_usage_error(tmp_path):
     assert run(["fig1", "--lambda0-range=-6:-18:5", "--out",
                 str(tmp_path / "x.csv")]) == EXIT_USAGE
     for argv in (["fig3", "--masses", "1e7", "--p-range=-14:inf:4", "--T-range=4:400:4"],
+                 ["fig3", "--masses", "1e7", "--p-range=-14:-6:1"],
                  ["fig2", "--mass-range=5:nan:1"],
                  ["fig2", "--target-V", "nan"]):
         assert run([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
