@@ -171,6 +171,18 @@ def _grid(args: dict, lo_key: str, hi_key: str, steps_key: str) -> list[float]:
     return [lo + i * step for i in range(steps)]
 
 
+def _log_grid(args: dict, lo_key: str, hi_key: str, steps_key: str) -> list[float]:
+    """10 ** each value of the grid _grid(args, lo_key, hi_key, steps_key)."""
+    grid = _grid(args, lo_key, hi_key, steps_key)
+    try:
+        return [10.0 ** x for x in grid]
+    except OverflowError:
+        # the grid ascends, so its last value overflows first
+        key = hi_key if len(grid) > 1 else lo_key
+        raise ConfigError(f"{key!r} must be at most log10 of the largest double, "
+                          f"{math.log10(sys.float_info.max):.4f}, got {args[key]}") from None
+
+
 def _species_from(args: dict, mass_amu: float) -> ClusterSpecies:
     return ClusterSpecies.from_amu(mass_amu, args["density_kg_m3"],
                                    complex(args["eps_re"], args["eps_im"]), args["label"])
@@ -194,7 +206,7 @@ def _fig1_args(ns, config: RunConfig) -> dict:
 def _fig1_files(args: dict, out: str | None) -> dict:
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
     csl = CslParams(r_c=args["rc_m"], lambda0=1.0, m0=amu_to_kg(args["m0_amu"]))
-    grid = [10.0 ** x for x in _grid(args, "lo_log10", "hi_log10", "steps")]
+    grid = _log_grid(args, "lo_log10", "hi_log10", "steps")
     # a grid value that rounds differently from a marker is the same point
     markers = [m for m in args["markers"] if not any(math.isclose(m, g) for g in grid)]
     g = _fmt(geometry_factor(grating, csl))
@@ -220,7 +232,7 @@ def _fig2_files(args: dict, out: str | None) -> dict:
     target_v = args["target_v"]
     if not math.isfinite(target_v):
         raise ConfigError(f"'target_v' must be finite, got {target_v}")
-    masses = [10.0 ** x for x in _grid(args, "lo_log10", "hi_log10", "steps")]
+    masses = _log_grid(args, "lo_log10", "hi_log10", "steps")
     # n1 at the target V depends on neither the mass nor the Talbot order
     try:
         n1_target = solve_modulation_for_visibility(target_v)
@@ -284,6 +296,10 @@ def _fig3_files(args: dict, out: str | None) -> dict:
     """
     if not args["masses_amu"]:
         raise ConfigError("'masses_amu' must list at least one mass in amu")
+    for key in ("p_steps", "t_steps"):
+        if args[key] < 2:
+            raise ConfigError(f"{key!r} must be >= 2: a contour needs a 2 x 2 grid, "
+                              f"got {args[key]}")
     stem = Path(out or "fig3_rerun.csv")  # only rerun has no default --out
     masses = {}
     for mass_amu in args["masses_amu"]:
@@ -300,8 +316,8 @@ def _fig3_files(args: dict, out: str | None) -> dict:
         gas_polarizability_volume=args["gas_polarizability_A3"] * 1e-30,
         cluster_temperature=args["cluster_temperature_K"],
     )
-    pressures = [mbar_to_pa(10.0 ** x)
-                 for x in _grid(args, "p_lo_log10", "p_hi_log10", "p_steps")]
+    pressures = [mbar_to_pa(p)
+                 for p in _log_grid(args, "p_lo_log10", "p_hi_log10", "p_steps")]
     temperatures = _grid(args, "t_lo", "t_hi", "t_steps")
     files = {}
     for path, mass_amu in masses.items():
@@ -316,7 +332,7 @@ def _fig3_files(args: dict, out: str | None) -> dict:
 # command -> (schema, args from the parsed options and config, files from args)
 SWEEPS = {
     "fig1": ("fig1.v3", _fig1_args, _fig1_files),
-    "fig2": ("fig2.v3", _fig2_args, _fig2_files),
+    "fig2": ("fig2.v4", _fig2_args, _fig2_files),
     "fig3": ("fig3.v3", _fig3_args, _fig3_files),
 }
 

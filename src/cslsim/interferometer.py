@@ -18,6 +18,7 @@ from .specfun import _illinois, bessel_I_scaled, log_bessel_I0
 # The visibility is inverted only on its first monotone branch; the
 # experiment operates far below the upper end of this bracket.
 _N1_BRACKET_MAX = 20.0
+_V_BRACKET_MAX = 1.7147811934593042  # visibility(_N1_BRACKET_MAX)
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,13 @@ def solve_modulation_for_visibility(v_target: float) -> float:
     if not (0.0 < v_target < 2.0):
         raise UnachievableTargetError(
             f"target visibility must lie in (0, 2), got {v_target}")
-    v_hi = visibility(_N1_BRACKET_MAX)
-    if v_target >= v_hi:
+    if v_target >= _V_BRACKET_MAX:
         raise UnachievableTargetError(
             f"target visibility {v_target} is beyond the monotone branch "
-            f"maximum V({_N1_BRACKET_MAX}) = {v_hi:.6f}")
+            f"maximum V({_N1_BRACKET_MAX}) = {_V_BRACKET_MAX:.6f}")
     # V(0) = 0, so the residual at the lower end is -1
     return _illinois(lambda n1: visibility(n1) / v_target - 1.0,
-                     0.0, _N1_BRACKET_MAX, -1.0, v_hi / v_target - 1.0)
+                     0.0, _N1_BRACKET_MAX, -1.0, _V_BRACKET_MAX / v_target - 1.0)
 
 
 def flux_for_target_visibility(species: ClusterSpecies, grating: GratingConfig,

@@ -50,23 +50,6 @@ def _refractive_root(eps: complex) -> complex:
     return u
 
 
-def _sigma_e(l, rho, eps, u, js, hs):
-    num = (eps * js[l] * (u * rho * js[l - 1] - l * js[l]).conjugate()).imag
-    den = abs(l * (eps - 1.0) * js[l] * hs[l]
-              + u * rho * (js[l - 1] * hs[l] - u * js[l] * hs[l - 1])) ** 2
-    if den < _DEGENERATE_DEN:
-        raise ResonanceError(f"degenerate sigma_E denominator at l={l}, rho={rho}")
-    return num / den
-
-
-def _sigma_h(l, rho, u, js, hs):
-    num = (u * js[l].conjugate() * js[l - 1]).imag
-    den = rho * abs(js[l] * hs[l + 1] - u * js[l + 1] * hs[l]) ** 2
-    if den < _DEGENERATE_DEN:
-        raise ResonanceError(f"degenerate sigma_H denominator at l={l}, rho={rho}")
-    return num / den
-
-
 def multipole_orders(rho: float, eps: complex, lmax: int):
     """(sigma_E, sigma_H) for l = 1 .. lmax at scaled radius rho = k_L R.
 
@@ -84,8 +67,23 @@ def multipole_orders(rho: float, eps: complex, lmax: int):
     u = _refractive_root(eps)
     js = spherical_jn_array(lmax + 1, u * rho)
     hs = spherical_hankel_array(lmax + 1, rho)
-    return ((_sigma_e(l, rho, eps, u, js, hs), _sigma_h(l, rho, u, js, hs))
-            for l in range(1, lmax + 1))
+    return _orders(rho, eps, u, js, hs)
+
+
+def _orders(rho, eps, u, js, hs):
+    # Order l reads j and h at l - 1, l and l + 1.
+    urho = u * rho
+    em1 = eps - 1.0
+    for l, jm, j, jp, hm, h, hp in zip(range(1, len(js) - 1), js, js[1:], js[2:],
+                                       hs, hs[1:], hs[2:]):
+        den_e = abs(l * em1 * j * h + urho * (jm * h - u * j * hm)) ** 2
+        if den_e < _DEGENERATE_DEN:
+            raise ResonanceError(f"degenerate sigma_E denominator at l={l}, rho={rho}")
+        den_h = rho * abs(j * hp - u * jp * h) ** 2
+        if den_h < _DEGENERATE_DEN:
+            raise ResonanceError(f"degenerate sigma_H denominator at l={l}, rho={rho}")
+        yield ((eps * j * (urho * jm - l * j).conjugate()).imag / den_e,
+               (u * j.conjugate() * jm).imag / den_h)
 
 
 def truncation_budget(rho: float) -> int:
@@ -116,15 +114,17 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     while True:
         s0 = 0.0
         s1 = 0.0
+        sign = 1.0  # (-1)^(l-1)
         run = 0
         for l, (se, sh) in enumerate(multipole_orders(rho, eps, budget), 1):
             weight = (2 * l + 1) * math.pi / rho
             d0 = weight * (se - sh)
-            d1 = weight * (-1.0) ** (l - 1) * (se + sh)
+            d1 = weight * sign * (se + sh)
+            sign = -sign
             s0 += d0
             s1 += d1
-            scale = max(abs(s0), abs(s1), 1e-300)
-            if max(abs(d0), abs(d1)) < _TAIL_TOL * scale:
+            bound = _TAIL_TOL * max(abs(s0), abs(s1), 1e-300)
+            if abs(d0) < bound and abs(d1) < bound:
                 run += 1
                 if run >= _TAIL_RUN:
                     return s0, s1, l

@@ -3,7 +3,9 @@
 Provides exactly what the physics layers consume:
 
 * spherical Bessel j_l of complex or real argument (Miller downward
-  recurrence),
+  recurrence, started at the order where its error at lmax reaches
+  rounding: the first order above lmax at which the dominant solution,
+  recurred upward from lmax on |z|, reaches 1e9),
 * spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
 * modified Bessel I_0, I_1, I_2 with exponentially-scaled variants,
 * the bracketed Illinois root solve that inverts them.
@@ -69,16 +71,23 @@ def spherical_jn_array(lmax: int, z) -> list:
     if az < _TINY_Z:
         return [_jl_series(l, z) for l in range(lmax + 1)]
 
-    lstart = lmax + max(20, math.ceil(1.5 * az))
+    # Start where the trial's error at lmax has fallen to rounding: recur
+    # the dominant solution upward from lmax on |z|, p_lmax = 1 and
+    # p_(lmax-1) = 0, until |p| >= 1e9.  Miller's error at lmax is about
+    # 1 / p^2 = 1e-18 of j_lmax.
+    p_lo, p, lstart = 0.0, 1.0, lmax
+    while abs(p) < 1e9:
+        p_lo, p = p, (2 * lstart + 1) / az * p - p_lo
+        lstart += 1
     out = [zero] * (lmax + 1)
     f_hi = zero          # trial value at order l+1
     f = zero + 1e-280    # trial value at order l
     for l in range(lstart, 0, -1):
         f_lo = (2 * l + 1) / z * f - f_hi
         f_hi, f = f, f_lo
-        if l - 1 <= lmax:
+        if l <= lmax + 1:
             out[l - 1] = f
-        if max(abs(f.real), abs(f.imag)) > _RESCALE_LIMIT:
+        if abs(f) > _RESCALE_LIMIT:
             f *= _RESCALE
             f_hi *= _RESCALE
             for i in range(max(l - 1, 0), lmax + 1):

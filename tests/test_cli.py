@@ -165,7 +165,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
-                                    "fig3.v1", "fig3.v2"])
+                                    "fig2.v3", "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -207,6 +207,11 @@ def test_rerun_names_a_missing_argument(tmp_path, capsys):
                                                ("fig2", "hi_log10", 4.0),
                                                ("fig2", "target_v", math.nan),
                                                ("fig3", "masses_amu", []),
+                                               # 10 ** 400 overflows a double
+                                               ("fig1", "hi_log10", 400.0),
+                                               ("fig2", "hi_log10", 400.0),
+                                               ("fig3", "p_hi_log10", 400.0),
+                                               ("fig3", "t_steps", 1),
                                                ("fig1", "version", "9.9")])
 def test_rerun_refuses_a_mistyped_argument(tmp_path, capsys, command, key, value):
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -349,16 +354,26 @@ def test_cli_import_loads_no_scipy():
         assert [m for m in loaded if m.split(".")[0] == package] == []
 
 
-def test_bad_range_is_usage_error(tmp_path):
+def test_bad_range_is_usage_error(tmp_path, capsys):
     assert run(["fig1", "--lambda0-range=oops", "--out",
                 str(tmp_path / "x.csv")]) == EXIT_USAGE
     assert run(["fig1", "--lambda0-range=-6:-18:5", "--out",
                 str(tmp_path / "x.csv")]) == EXIT_USAGE
     for argv in (["fig3", "--masses", "1e7", "--p-range=-14:inf:4", "--T-range=4:400:4"],
-                 ["fig3", "--masses", "1e7", "--p-range=-14:-6:1"],
                  ["fig2", "--mass-range=5:nan:1"],
                  ["fig2", "--target-V", "nan"]):
         assert run([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    # each message names the args key, as a rerun of a manifest would
+    for argv, message in (
+            (["fig3", "--masses", "1e7", "--p-range=-14:-6:1"], "'p_steps' must be >= 2"),
+            (["fig1", "--lambda0-range=-18:400:3"], "'hi_log10' must be at most"),
+            (["fig2", "--mass-range=5:400:3"], "'hi_log10' must be at most"),
+            (["fig2", "--mass-range=400:0:1"], "'lo_log10' must be at most"),
+            (["fig3", "--masses", "1e7", "--p-range=-14:400:3"],
+             "'p_hi_log10' must be at most")):
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

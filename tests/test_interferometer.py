@@ -80,6 +80,16 @@ def test_solve_needs_few_visibility_calls(monkeypatch):
         assert len(calls) <= 20
 
 
+def test_bracket_top_visibility_is_the_visibility_at_the_bracket_top():
+    assert interferometer._N1_BRACKET_MAX == 20.0
+    assert interferometer._V_BRACKET_MAX == visibility(20.0)
+    # just below the top is solvable, the top itself is refused
+    below = math.nextafter(interferometer._V_BRACKET_MAX, 0.0)
+    assert solve_modulation_for_visibility(below) == pytest.approx(20.0, rel=1e-6)
+    with pytest.raises(UnachievableTargetError):
+        solve_modulation_for_visibility(interferometer._V_BRACKET_MAX)
+
+
 def test_visibility_saturates_at_two():
     assert visibility(1e3) == pytest.approx(2.0, rel=0.01)
 

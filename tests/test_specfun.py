@@ -149,6 +149,18 @@ def test_real_pass_of_hankel_matches_mpmath(x):
                 assert abs(jl - ref) <= 1e-13 * abs(ref), ell
 
 
+@pytest.mark.parametrize("z", [15.023651178626412, 20.0, 15.0 + 1.0j, 100.0])
+@pytest.mark.parametrize("lmax", [5, 17, 60])
+def test_j_array_matches_mpmath_where_the_argument_is_large(z, lmax):
+    # |z| beyond the Mie domain, where a start order fixed above lmax
+    # leaves the trial's error well above rounding
+    with mp.workdps(40):
+        for ell, jl in enumerate(spherical_jn_array(lmax, z)):
+            ref = complex(mp.sqrt(mp.pi / (2 * mp.mpmathify(z)))
+                          * mp.besselj(ell + mp.mpf(1) / 2, z))
+            assert abs(jl - ref) <= 1e-12 * abs(ref), ell
+
+
 def test_h1_rejects_nonpositive():
     with pytest.raises(DomainError):
         spherical_hankel_h1(0, 0.0)
