@@ -246,11 +246,12 @@ def _fig2_files(args: dict, out: str | None) -> dict:
         if n1_target is None:
             rows.append(",".join(cells + ["nan"] * 4 + ["unreachable"]))
             continue
+        # one Mie evaluation per mass, at unit flux; a sphere past the
+        # geometry guard has none, and the flux solve raises for it.  A Mie
+        # DomainError is a bad species, not an unreachable row.
+        reference = (absorption_profile(sp, grating, 1.0)
+                     if radius < grating.period else None)
         try:
-            # one Mie evaluation per mass, at unit flux; a sphere past the
-            # geometry guard has none, and the flux solve raises for it
-            reference = (absorption_profile(sp, grating, 1.0)
-                         if radius < grating.period else None)
             flux = flux_for_target_visibility(sp, grating, target_v,
                                               n1_target=n1_target, reference=reference)
             profile = reference.scaled_to(flux)
@@ -332,7 +333,7 @@ def _fig3_files(args: dict, out: str | None) -> dict:
 # command -> (schema, args from the parsed options and config, files from args)
 SWEEPS = {
     "fig1": ("fig1.v3", _fig1_args, _fig1_files),
-    "fig2": ("fig2.v4", _fig2_args, _fig2_files),
+    "fig2": ("fig2.v5", _fig2_args, _fig2_files),
     "fig3": ("fig3.v3", _fig3_args, _fig3_files),
 }
 

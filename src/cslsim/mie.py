@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
 from .params import PLANCK_H, ClusterSpecies, GratingConfig, cluster_radius
-from .specfun import MAX_ORDER, spherical_hankel_array, spherical_jn_array
+from .specfun import MAX_ORDER, spherical_jn_ratios
 
 _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
 _TAIL_RUN = 5            # consecutive terms that must satisfy the bound
-_LMAX = MAX_ORDER - 1    # sigma_H at order l reads the Bessel arrays at l + 1
-_DEGENERATE_DEN = 1e-30
+_LMAX = MAX_ORDER - 1    # sigma_H at order l reads the ratios at l + 1
+_DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,13 @@ def _refractive_root(eps: complex) -> complex:
 def multipole_orders(rho: float, eps: complex, lmax: int):
     """(sigma_E, sigma_H) for l = 1 .. lmax at scaled radius rho = k_L R.
 
-    The Bessel arrays are built here, once; each pair of components is
-    computed only when it is drawn, so a sum that stops early pays for no
-    order past its stopping point.
+    Both have degree 0 in the normalization of j_l(u rho): they read only
+    the ratios r_l = j_(l-1)(u rho) / j_l(u rho), built here once, and
+    h_l(rho) through moduli, carried upward inside the order loop as
+    q_l = h_(l-1) / h_l and |1 / h_l|^2 (relative error O(l eps_mach);
+    |1 / h_l|^2 underflows to 0, never overflows).  Each pair is computed
+    only when drawn, so a sum that stops early pays for no later order.
+    The ratio pass takes O(|u rho|) steps, so |u| rho is bounded by MAX_ORDER.
     """
     if lmax < 1 or lmax > _LMAX:
         raise DomainError(f"lmax must be in [1, {_LMAX}], got {lmax}")
@@ -65,25 +69,31 @@ def multipole_orders(rho: float, eps: complex, lmax: int):
     if eps.imag < 0.0:
         raise DomainError("Im(eps) must be >= 0")
     u = _refractive_root(eps)
-    js = spherical_jn_array(lmax + 1, u * rho)
-    hs = spherical_hankel_array(lmax + 1, rho)
-    return _orders(rho, eps, u, js, hs)
+    if abs(u) * rho > MAX_ORDER:
+        raise DomainError(f"|sqrt(eps)| rho must be at most {MAX_ORDER}, got {abs(u) * rho:.4g}")
+    return _orders(rho, eps, u, spherical_jn_ratios(lmax + 1, u * rho))
 
 
-def _orders(rho, eps, u, js, hs):
-    # Order l reads j and h at l - 1, l and l + 1.
+def _orders(rho, eps, u, rs):
+    # With r = r_l, q = q_l and a = |1/h_l|^2 (primed at l + 1):
+    #   sigma_E = Im(eps conj(u rho r - l)) a / |l (eps-1) + u rho (r - u q)|^2
+    #   sigma_H = Im(u r) a' / (rho |1 - u q' / r'|^2)
     urho = u * rho
     em1 = eps - 1.0
-    for l, jm, j, jp, hm, h, hp in zip(range(1, len(js) - 1), js, js[1:], js[2:],
-                                       hs, hs[1:], hs[2:]):
-        den_e = abs(l * em1 * j * h + urho * (jm * h - u * j * hm)) ** 2
+    q = 1j * rho / (rho + 1j)             # h_0 / h_1
+    a = rho ** 4 / (rho * rho + 1.0)      # |1 / h_1|^2
+    for l, r, rp in zip(range(1, len(rs)), rs, rs[1:]):
+        qp = 1.0 / ((2 * l + 1) / rho - q)
+        ap = a * abs(qp) ** 2
+        den_e = abs(l * em1 + urho * (r - u * q)) ** 2
         if den_e < _DEGENERATE_DEN:
             raise ResonanceError(f"degenerate sigma_E denominator at l={l}, rho={rho}")
-        den_h = rho * abs(j * hp - u * jp * h) ** 2
+        den_h = abs(1.0 - u * qp / rp) ** 2
         if den_h < _DEGENERATE_DEN:
             raise ResonanceError(f"degenerate sigma_H denominator at l={l}, rho={rho}")
-        yield ((eps * j * (urho * jm - l * j).conjugate()).imag / den_e,
-               (u * j.conjugate() * jm).imag / den_h)
+        yield ((eps * (urho * r - l).conjugate()).imag * a / den_e,
+               (u * r).imag * ap / (rho * den_h))
+        q, a = qp, ap
 
 
 def truncation_budget(rho: float) -> int:

@@ -2,13 +2,19 @@
 
 Provides exactly what the physics layers consume:
 
-* spherical Bessel j_l of complex or real argument (Miller downward
-  recurrence, started at the order where its error at lmax reaches
+* the ratios r_l = j_(l-1)(z) / j_l(z) of spherical Bessel functions of
+  complex or real argument, from one downward pass r_l = (2l+1)/z -
+  1/r_(l+1), started at the order where its error at lmax reaches
   rounding: the first order above lmax at which the dominant solution,
-  recurred upward from lmax on |z|, reaches 1e9),
+  recurred upward from lmax on |z|, reaches 1e9,
+* spherical Bessel j_l, the upward product j_l = j_(l-1) / r_l anchored on
+  whichever of the closed forms j_0 and j_1 is the larger,
 * spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
 * modified Bessel I_0, I_1, I_2 with exponentially-scaled variants,
 * the bracketed Illinois root solve that inverts them.
+
+The spherical Bessel functions accept |z| <= MAX_ORDER: the downward pass
+takes O(|z|) steps, and the Mie sums need |z| = |sqrt(eps)| rho < 6 for gold.
 
 All functions are pure and stateless.
 """
@@ -20,97 +26,77 @@ import math
 
 from .errors import AccuracyLossError, DomainError
 
-MAX_ORDER = 256          # largest supported spherical-Bessel order
-_RESCALE_LIMIT = 1e250   # magnitude at which the Miller recurrence is rescaled
-_RESCALE = 1e-250
-_TINY_Z = 1e-6           # below this |z| the ascending series is used directly
+MAX_ORDER = 256          # largest supported spherical-Bessel order and |z|
+_TINY_Z = 1e-300         # below this |z|, r_l overflows and j_l (l >= 2) underflows
 _IV_SERIES_MAX_X = 30.0  # series/asymptotic crossover for I_k
 _IV_OVERFLOW_X = 700.0   # exp(x) overflows just above this
 
 
-def _as_finite(z):
+def _checked(lmax: int, z):
     # A real number stays a float, anything else becomes a complex.
+    if lmax < 0 or lmax > MAX_ORDER:
+        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
     z = float(z) if isinstance(z, (int, float)) else complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"argument must be finite, got {z}")
+    if abs(z) > MAX_ORDER:
+        raise DomainError(f"|z| must be at most {MAX_ORDER}, got {z}")
     return z
 
 
-def _jl_series(ell: int, z):
-    # j_l(z) = z^l sum_m (-z^2/2)^m / (m! (2l+2m+1)!!), summed until a term
-    # no longer moves the total; for |z| <= 1 that takes at most ~10 terms.
-    term = 1.0
-    for k in range(1, ell + 1):
-        term *= z / (2 * k + 1)
-    total = term
-    m = 0
-    while abs(term) > 1e-17 * abs(total):
-        m += 1
-        term *= -0.5 * z * z / (m * (2 * ell + 2 * m + 1))
-        total += term
-    return total
+def spherical_jn_ratios(lmax: int, z) -> list:
+    """[r_1, .., r_lmax], r_l = j_(l-1)(z) / j_l(z), from one downward pass.
+
+    The ratios stay finite for _TINY_Z <= |z| <= MAX_ORDER, so the pass
+    needs no rescaling; a complex z gives complex ratios, a real z floats.
+    """
+    z = _checked(lmax, z)
+    az = abs(z)
+    if az < _TINY_Z:
+        raise DomainError(f"j_(l-1)/j_l overflows below |z| = {_TINY_Z}, got {z}")
+    # Start where the error at lmax has fallen to rounding: recur the
+    # dominant solution upward from lmax on |z|, p_lmax = 1 and
+    # p_(lmax-1) = 0, until |p| >= 1e9.  Taking 1/r = 0 there leaves an
+    # error at lmax of about 1 / p^2 = 1e-18 of r_lmax.
+    p_lo, p, lstart = 0.0, 1.0, lmax
+    while abs(p) < 1e9:
+        p_lo, p = p, (2 * lstart + 1) / az * p - p_lo
+        lstart += 1
+    # A ratio that rounds to 0 (j_(l-1) at a zero) is kept tiny instead, so
+    # 1/r stays finite and j_(l-1) / r_l still gives j_l.
+    inv = 0.0  # 1 / r_(l+1)
+    for l in range(lstart, lmax, -1):
+        inv = 1.0 / ((2 * l + 1) / z - inv or 1e-300)
+    out = []
+    for l in range(lmax, 0, -1):
+        r = (2 * l + 1) / z - inv or 1e-300
+        out.append(r)
+        inv = 1.0 / r
+    out.reverse()
+    return out
 
 
 def spherical_jn_array(lmax: int, z) -> list:
-    """j_0(z) .. j_lmax(z) from a single normalized downward pass.
+    """j_0(z) .. j_lmax(z) from the ratio pass and one upward product.
 
     A complex z gives complex values.  A real z (int or float) runs the
     same pass in float arithmetic and gives floats, equal to the real part
     of the complex pass at half its cost.
     """
-    if lmax < 0 or lmax > MAX_ORDER:
-        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
-    z = _as_finite(z)
-    if isinstance(z, float):
-        zero, sin, cos = 0.0, math.sin, math.cos
-    else:
-        zero, sin, cos = 0.0j, cmath.sin, cmath.cos
-    az = abs(z)
-    if az == 0.0:
-        return [zero + 1.0] + [zero] * lmax
-    if az < _TINY_Z:
-        return [_jl_series(l, z) for l in range(lmax + 1)]
-
-    # Start where the trial's error at lmax has fallen to rounding: recur
-    # the dominant solution upward from lmax on |z|, p_lmax = 1 and
-    # p_(lmax-1) = 0, until |p| >= 1e9.  Miller's error at lmax is about
-    # 1 / p^2 = 1e-18 of j_lmax.
-    p_lo, p, lstart = 0.0, 1.0, lmax
-    while abs(p) < 1e9:
-        p_lo, p = p, (2 * lstart + 1) / az * p - p_lo
-        lstart += 1
-    out = [zero] * (lmax + 1)
-    f_hi = zero          # trial value at order l+1
-    f = zero + 1e-280    # trial value at order l
-    for l in range(lstart, 0, -1):
-        f_lo = (2 * l + 1) / z * f - f_hi
-        f_hi, f = f, f_lo
-        if l <= lmax + 1:
-            out[l - 1] = f
-        if abs(f) > _RESCALE_LIMIT:
-            f *= _RESCALE
-            f_hi *= _RESCALE
-            for i in range(max(l - 1, 0), lmax + 1):
-                out[i] *= _RESCALE
-
-    # Normalize against whichever closed-form seed is better conditioned.
-    j0 = sin(z) / z
-    # The closed form j1 loses ~2 log10(1/|z|) digits to cancellation.
-    j1 = _jl_series(1, z) if az < 1.0 else j0 / z - cos(z) / z
-    f0, f1 = f, f_hi
-    if abs(f0) >= abs(f1):
-        ref_true, ref_trial = j0, f0
-    else:
-        ref_true, ref_trial = j1, f1
-    if ref_trial == 0.0:
-        raise AccuracyLossError(f"Miller recurrence degenerated at z={z}")
-    ratio = ref_true / ref_trial
-    out[0] = j0
-    if lmax >= 1:
-        out[1] = j1
-    for i in range(2, lmax + 1):
-        out[i] *= ratio
-    return out
+    z = _checked(lmax, z)
+    zero, sin, cos = (0.0, math.sin, math.cos) if isinstance(z, float) else (
+        0.0j, cmath.sin, cmath.cos)
+    if abs(z) < _TINY_Z:  # j_0 = 1 and j_1 = z / 3 to rounding
+        return ([zero + 1.0, z / 3.0] + [zero] * lmax)[:lmax + 1]
+    rs = spherical_jn_ratios(max(lmax, 1), z)
+    # Anchor on the larger of j_0 and j_1: j_0 / r_1 near a zero of j_1,
+    # the closed form j_1 near a zero of j_0 (where |j_1| > |j_0| keeps
+    # |z| away from the cancellation of the closed form at small z).
+    j = sin(z) / z
+    out = [j, j / rs[0] if abs(rs[0]) >= 1.0 else j / z - cos(z) / z]
+    for r in rs[1:]:
+        out.append(out[-1] / r)
+    return out[:lmax + 1]
 
 
 def spherical_bessel_j(ell: int, z) -> complex:

@@ -165,7 +165,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
-                                    "fig2.v3", "fig3.v1", "fig3.v2"])
+                                    "fig2.v3", "fig2.v4", "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -307,6 +307,18 @@ def test_fig2_unreachable_target_marks_every_row(tmp_path):
     assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=1.9",
                 "--out", str(out)]) == EXIT_OK
     assert {r.split(",")[-1] for r in read_rows(out)[1:]} == {"unreachable"}
+
+
+def test_a_permittivity_past_the_bessel_bound_is_a_usage_error(tmp_path, capsys):
+    # |sqrt(eps)| k R reaches 334 at 1e10 amu: the Mie sums refuse it, and
+    # fig2 must not label that row unreachable
+    config = tmp_path / "big.ini"
+    config.write_text(CONFIG_TEXT.replace("eps_re = 0.9", "eps_re = 20000"))
+    out = tmp_path / "fig2.csv"
+    assert run(["--config", str(config), "fig2", "--mass-range=5:10.5:12",
+                "--out", str(out)]) == EXIT_USAGE
+    assert "sqrt(eps)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unreadable_manifest_is_usage_error(tmp_path):

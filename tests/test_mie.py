@@ -6,7 +6,7 @@ import pytest
 
 import cslsim.mie as mie
 from cslsim.cli import EXIT_NONCONVERGENCE, main
-from cslsim.errors import DomainError, GeometryError, NonConvergenceError
+from cslsim.errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
 from cslsim.mie import (
     absorption_profile,
     absorption_sums,
@@ -174,6 +174,8 @@ def test_multipole_components_domain_errors():
         multipole_orders(-0.5, GOLD_EPS, 1)
     with pytest.raises(DomainError):
         multipole_orders(0.5, 1.0 - 0.1j, 1)
+    with pytest.raises(DomainError, match="sqrt"):
+        multipole_orders(3.0, 2e4 + 1j, 16)
 
 
 @pytest.mark.parametrize("eps", [GOLD_EPS, 1.5 + 0.01j])
@@ -217,6 +219,15 @@ def test_a_sum_that_never_meets_its_tail_test_stops_at_the_cap(monkeypatch, tmp_
     assert budgets == [16, 32, 64, 128, mie._LMAX]
     with pytest.raises(NonConvergenceError):
         absorption_profile(gold_cluster(1e6), default_grating())
+    out = tmp_path / "observables.json"
+    assert main(["observables", "--out", str(out)]) == EXIT_NONCONVERGENCE
+    assert not out.exists()
+
+
+def test_a_degenerate_denominator_is_a_resonance(monkeypatch, tmp_path):
+    monkeypatch.setattr(mie, "_DEGENERATE_DEN", 1e300)
+    with pytest.raises(ResonanceError):
+        absorption_sums(0.5, GOLD_EPS)
     out = tmp_path / "observables.json"
     assert main(["observables", "--out", str(out)]) == EXIT_NONCONVERGENCE
     assert not out.exists()

@@ -15,6 +15,7 @@ from cslsim.specfun import (
     spherical_hankel_array,
     spherical_hankel_h1,
     spherical_jn_array,
+    spherical_jn_ratios,
     spherical_yn_array,
 )
 
@@ -159,6 +160,40 @@ def test_j_array_matches_mpmath_where_the_argument_is_large(z, lmax):
             ref = complex(mp.sqrt(mp.pi / (2 * mp.mpmathify(z)))
                           * mp.besselj(ell + mp.mpf(1) / 2, z))
             assert abs(jl - ref) <= 1e-12 * abs(ref), ell
+
+
+@pytest.mark.parametrize("z", [math.pi, 4.493409457909064, 4.493409457909064 + 1e-9j,
+                               5.76345919689455])
+def test_j_array_matches_mpmath_at_a_zero_of_j0_j1_or_j2(z):
+    # the anchor: j_0 is zero at pi and j_1 at 4.4934..; the ratio r_3 =
+    # j_2 / j_3 rounds to exactly 0 at the double nearest the zero of j_2
+    with mp.workdps(40):
+        ref = [complex(mp.sqrt(mp.pi / (2 * mp.mpmathify(z)))
+                       * mp.besselj(ell + mp.mpf(1) / 2, z)) for ell in range(22)]
+    for ell, jl in enumerate(spherical_jn_array(20, z)):
+        scale = max(abs(v) for v in ref[max(ell - 1, 0):ell + 2])
+        assert abs(jl - ref[ell]) <= 1e-13 * scale, ell
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.2j, 2.0, 5.0 + 3.0j])
+def test_ratios_match_mpmath(z):
+    with mp.workdps(40):
+        ref = [complex(mp.besselj(ell + mp.mpf(1) / 2, z)) for ell in range(18)]
+    for ell, r in enumerate(spherical_jn_ratios(17, z), 1):
+        assert abs(r - ref[ell - 1] / ref[ell]) <= 1e-13 * abs(r), ell
+    for tiny in (0.0, 1e-301j):
+        with pytest.raises(DomainError):
+            spherical_jn_ratios(17, tiny)
+
+
+@pytest.mark.parametrize("z", [1e6, 1e12, 1000j, -300.0])
+def test_j_rejects_an_argument_beyond_the_order_cap(z):
+    # the downward pass takes O(|z|) steps; 1e12 would never return
+    for f in (spherical_jn_array, spherical_bessel_j, spherical_jn_ratios):
+        with pytest.raises(DomainError):
+            f(2, z)
+    with pytest.raises(DomainError):
+        spherical_hankel_h1(2, z)
 
 
 def test_h1_rejects_nonpositive():
