@@ -61,7 +61,14 @@ def csl_exponent(species: ClusterSpecies, grating: GratingConfig,
 def csl_visibility_ratio(species: ClusterSpecies, grating: GratingConfig,
                          csl: CslParams) -> CslReduction:
     """Closed-form visibility reduction V_CSL / V."""
-    exponent = csl_exponent(species, grating, csl)
+    try:
+        exponent = csl_exponent(species, grating, csl)
+    except OverflowError:  # from (m/m0)^3
+        exponent = math.inf
+    if not math.isfinite(exponent):
+        raise DomainError(
+            f"CSL exponent is not finite for mass {species.mass} kg "
+            f"({species.mass_amu} amu) at m0 = {csl.m0} kg")
     return CslReduction(ratio=math.exp(-exponent), exponent=exponent,
                         geometry_factor=geometry_factor(grating, csl))
 

@@ -198,6 +198,12 @@ def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
     rate_coll = collision_rate(species, env)
     rate_abs, rate_em, rate_sca = blackbody_rates(species, env, grating)
     total = rate_coll + rate_abs + rate_em + rate_sca
+    # the rates are >= 0, so a finite total exposure bounds every channel's
+    if not math.isfinite(total * t_total):
+        raise DomainError(
+            f"decoherence exposure is not finite for mass {species.mass} kg, "
+            f"pressure {env.gas_pressure} Pa, gas temperature {env.gas_temperature} K "
+            f"and radiation temperature {env.radiation_temperature} K")
     return DecoherenceBudget(
         rate_collision=rate_coll,
         rate_bb_absorption=rate_abs,

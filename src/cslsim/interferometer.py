@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from .errors import DomainError, UnachievableTargetError
 from .mie import AbsorptionProfile, absorption_profile
 from .params import ClusterSpecies, GratingConfig
-from .specfun import _illinois, bessel_I_scaled, log_bessel_I0
+from .specfun import _iv012_scaled, bessel_I_scaled, log_bessel_I0
 
 # The visibility is inverted only on its first monotone branch; the
 # experiment operates far below the upper end of this bracket.
 _N1_BRACKET_MAX = 20.0
-_V_BRACKET_MAX = 1.7147811934593042  # visibility(_N1_BRACKET_MAX)
+_V_BRACKET_MAX = 1.7147811934593045  # visibility(_N1_BRACKET_MAX)
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,16 @@ class FringeObservables:
 def visibility(n1: float) -> float:
     """Sinusoidal fringe visibility 2 I_1^2(n1) I_2(n1) / I_0^3(n1).
 
-    Independent of the Talbot order.  Evaluated with exponentially scaled
-    Bessels so the ratio stays finite for any physical n1.
+    Independent of the Talbot order.  Evaluated as 2 (I_1/I_0)^2 (I_2/I_0)
+    from exponentially scaled Bessels, so it stays finite for every n1 and
+    tends to 2.
     """
     if not (n1 >= 0.0 and math.isfinite(n1)):
         raise DomainError(f"n1 must be >= 0, got {n1}")
     i0 = bessel_I_scaled(0, n1)
     i1 = bessel_I_scaled(1, n1)
     i2 = bessel_I_scaled(2, n1)
-    return 2.0 * i1 * i1 * i2 / (i0 * i0 * i0)
+    return 2.0 * (i1 / i0) ** 2 * (i2 / i0)
 
 
 def transmissivity(n0: float, n1: float) -> float:
@@ -76,8 +77,16 @@ def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
 def solve_modulation_for_visibility(v_target: float) -> float:
     """Invert the visibility for n1 on its first monotone branch.
 
-    Illinois on the relative residual V(n1) / V_target - 1, so a small
-    target is met to the same relative accuracy as a large one.
+    Newton on ln V against ln n1, both read from one fused (I_0, I_1, I_2)
+    series per step: with x = n1 and r_k = I_k / I_0, ln V = ln(2 r_2) +
+    2 ln r_1 and d ln V / d ln x = x (2 / r_1 + r_1 / r_2 - 3 r_1) - 4.  It
+    starts from the small-n1 limit (16 V)^(1/4) below V = 0.3 and from
+    2 V + 1 above, keeps the root bracketed in [0, _N1_BRACKET_MAX] and
+    bisects whenever a step would leave the bracket; a step past the top
+    tries the top first.  Stops once
+    |ln V - ln V_target| <= 1e-13, so a small target is met to the same
+    relative accuracy as a large one; bounded at 100 steps in case rounding
+    stalls the residual above that, when it returns the last iterate.
     """
     if not (0.0 < v_target < 2.0):
         raise UnachievableTargetError(
@@ -86,9 +95,26 @@ def solve_modulation_for_visibility(v_target: float) -> float:
         raise UnachievableTargetError(
             f"target visibility {v_target} is beyond the monotone branch "
             f"maximum V({_N1_BRACKET_MAX}) = {_V_BRACKET_MAX:.6f}")
-    # V(0) = 0, so the residual at the lower end is -1
-    return _illinois(lambda n1: visibility(n1) / v_target - 1.0,
-                     0.0, _N1_BRACKET_MAX, -1.0, _V_BRACKET_MAX / v_target - 1.0)
+    ln_target = math.log(v_target)
+    x = (16.0 * v_target) ** 0.25 if v_target < 0.3 else 2.0 * v_target + 1.0
+    # hi starts one ulp above the top, so that the top itself can be tried:
+    # for a target within rounding of V(20) every Newton step overshoots it
+    lo, hi = 0.0, math.nextafter(_N1_BRACKET_MAX, math.inf)
+    for _ in range(100):
+        i0, i1, i2 = _iv012_scaled(x)
+        r1, r2 = i1 / i0, i2 / i0
+        g = math.log(2.0 * r2) + 2.0 * math.log(r1) - ln_target
+        if abs(g) <= 1e-13:
+            break
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        x = min(x * math.exp(-g / (x * (2.0 / r1 + r1 / r2 - 3.0 * r1) - 4.0)),
+                _N1_BRACKET_MAX)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
 
 
 def flux_for_target_visibility(species: ClusterSpecies, grating: GratingConfig,

@@ -10,8 +10,9 @@ Provides exactly what the physics layers consume:
 * spherical Bessel j_l, the upward product j_l = j_(l-1) / r_l anchored on
   whichever of the closed forms j_0 and j_1 is the larger,
 * spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
-* modified Bessel I_0, I_1, I_2 with exponentially-scaled variants,
-* the bracketed Illinois root solve that inverts them.
+* modified Bessel I_0, I_1, I_2 with exponentially-scaled variants, and
+  the triple (I_0, I_1, I_2) exp(-x) from one fused series for x <= 20,
+* a bracketed Illinois root solve.
 
 The spherical Bessel functions accept |z| <= MAX_ORDER: the downward pass
 takes O(|z|) steps, and the Mie sums need |z| = |sqrt(eps)| rho < 6 for gold.
@@ -151,6 +152,28 @@ def _iv_series_scaled(order: int, x: float) -> float:
         if m > 500:
             raise AccuracyLossError(f"I_{order}({x}) series did not converge")
     return total * math.exp(-x)
+
+
+def _iv012_scaled(x: float) -> tuple[float, float, float]:
+    """(I_0, I_1, I_2)(x) exp(-x) for 0 <= x <= 20, from one ascending series.
+
+    With q = x^2/4 and u_m = q^m / (m! (m+2)!), I_2 = q sum u_m,
+    I_1 = (x/2) sum (m+2) u_m and I_0 = sum (m+1)(m+2) u_m.  The I_0 term
+    has the largest share of its sum, so it alone decides the stop.
+    """
+    q = 0.25 * x * x
+    u, s0, s1, s2 = 0.5, 1.0, 1.0, 0.5  # the m = 0 terms
+    m = t0 = 1.0
+    while t0 > s0 * 1e-17:
+        u *= q / (m * (m + 2.0))
+        t1 = u * (m + 2.0)
+        t0 = t1 * (m + 1.0)
+        s0 += t0
+        s1 += t1
+        s2 += u
+        m += 1.0
+    e = math.exp(-x)
+    return s0 * e, s1 * 0.5 * x * e, s2 * q * e
 
 
 def _iv_asymptotic_scaled(order: int, x: float) -> float:

@@ -165,7 +165,8 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
-                                    "fig2.v3", "fig2.v4", "fig3.v1", "fig3.v2"])
+                                    "fig2.v3", "fig2.v4", "fig2.v5", "fig3.v1",
+                                    "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -425,6 +426,30 @@ def test_observables_reports_the_truncation_order(tmp_path):
     assert run(["observables", "--out", str(out)]) == EXIT_OK
     profile = absorption_profile(RunConfig().species, default_grating())
     assert json.loads(out.read_text())["l_max"] == profile.truncation_order
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_observables_at_a_saturating_flux_reports_v_two(capsys):
+    assert run(["observables", "--flux", "1e300"]) == EXIT_OK
+    data = _strict_json(capsys.readouterr().out)
+    assert data["V"] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget", "--mass-amu", "1e120"],
+    ["budget", "--temperature-K=1e300"],
+    ["budget", "--mass-amu=1e5", "--pressure-mbar=1", "--temperature-K=1e-300"],
+])
+def test_budget_past_float_range_is_usage_error(capsys, argv):
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
 
 
 # Every config key: (value in the base file, changed value).

@@ -80,6 +80,35 @@ def test_solve_needs_few_visibility_calls(monkeypatch):
         assert len(calls) <= 20
 
 
+def test_solve_needs_few_fused_bessel_passes(monkeypatch):
+    # log-spaced over [1e-12, 1], linear over [1, V(20)), and the last
+    # double below the bracket top
+    top = interferometer._V_BRACKET_MAX
+    targets = ([10.0 ** (-12 + 12 * k / 1001) for k in range(1002)]
+               + [1.0 + (top - 1.0) * k / 1001 for k in range(1001)]
+               + [math.nextafter(top, 0.0)])
+    calls = []
+    triple = interferometer._iv012_scaled
+
+    def counted(x):
+        calls.append(x)
+        return triple(x)
+
+    monkeypatch.setattr(interferometer, "_iv012_scaled", counted)
+    for target in targets:
+        calls.clear()
+        solve_modulation_for_visibility(target)
+        assert 1 <= len(calls) <= 8
+
+
+def test_solve_matches_bisection_oracle_on_a_dense_grid():
+    for k in range(241):
+        target = 10.0 ** (-12 + 12 * k / 200) if k <= 200 else (
+            1.0 + (interferometer._V_BRACKET_MAX - 1.0) * (k - 200) / 41)
+        assert solve_modulation_for_visibility(target) == pytest.approx(
+            solve_oracle(target), rel=1e-10)
+
+
 def test_bracket_top_visibility_is_the_visibility_at_the_bracket_top():
     assert interferometer._N1_BRACKET_MAX == 20.0
     assert interferometer._V_BRACKET_MAX == visibility(20.0)

@@ -240,6 +240,16 @@ def test_bessel_I_scaled_branch_agreement(order):
             _iv_asymptotic_scaled(order, x), rel=1e-13)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fused_triple_matches_series_oracle(order):
+    from cslsim.specfun import _iv012_scaled
+    assert _iv012_scaled(0.0) == (1.0, 0.0, 0.0)
+    for x in np.linspace(0.0, 20.0, 161)[1:]:
+        x = float(x)
+        assert _iv012_scaled(x)[order] == pytest.approx(
+            iv_series_oracle(order, x) * math.exp(-x), rel=1e-13)
+
+
 def test_bessel_I_scaled_large_argument_finite():
     for x in (100.0, 500.0, 5000.0):
         v = bessel_I_scaled(0, x)
