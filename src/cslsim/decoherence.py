@@ -109,7 +109,10 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     """
     if env.gas_pressure == 0.0:
         return 0.0
-    n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
+    try:
+        n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
+    except ZeroDivisionError:
+        raise DomainError(f"kB T is 0 at gas temperature {env.gas_temperature} K") from None
     c6 = dispersion_coefficient(species, env)
     v_p = math.sqrt(2.0 * BOLTZMANN_KB * env.gas_temperature / env.gas_mass)
     mean_sigma_v = (2.0 / math.sqrt(math.pi) * math.gamma(1.8)
@@ -117,40 +120,40 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     return n_gas * mean_sigma_v * DEFAULT_MODEL.collision_effectiveness
 
 
-def _bose_tail(m: int, x: float) -> float:
-    """int_x^inf t^m / (e^t - 1) dt for an integer m >= 4 and x >= 0.
+def _bose_tails(x: float) -> tuple[float, float, float]:
+    """int_x^inf t^m / (e^t - 1) dt for m = 4, 6 and 8 and x >= 0, in one pass.
 
-    Expanding 1/(e^t - 1) = sum_k e^(-k t) gives sum_k Gamma(m+1, k x) /
-    k^(m+1), with Gamma(m+1, y) = m! e^(-y) sum_{j<=m} y^j / j!.  The terms
-    fall like e^(-k x) and at least like k^-(m+1); stopping at k x >= 50 or
-    k = 1000 leaves out less than 1e-12 of the complete integral, which is
-    the sum at x = 0: m! zeta(m+1).
+    Expanding 1/(e^t - 1) = sum_k e^(-k t) gives sum_k Gamma(m+1, k x) / k^(m+1),
+    Gamma(m+1, y) = m! e^(-y) sum_{j<=m} y^j / j!, so the m share the partial sums.
+    The terms fall like e^(-k x) and at least like k^-(m+1); stopping at k x >= 50,
+    k = 1000 or e^(-y) = 0 leaves out less than 1e-12 of m! zeta(m+1), the sum at 0.
     """
-    total = 0.0
+    t4 = t6 = t8 = 0.0
+    sums = [0.0] * 9
     for k in range(1, math.ceil(50.0 / max(x, 0.05)) + 1):
         y = k * x
         # e^(-y) y^j / j! is a Poisson weight: it never overflows
         term = poisson = math.exp(-y)
-        for j in range(1, m + 1):
+        if poisson == 0.0:
+            break
+        for j in (1, 2, 3, 4, 5, 6, 7, 8):
             term *= y / j
-            poisson += term
-        total += poisson / k ** (m + 1)
-    return math.factorial(m) * total
+            sums[j] = poisson = poisson + term
+        t4, t6, t8 = t4 + sums[4] / k ** 5, t6 + sums[6] / k ** 7, t8 + sums[8] / k ** 9
+    return 24 * t4, 720 * t6, 40320 * t8
 
 
-# The complete integrals m! zeta(m+1), as _bose_tail(m, 0.0) rounds them.
+# The complete integrals m! zeta(m+1), as _bose_tails(0.0) rounds them.
 _BOSE_INTEGRAL = {6: 726.0114797149829, 8: 40400.97839874761}
 
 
-def _capped_planck(power: int, a: float, cap: float) -> float:
-    """int_0^inf x^power min(a^2 x^2, cap) / (e^x - 1) dx.
-
-    The effectiveness a^2 x^2 saturates at x = sqrt(cap) / a: below that the
-    integrand is a^2 x^(power+2) / (e^x - 1), above it cap x^power / (e^x - 1).
+def _capped_planck(a: float, cap: float) -> tuple[float, float]:
+    """int_0^inf x^p min(a^2 x^2, cap) / (e^x - 1) dx for p = 4 and 6: below the
+    kink x = sqrt(cap) / a, where the effectiveness a^2 x^2 saturates, the
+    integrand is a^2 x^(p+2) / (e^x - 1), above it cap x^p / (e^x - 1).
     """
-    kink = math.sqrt(cap) / a
-    below = _BOSE_INTEGRAL[power + 2] - _bose_tail(power + 2, kink)
-    return a * a * below + cap * _bose_tail(power, kink)
+    t4, t6, t8 = _bose_tails(math.sqrt(cap) / a)
+    return a * a * (_BOSE_INTEGRAL[6] - t6) + cap * t4, a * a * (_BOSE_INTEGRAL[8] - t8) + cap * t6
 
 
 def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
@@ -179,16 +182,20 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
     k_abs = 12.0 * VACUUM_PERMITTIVITY * r3 / (math.pi * DEFAULT_MODEL.dc_conductivity * c ** 3)
     k_sca = 8.0 * r3 * r3 / (3.0 * math.pi * c ** 6)
 
-    def planck(power: int, temperature: float) -> float:
+    def planck(temperature: float) -> tuple[float, float]:
         w = BOLTZMANN_KB * temperature / HBAR
-        return w ** (power + 1) * _capped_planck(
-            power, nd * w / c, DEFAULT_MODEL.photon_effectiveness_cap)
+        try:
+            i4, i6 = _capped_planck(nd * w / c, DEFAULT_MODEL.photon_effectiveness_cap)
+            return k_abs * (w ** 5 * i4), k_sca * (w ** 7 * i6)
+        except (ZeroDivisionError, OverflowError):  # kB T underflows, or w^7 overflows
+            raise DomainError(f"thermal photon rates are out of float range at "
+                              f"{temperature} K") from None
 
     t_env = env.radiation_temperature
-    absorption = k_abs * planck(4, t_env)
+    absorption, scattering = planck(t_env)
     emission = (absorption if env.internal_temperature == t_env
-                else k_abs * planck(4, env.internal_temperature))
-    return absorption, emission, k_sca * planck(6, t_env)
+                else planck(env.internal_temperature)[0])
+    return absorption, emission, scattering
 
 
 def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
@@ -257,6 +264,8 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
         return sum(blackbody_rates(species, env, grating))
 
     bb = [bb_rate(t) for t in temperatures]
+    if not bb[-1] < math.inf:  # the rates rise with T, so the top one leaves float range first
+        raise DomainError(f"thermal photon rates are not finite at {temperatures[-1]} K")
     vertices = [(p, t) for p, t in zip([(budget - b) / coll_coeff for b in bb], temperatures)
                 if pressures[0] <= p <= pressures[-1]]
     for p in pressures:
@@ -279,6 +288,8 @@ def _solve_temperature(bb_rate, target: float, t_lo: float, t_hi: float,
     nearly linear in ln T and a few steps bring ln b within 1e-12 of
     ln target.
     """
+    if b_lo == 0.0:
+        raise DomainError(f"thermal photon rates underflow to 0 at {t_lo} K, outside ln b's range")
     return math.exp(_illinois(lambda x: math.log(bb_rate(math.exp(x)) / target),
                               math.log(t_lo), math.log(t_hi),
                               math.log(b_lo / target), math.log(b_hi / target)))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cslsim import params
 from cslsim.cli import (
     EXIT_GEOMETRY,
+    EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
     FIG1_HEADER,
@@ -450,6 +454,55 @@ def test_budget_past_float_range_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+FIG3_SMALL = ["fig3", "--masses", "1e7", "--p-range=-14:-6:3"]
+
+
+@pytest.mark.parametrize("argv, temperature", [
+    (["budget", "--temperature-K", "1e250"], "1e+250"),
+    (["budget", "--pressure-mbar", "1", "--temperature-K", "1e-320"], "1e-320"),
+    (["budget", "--temperature-K", "1e-320"], "1e-320"),
+    ([*FIG3_SMALL, "--T-range=4:1e250:3"], "5e+249"),
+    ([*FIG3_SMALL, "--T-range=1e-300:1e5:3"], "1e-300"),
+    ([*FIG3_SMALL, "--T-range=1:1e300:3"], "1e+300"),
+])
+def test_a_temperature_past_float_range_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                       argv, temperature):
+    # budget prints to stdout, fig3 writes fig3_m1e+07.csv in the working directory
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{temperature} K" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+EXTREME_VALUES = ["0", "-1", "1e-320", "1e-300", "1e-30", "1", "3", "1e5", "1e30", "1e120",
+                  "1e250", "1e300", "nan", "inf"]
+
+
+@given(st.tuples(*[st.sampled_from(EXTREME_VALUES)] * 5))
+@settings(max_examples=150, deadline=None)
+def test_budget_and_fig3_end_in_a_documented_exit_code(values):
+    temperature, pressure, mass, t_lo, t_hi = values
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["budget", f"--temperature-K={temperature}",
+                        f"--pressure-mbar={pressure}", f"--mass-amu={mass}"])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NONCONVERGENCE, EXIT_GEOMETRY)
+        if code == EXIT_OK:
+            _strict_json(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+        fig3 = [*FIG3_SMALL, f"--T-range={t_lo}:{t_hi}:3",
+                "--out", os.path.join(tmp, "f.csv")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(fig3)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NONCONVERGENCE, EXIT_GEOMETRY)
+        written = sorted(os.listdir(tmp))
+        assert written == ([] if code else ["f.csv.manifest.json", "f_m1e+07.csv"])
 
 
 # Every config key: (value in the base file, changed value).

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -96,13 +97,76 @@ def test_blackbody_rates_match_quadrature_oracle(mass):
 
 
 def test_bose_integral_literals_are_the_tail_sums_at_zero():
-    # The literals must stay the floats _bose_tail(m, 0) produces: the
+    # The literals must stay the floats _bose_tails(0) produces: the
     # correctly rounded m! zeta(m+1) would move fig3 and budget bytes.
-    assert decoherence._BOSE_INTEGRAL == {
-        m: decoherence._bose_tail(m, 0.0) for m in (6, 8)}
+    _, tail6, tail8 = decoherence._bose_tails(0.0)
+    assert decoherence._BOSE_INTEGRAL == {6: tail6, 8: tail8}
     for m, value in decoherence._BOSE_INTEGRAL.items():
         exact = mp.factorial(m) * mp.zeta(m + 1)
         assert abs(value - exact) / exact < 3e-15
+
+
+def bose_tail_oracle(m, x):
+    """int_x^inf t^m / (e^t - 1) dt by mpmath quad, with e^(-x) taken out so
+    that the integrand is O(x^m) and quad's error estimate stays relative."""
+    x = mp.mpf(x)
+    return mp.exp(-x) * mp.quad(lambda u: (x + u) ** m * mp.exp(-u) / -mp.expm1(-x - u),
+                                [0, mp.inf])
+
+
+def test_bose_tails_match_quadrature_oracle():
+    # up to 708 e^(-x) is a normal double; from there to about 745.13 it is
+    # subnormal, and its absolute rounding, at most 2^-1075, carries into
+    # every Poisson weight; past that it is 0 and so is every tail
+    xs = [0.0, 1e-3, 0.049, 0.05, 0.3, 1.0, 2.5, 7.0, 15.0, 36.0, 49.9, 50.0, 100.0,
+          300.0, 708.0, 720.0, 740.0, 745.0, 745.2, 760.0, 800.0]
+    with mp.workdps(20):
+        for x in xs:
+            tails = decoherence._bose_tails(x)
+            if math.exp(-x) == 0.0:
+                assert tails == (0.0, 0.0, 0.0)
+                continue
+            tol = 1e-12 + 2.0 ** -1074 / math.exp(-x)
+            for m, got in zip((4, 6, 8), tails):
+                expected = float(bose_tail_oracle(m, x))
+                assert abs(got - expected) <= tol * expected, (m, x)
+
+
+def test_blackbody_rates_take_one_bose_pass_per_temperature(monkeypatch):
+    calls = []
+    kernel = decoherence._bose_tails
+
+    def counted(x):
+        calls.append(x)
+        return kernel(x)
+
+    monkeypatch.setattr(decoherence, "_bose_tails", counted)
+    species, grating = gold_cluster(1e7), default_grating()
+    for environment in (EnvironmentConfig(), env(0.0, rad_T=77.0),
+                        EnvironmentConfig(environment_temperature=77.0,
+                                          cluster_temperature=77.0)):
+        calls.clear()
+        blackbody_rates(species, environment, grating)
+        assert len(calls) == 1
+    calls.clear()
+    blackbody_rates(species, EnvironmentConfig(environment_temperature=77.0,
+                                               cluster_temperature=3000.0), grating)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("temperature", [1e-320, 1e250])
+def test_blackbody_rates_past_float_range_are_domain_errors(temperature):
+    grating = default_grating()
+    for environment in (env(0.0, rad_T=temperature),
+                        EnvironmentConfig(environment_temperature=300.0,
+                                          cluster_temperature=temperature)):
+        with pytest.raises(DomainError, match=re.escape(f"at {temperature} K")):
+            blackbody_rates(gold_cluster(1e7), environment, grating)
+
+
+def test_collision_rate_at_an_underflowing_temperature_is_a_domain_error():
+    with pytest.raises(DomainError, match="1e-320 K"):
+        collision_rate(gold_cluster(1e6), env(1.0, gas_T=1e-320))
 
 
 def test_collision_rate_matches_quadrature_oracle():
