@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -105,6 +105,8 @@ def _grating_dict(grating: GratingConfig) -> dict:
 
 
 def _manifest(command: str, args_dict: dict, argv: list[str]) -> dict:
+    from datetime import datetime, timezone  # only a manifest needs the clock
+
     return {
         "tool": "cslsim",
         "version": __version__,
@@ -297,6 +299,8 @@ def _fig3_files(args: dict, out: str | None) -> dict:
     """
     if not args["masses_amu"]:
         raise ConfigError("'masses_amu' must list at least one mass in amu")
+    if not 0.0 < args["level"] < 1.0:
+        raise ConfigError(f"'level' must be in (0, 1), got {args['level']}")
     for key in ("p_steps", "t_steps"):
         if args[key] < 2:
             raise ConfigError(f"{key!r} must be >= 2: a contour needs a 2 x 2 grid, "
@@ -457,7 +461,12 @@ def _run(ns, config: RunConfig, argv: list[str]) -> None:
 
 # -- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every caller shares the one parser: parse with it, never change it.
+    """
     parser = argparse.ArgumentParser(
         prog="cslsim",
         description="Collapse-model feasibility numerics for a pulsed "
@@ -503,9 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -147,13 +147,27 @@ def _bose_tails(x: float) -> tuple[float, float, float]:
 _BOSE_INTEGRAL = {6: 726.0114797149829, 8: 40400.97839874761}
 
 
-def _capped_planck(a: float, cap: float) -> tuple[float, float]:
-    """int_0^inf x^p min(a^2 x^2, cap) / (e^x - 1) dx for p = 4 and 6: below the
-    kink x = sqrt(cap) / a, where the effectiveness a^2 x^2 saturates, the
-    integrand is a^2 x^(p+2) / (e^x - 1), above it cap x^p / (e^x - 1).
+def _photon_rates(temperature: float, nd: float, k_abs: float,
+                  k_sca: float) -> tuple[float, float]:
+    """(absorption, scattering) at one temperature, blackbody_rates' constants given.
+
+    With w = kB T / hbar and a = N d w / c they are k_abs w^5 and k_sca w^7
+    times int_0^inf x^p min(a^2 x^2, cap) / (e^x - 1) dx for p = 4 and 6:
+    below the kink x = sqrt(cap) / a, where the effectiveness a^2 x^2
+    saturates, the integrand is a^2 x^(p+2) / (e^x - 1), above it
+    cap x^p / (e^x - 1).
     """
-    t4, t6, t8 = _bose_tails(math.sqrt(cap) / a)
-    return a * a * (_BOSE_INTEGRAL[6] - t6) + cap * t4, a * a * (_BOSE_INTEGRAL[8] - t8) + cap * t6
+    w = BOLTZMANN_KB * temperature / HBAR
+    a = nd * w / SPEED_OF_LIGHT
+    cap = DEFAULT_MODEL.photon_effectiveness_cap
+    try:
+        t4, t6, t8 = _bose_tails(math.sqrt(cap) / a)
+        i4 = a * a * (_BOSE_INTEGRAL[6] - t6) + cap * t4
+        i6 = a * a * (_BOSE_INTEGRAL[8] - t8) + cap * t6
+        return k_abs * (w ** 5 * i4), k_sca * (w ** 7 * i6)
+    except (ZeroDivisionError, OverflowError):  # kB T underflows, or w^7 overflows
+        raise DomainError(f"thermal photon rates are out of float range at "
+                          f"{temperature} K") from None
 
 
 def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
@@ -181,20 +195,10 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
     # Rayleigh scattering (8 pi / 3) (omega/c)^4 R^6.
     k_abs = 12.0 * VACUUM_PERMITTIVITY * r3 / (math.pi * DEFAULT_MODEL.dc_conductivity * c ** 3)
     k_sca = 8.0 * r3 * r3 / (3.0 * math.pi * c ** 6)
-
-    def planck(temperature: float) -> tuple[float, float]:
-        w = BOLTZMANN_KB * temperature / HBAR
-        try:
-            i4, i6 = _capped_planck(nd * w / c, DEFAULT_MODEL.photon_effectiveness_cap)
-            return k_abs * (w ** 5 * i4), k_sca * (w ** 7 * i6)
-        except (ZeroDivisionError, OverflowError):  # kB T underflows, or w^7 overflows
-            raise DomainError(f"thermal photon rates are out of float range at "
-                              f"{temperature} K") from None
-
-    t_env = env.radiation_temperature
-    absorption, scattering = planck(t_env)
-    emission = (absorption if env.internal_temperature == t_env
-                else planck(env.internal_temperature)[0])
+    t_env, t_internal = env.radiation_temperature, env.internal_temperature
+    absorption, scattering = _photon_rates(t_env, nd, k_abs, k_sca)
+    emission = (absorption if t_internal == t_env
+                else _photon_rates(t_internal, nd, k_abs, k_sca)[0])
     return absorption, emission, scattering
 
 
@@ -256,11 +260,28 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     pressures, temperatures = sorted(set(pressures)), sorted(set(temperatures))
     base_env = env_template if env_template is not None else EnvironmentConfig()
 
-    budget = -math.log(level) / total_interference_time(species, grating)
+    t_total = total_interference_time(species, grating)
+    if t_total == 0.0:
+        raise DomainError(f"the interference time underflows to 0 at mass {species.mass} kg "
+                          f"and grating period {grating.period} m")
+    budget = -math.log(level) / t_total
     coll_coeff = collision_rate(species, replace(base_env, gas_pressure=1.0))
+    if coll_coeff == 0.0:
+        raise DomainError(f"the collision rate per Pa underflows to 0 at mass {species.mass} kg "
+                          f"and density {species.bulk_density} kg/m^3")
+
+    # the template, read once: each temperature sees it at zero pressure and that
+    # radiation temperature
+    gas_temperature, gas_mass = base_env.gas_temperature, base_env.gas_mass
+    gas_polarizability_volume = base_env.gas_polarizability_volume
+    cluster_temperature = base_env.cluster_temperature
 
     def bb_rate(temperature: float) -> float:
-        env = replace(base_env, gas_pressure=0.0, environment_temperature=temperature)
+        env = EnvironmentConfig(gas_pressure=0.0, gas_temperature=gas_temperature,
+                                gas_mass=gas_mass,
+                                gas_polarizability_volume=gas_polarizability_volume,
+                                environment_temperature=temperature,
+                                cluster_temperature=cluster_temperature)
         return sum(blackbody_rates(species, env, grating))
 
     bb = [bb_rate(t) for t in temperatures]

@@ -163,7 +163,11 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
     k = grating.wavenumber
     rho = k * radius
     s0, s1, used = absorption_sums(rho, species.permittivity)
-    prefactor = 4.0 * flux / (PLANCK_H * grating.laser_frequency * k * k)
+    try:
+        prefactor = 4.0 * flux / (PLANCK_H * grating.laser_frequency * k * k)
+    except ZeroDivisionError:  # h nu k^2 underflows
+        raise DomainError(f"the absorption prefactor is out of float range at laser "
+                          f"wavelength {grating.laser_wavelength} m") from None
     return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, flux=flux,
                              truncation_order=used)
 

@@ -7,7 +7,6 @@ constructors / config boundary and are converted exactly once.
 from __future__ import annotations
 
 import cmath
-import configparser
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -138,10 +137,14 @@ class GratingConfig:
     @property
     def talbot_time_per_amu(self) -> float:
         """T0 = d^2 * (1 amu) / h."""
-        return ATOMIC_MASS_UNIT * self.period ** 2 / PLANCK_H
+        return self.talbot_time_for_mass(ATOMIC_MASS_UNIT)
 
     def talbot_time_for_mass(self, mass_kg: float) -> float:
-        return mass_kg * self.period ** 2 / PLANCK_H
+        try:
+            return mass_kg * self.period ** 2 / PLANCK_H
+        except OverflowError:  # d^2 leaves float range
+            raise DomainError(f"the Talbot time is out of float range at grating period "
+                              f"{self.period} m") from None
 
     def with_flux(self, flux: float) -> "GratingConfig":
         return dataclasses.replace(self, laser_flux=flux)
@@ -276,6 +279,8 @@ def load_config(path: str) -> RunConfig:
     Unknown sections or keys are hard errors so that a misspelled physics
     constant can never silently fall back to a default.
     """
+    import configparser  # only a run with --config pays for the import
+
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (units live in the name)
     read = parser.read(path)

@@ -217,6 +217,9 @@ def test_rerun_names_a_missing_argument(tmp_path, capsys):
                                                ("fig2", "hi_log10", 400.0),
                                                ("fig3", "p_hi_log10", 400.0),
                                                ("fig3", "t_steps", 1),
+                                               # -ln(level) is the contour's exposure
+                                               ("fig3", "level", -1.0),
+                                               ("fig3", "level", 0.0),
                                                ("fig1", "version", "9.9")])
 def test_rerun_refuses_a_mistyped_argument(tmp_path, capsys, command, key, value):
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -478,6 +481,52 @@ def test_a_temperature_past_float_range_is_usage_error(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # the collision rate per Pa, and the interference time, underflow to 0
+    ("density_kg_m3", 1e300, "collision rate per Pa underflows"),
+    ("wavelength_m", 1e-320, "interference time underflows"),
+])
+def test_a_fig3_manifest_past_float_range_is_usage_error(tmp_path, capsys, key, value,
+                                                        message):
+    out = tmp_path / "fig3.csv"
+    assert run([*FIG3_SMALL, "--T-range=4:400:3", "--out", str(out)]) == EXIT_OK
+    manifest = tmp_path / "fig3.csv.manifest.json"
+    meta = json.loads(manifest.read_text())
+    meta["args"][key] = value
+    manifest.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", str(manifest),
+                "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("replay*"))
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "observables"])
+def test_a_grating_wavelength_past_float_range_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                             command):
+    # at 1e200 nm the Talbot time's d^2 overflows, and the Mie prefactor's h nu k^2
+    # underflows to 0
+    monkeypatch.chdir(tmp_path)
+    Path("wide.ini").write_text("[grating]\nwavelength_nm = 1e200\n")
+    assert run(["--config", "wide.ini", command, "--out", "out.csv"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of float range" in captured.err
+    assert os.listdir(tmp_path) == ["wide.ini"]
+
+
+def test_the_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(tmp_path)
+    assert run([*FIG3_SMALL, "--T-range=4:400:3", "--out", "small.csv"]) == EXIT_OK
+    assert run(["fig3", "--out", "default.csv"]) == EXIT_OK
+    meta = json.loads(Path("default.csv.manifest.json").read_text())
+    assert meta["command_line"] == ["fig3", "--out", "default.csv"]
+    assert meta["args"]["masses_amu"] == [1e6, 1e7, 1e8]
+    assert (meta["args"]["p_steps"], meta["args"]["t_steps"]) == (60, 60)
+    assert meta["outputs"] == ["default_m1e+06.csv", "default_m1e+07.csv", "default_m1e+08.csv"]
+
+
 EXTREME_VALUES = ["0", "-1", "1e-320", "1e-300", "1e-30", "1", "3", "1e5", "1e30", "1e120",
                   "1e250", "1e300", "nan", "inf"]
 
@@ -628,3 +677,82 @@ def test_csv_uses_lf_and_17_sig_figs(tmp_path):
     assert b"\r" not in raw
     value = read_rows(out)[1].split(",")[1]
     assert float(value) == float(f"{float(value):.17g}")
+
+
+# Float values that reach the numerics from a config file or an edited manifest.
+FUZZ_VALUES = [v for v in EXTREME_VALUES if v not in ("nan", "inf")]
+FUZZ_ARGV = {"fig1": ["--lambda0-range=-12:-8:3"], "fig2": ["--mass-range=5:8:4"],
+             "fig3": [*FIG3_SMALL[1:], "--T-range=4:400:5"], "observables": []}
+CONFIG_FLOATS = [("grating", "wavelength_nm"), ("species", "density_kg_m3"),
+                 ("species", "eps_re"), ("species", "eps_im"),
+                 *[("environment", key) for key in KEY_WALK["environment"]]]
+# every float arg of a sweep, optional (None) ones included
+MANIFEST_FLOATS = [(command, key) for command, (_, args_from, _) in SWEEPS.items()
+                   for key, value in args_from(build_parser().parse_args([command]),
+                                               RunConfig()).items()
+                   if value is None or isinstance(value, float)]
+
+
+def _assert_documented_exit(argv, work, keep):
+    """Run argv with its outputs in `work`: the exit code is documented, a
+    failure leaves no file there but `keep`, no .tmp file is left, every JSON
+    output is strict JSON, and every fig2 ok row has finite cells."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NONCONVERGENCE, EXIT_GEOMETRY)
+    assert out.getvalue() == ""
+    written = sorted(set(os.listdir(work)) - {keep})
+    if code != EXIT_OK:
+        assert written == []
+    assert not [name for name in written if name.endswith(".tmp")]
+    for name in written:
+        text = (Path(work) / name).read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            _strict_json(text)
+        elif text.startswith(FIG2_HEADER):
+            for row in text.splitlines()[1:]:
+                *cells, status = row.split(",")
+                assert status != "ok" or all(math.isfinite(float(c)) for c in cells)
+
+
+@given(st.sampled_from(sorted(FUZZ_ARGV)), st.sampled_from(CONFIG_FLOATS),
+       st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=200, deadline=None)
+def test_config_floats_end_in_a_documented_exit_code(command, section_key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text("".join(
+            f"[{section}]\n" + "".join(
+                f"{key} = {value if (section, key) == section_key else base}\n"
+                for key, (base, _) in keys.items())
+            for section, keys in KEY_WALK.items()))
+        out = os.path.join(tmp, "out.json" if command in REPORTS else "out.csv")
+        _assert_documented_exit(["--config", str(cfg), command, *FUZZ_ARGV[command],
+                                 "--out", out], tmp, keep=cfg.name)
+
+
+@pytest.fixture(scope="module")
+def sweep_manifests(tmp_path_factory):
+    """The manifest of one small run of each sweep."""
+    work = tmp_path_factory.mktemp("sweeps")
+    manifests = {}
+    for command in SWEEPS:
+        assert run([command, *FUZZ_ARGV[command], "--out", str(work / "out.csv")]) == EXIT_OK
+        manifests[command] = json.loads((work / "out.csv.manifest.json").read_text())
+    return manifests
+
+
+@given(command_key=st.sampled_from(MANIFEST_FLOATS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=200, deadline=None)
+def test_edited_manifest_floats_end_in_a_documented_exit_code(sweep_manifests, command_key,
+                                                              value):
+    command, key = command_key
+    meta = json.loads(json.dumps(sweep_manifests[command]))
+    meta["args"][key] = float(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "edited.json"
+        manifest.write_text(json.dumps(meta))
+        _assert_documented_exit(["rerun", "--manifest", str(manifest),
+                                 "--out", os.path.join(tmp, "replay.csv")],
+                                tmp, keep=manifest.name)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -20,6 +21,7 @@ from cslsim.decoherence import (
 )
 from cslsim.errors import DomainError
 from cslsim.params import (
+    ATOMIC_MASS_UNIT,
     BOLTZMANN_KB,
     HBAR,
     SPEED_OF_LIGHT,
@@ -410,6 +412,32 @@ def test_contour_on_random_grids(log10_mass, log10_pressures, temperatures):
     sign_changes = (sum(row[j] != row[j + 1] for row in above for j in range(len(ts) - 1))
                     + sum(a != b for row, nxt in zip(above, above[1:]) for a, b in zip(row, nxt)))
     assert len(vertices) == sign_changes
+
+
+def test_contour_rates_see_the_template_at_each_temperature(monkeypatch):
+    # every field away from its default, so a field the contour drops shows
+    template = EnvironmentConfig(gas_pressure=3e-7, gas_temperature=250.0,
+                                 gas_mass=40.0 * ATOMIC_MASS_UNIT,
+                                 gas_polarizability_volume=1.64e-30,
+                                 environment_temperature=123.0, cluster_temperature=150.0)
+    assert all(getattr(template, f.name) != f.default
+               for f in dataclasses.fields(EnvironmentConfig))
+    rates, seen = decoherence.blackbody_rates, []
+
+    def spy(species, environment, grating):
+        seen.append(environment)
+        return rates(species, environment, grating)
+
+    monkeypatch.setattr(decoherence, "blackbody_rates", spy)
+    pressures, temperatures = np.logspace(-14, -6, 25) * MBAR, list(np.linspace(4.0, 400.0, 25))
+    assert critical_contour(gold_cluster(3e7), default_grating(), pressures, temperatures,
+                            env_template=template)
+    assert len(seen) > len(temperatures)  # the temperature solves call it too
+    assert [e.environment_temperature for e in seen[:len(temperatures)]] == temperatures
+    for environment in seen:
+        assert environment == dataclasses.replace(
+            template, gas_pressure=0.0,
+            environment_temperature=environment.environment_temperature)
 
 
 def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
