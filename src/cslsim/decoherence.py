@@ -27,7 +27,6 @@ from .params import (
     cluster_radius,
     total_interference_time,
 )
-from .specfun import _illinois
 
 
 @dataclass(frozen=True)
@@ -305,12 +304,30 @@ def _solve_temperature(bb_rate, target: float, t_lo: float, t_hi: float,
                        b_lo: float, b_hi: float) -> float:
     """T in (t_lo, t_hi) with bb_rate(T) = target, given b_lo < target < b_hi.
 
-    Illinois on ln b against ln T: b is close to a power of T, so ln b is
-    nearly linear in ln T and a few steps bring ln b within 1e-12 of
-    ln target.
+    Illinois (regula falsi that halves the stale end's weight) on
+    g = ln(b / target) against x = ln T: b is close to a power of T, so g is
+    nearly linear in x and a few steps bring |g| within 1e-12.  Bounded at
+    100 steps in case rounding stalls |g| above that, when it returns the
+    last iterate.
     """
     if b_lo == 0.0:
         raise DomainError(f"thermal photon rates underflow to 0 at {t_lo} K, outside ln b's range")
-    return math.exp(_illinois(lambda x: math.log(bb_rate(math.exp(x)) / target),
-                              math.log(t_lo), math.log(t_hi),
-                              math.log(b_lo / target), math.log(b_hi / target)))
+    x0, x1 = math.log(t_lo), math.log(t_hi)
+    g0, g1 = math.log(b_lo / target), math.log(b_hi / target)
+    kept = 0
+    for _ in range(100):
+        x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        g = math.log(bb_rate(math.exp(x)) / target)
+        if abs(g) <= 1e-12:
+            break
+        if g > 0.0:
+            x1, g1 = x, g
+            if kept == 1:
+                g0 *= 0.5
+            kept = 1
+        else:
+            x0, g0 = x, g
+            if kept == -1:
+                g1 *= 0.5
+            kept = -1
+    return math.exp(x)

@@ -9,10 +9,6 @@ class DomainError(CslSimError, ValueError):
     """An argument is outside the mathematical domain of a function."""
 
 
-class AccuracyLossError(CslSimError, ArithmeticError):
-    """Internal convergence diagnostics of a special function failed."""
-
-
 class NonConvergenceError(CslSimError, ArithmeticError):
     """An iterative sum or integral did not meet its tail bound."""
 

@@ -18,7 +18,7 @@ from .specfun import _iv012_scaled, bessel_I_scaled, log_bessel_I0
 # The visibility is inverted only on its first monotone branch; the
 # experiment operates far below the upper end of this bracket.
 _N1_BRACKET_MAX = 20.0
-_V_BRACKET_MAX = 1.7147811934593045  # visibility(_N1_BRACKET_MAX)
+_V_BRACKET_MAX = 1.714781193459301  # visibility(_N1_BRACKET_MAX)
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,10 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
     try:
         prefactor = 4.0 * flux / (PLANCK_H * grating.laser_frequency * k * k)
     except ZeroDivisionError:  # h nu k^2 underflows
+        prefactor = math.inf
+    if prefactor == math.inf:  # or h nu k^2 is small enough that the quotient overflows
         raise DomainError(f"the absorption prefactor is out of float range at laser "
-                          f"wavelength {grating.laser_wavelength} m") from None
+                          f"wavelength {grating.laser_wavelength} m")
     return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, flux=flux,
                              truncation_order=used)
 

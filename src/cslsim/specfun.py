@@ -10,9 +10,9 @@ Provides exactly what the physics layers consume:
 * spherical Bessel j_l, the upward product j_l = j_(l-1) / r_l anchored on
   whichever of the closed forms j_0 and j_1 is the larger,
 * spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
-* modified Bessel I_0, I_1, I_2 with exponentially-scaled variants, and
-  the triple (I_0, I_1, I_2) exp(-x) from one fused series for x <= 20,
-* a bracketed Illinois root solve.
+* modified Bessel I_0, I_1, I_2 with exponentially-scaled variants: below
+  x = 30 all three come from one fused ascending series, above it from the
+  asymptotic expansion.
 
 The spherical Bessel functions accept |z| <= MAX_ORDER: the downward pass
 takes O(|z|) steps, and the Mie sums need |z| = |sqrt(eps)| rho < 6 for gold.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import AccuracyLossError, DomainError
+from .errors import DomainError
 
 MAX_ORDER = 256          # largest supported spherical-Bessel order and |z|
 _TINY_Z = 1e-300         # below this |z|, r_l overflows and j_l (l >= 2) underflows
@@ -134,28 +134,8 @@ def spherical_hankel_h1(ell: int, x: float) -> complex:
     return spherical_hankel_array(ell, x)[ell]
 
 
-def _iv_series_scaled(order: int, x: float) -> float:
-    # Ascending series, all terms positive, times exp(-x); safe for x < 700
-    # but used only below the asymptotic crossover.
-    half = 0.5 * x
-    term = 1.0
-    for k in range(1, order + 1):
-        term *= half / k
-    total = term
-    m = 1
-    while True:
-        term *= half * half / (m * (m + order))
-        total += term
-        if term <= total * 1e-18:
-            break
-        m += 1
-        if m > 500:
-            raise AccuracyLossError(f"I_{order}({x}) series did not converge")
-    return total * math.exp(-x)
-
-
 def _iv012_scaled(x: float) -> tuple[float, float, float]:
-    """(I_0, I_1, I_2)(x) exp(-x) for 0 <= x <= 20, from one ascending series.
+    """(I_0, I_1, I_2)(x) exp(-x) for 0 <= x < 30, from one ascending series.
 
     With q = x^2/4 and u_m = q^m / (m! (m+2)!), I_2 = q sum u_m,
     I_1 = (x/2) sum (m+2) u_m and I_0 = sum (m+1)(m+2) u_m.  The I_0 term
@@ -202,7 +182,7 @@ def bessel_I_scaled(order: int, x: float) -> float:
         raise DomainError(f"modified Bessel requires x >= 0, got {x}")
     x = float(x)
     if x < _IV_SERIES_MAX_X:
-        return _iv_series_scaled(order, x)
+        return _iv012_scaled(x)[order]
     return _iv_asymptotic_scaled(order, x)
 
 
@@ -217,29 +197,3 @@ def bessel_I(order: int, x: float) -> float:
 def log_bessel_I0(x: float) -> float:
     """ln I_0(x), finite for any x >= 0 representable as a double."""
     return x + math.log(bessel_I_scaled(0, x))
-
-
-def _illinois(f, x0: float, x1: float, g0: float, g1: float) -> float:
-    """Root of f in (x0, x1), given g0 = f(x0) < 0 < g1 = f(x1).
-
-    Illinois: regula falsi that halves the stale end's weight.  Stops once
-    |f| <= 1e-12; bounded at 100 steps in case rounding stalls |f| above
-    that, when it returns the last iterate.
-    """
-    kept = 0
-    for _ in range(100):
-        x = x1 - g1 * (x1 - x0) / (g1 - g0)
-        g = f(x)
-        if abs(g) <= 1e-12:
-            break
-        if g > 0.0:
-            x1, g1 = x, g
-            if kept == 1:
-                g0 *= 0.5
-            kept = 1
-        else:
-            x0, g0 = x, g
-            if kept == -1:
-                g1 *= 0.5
-            kept = -1
-    return x

@@ -169,8 +169,8 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
-                                    "fig2.v3", "fig2.v4", "fig2.v5", "fig3.v1",
-                                    "fig3.v2"])
+                                    "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6",
+                                    "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -505,14 +505,16 @@ def test_a_fig3_manifest_past_float_range_is_usage_error(tmp_path, capsys, key, 
 def test_a_grating_wavelength_past_float_range_is_usage_error(tmp_path, monkeypatch, capsys,
                                                              command):
     # at 1e200 nm the Talbot time's d^2 overflows, and the Mie prefactor's h nu k^2
-    # underflows to 0
+    # underflows to 0; at 1e104 nm only the Mie prefactor leaves float range (it
+    # overflows), so fig1 and fig3 still run there
     monkeypatch.chdir(tmp_path)
-    Path("wide.ini").write_text("[grating]\nwavelength_nm = 1e200\n")
-    assert run(["--config", "wide.ini", command, "--out", "out.csv"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "out of float range" in captured.err
-    assert os.listdir(tmp_path) == ["wide.ini"]
+    for wavelength in ("1e200", "1e104") if command in ("fig2", "observables") else ("1e200",):
+        Path("wide.ini").write_text(f"[grating]\nwavelength_nm = {wavelength}\n")
+        assert run(["--config", "wide.ini", command, "--out", "out.csv"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of float range" in captured.err
+        assert os.listdir(tmp_path) == ["wide.ini"]
 
 
 def test_the_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, monkeypatch):
@@ -730,6 +732,25 @@ def test_config_floats_end_in_a_documented_exit_code(command, section_key, value
         out = os.path.join(tmp, "out.json" if command in REPORTS else "out.csv")
         _assert_documented_exit(["--config", str(cfg), command, *FUZZ_ARGV[command],
                                  "--out", out], tmp, keep=cfg.name)
+
+
+@given(st.tuples(*[st.none() | st.sampled_from(EXTREME_VALUES)] * 8))
+@settings(max_examples=150, deadline=None)
+def test_fig1_fig2_and_observables_options_end_in_a_documented_exit_code(values):
+    # None keeps an option at its small-run value; drawn values are non-empty strings
+    lambda_lo, lambda_hi, rc_nm, threshold, mass_lo, mass_hi, target_v, flux = values
+
+    def option(name, value):
+        return [] if value is None else [f"--{name}={value}"]
+
+    for argv, out in (
+            (["fig1", f"--lambda0-range={lambda_lo or -12}:{lambda_hi or -8}:3",
+              *option("rc-nm", rc_nm), *option("threshold", threshold)], "out.csv"),
+            (["fig2", f"--mass-range={mass_lo or 5}:{mass_hi or 8}:3",
+              *option("target-V", target_v)], "out.csv"),
+            (["observables", *option("flux", flux)], "out.json")):
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_documented_exit([*argv, "--out", os.path.join(tmp, out)], tmp, keep=None)
 
 
 @pytest.fixture(scope="module")

@@ -234,9 +234,9 @@ def test_bessel_I_series_oracle_grid(order):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_bessel_I_scaled_branch_agreement(order):
     # series and asymptotic branches must agree on an overlap region
-    from cslsim.specfun import _iv_asymptotic_scaled, _iv_series_scaled
+    from cslsim.specfun import _iv012_scaled, _iv_asymptotic_scaled
     for x in (30.0, 40.0, 60.0):
-        assert _iv_series_scaled(order, x) == pytest.approx(
+        assert _iv012_scaled(x)[order] == pytest.approx(
             _iv_asymptotic_scaled(order, x), rel=1e-13)
 
 
@@ -244,10 +244,18 @@ def test_bessel_I_scaled_branch_agreement(order):
 def test_fused_triple_matches_series_oracle(order):
     from cslsim.specfun import _iv012_scaled
     assert _iv012_scaled(0.0) == (1.0, 0.0, 0.0)
-    for x in np.linspace(0.0, 20.0, 161)[1:]:
+    for x in np.linspace(0.0, 30.0, 241)[1:-1]:
         x = float(x)
         assert _iv012_scaled(x)[order] == pytest.approx(
             iv_series_oracle(order, x) * math.exp(-x), rel=1e-13)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_bessel_I_scaled_reads_the_fused_triple_below_the_crossover(order):
+    # one ascending series serves every order below x = 30
+    from cslsim.specfun import _iv012_scaled
+    for x in (0.0, 1e-300, 0.5, 3.0, 20.0, 25.0, 29.99, math.nextafter(30.0, 0.0)):
+        assert bessel_I_scaled(order, x) == _iv012_scaled(x)[order]
 
 
 def test_bessel_I_scaled_large_argument_finite():
