@@ -8,6 +8,7 @@ sub-period regime R < d.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,12 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
         budget = min(2 * budget, _LMAX)
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_sums(rho: float, eps: complex) -> tuple[float, float, int]:
+    """n0 and n1 are linear in the flux: a sphere's flux solve and observables share sums."""
+    return absorption_sums(rho, eps)
+
+
 def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
                        flux: float | None = None) -> AbsorptionProfile:
     """Absorbed-photon parameters (n0, n1) of a sphere in the pulsed grating."""
@@ -162,7 +169,7 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
 
     k = grating.wavenumber
     rho = k * radius
-    s0, s1, used = absorption_sums(rho, species.permittivity)
+    s0, s1, used = _unit_sums(rho, species.permittivity)
     try:
         prefactor = 4.0 * flux / (PLANCK_H * grating.laser_frequency * k * k)
     except ZeroDivisionError:  # h nu k^2 underflows

@@ -17,12 +17,13 @@ Provides exactly what the physics layers consume:
 The spherical Bessel functions accept |z| <= MAX_ORDER: the downward pass
 takes O(|z|) steps, and the Mie sums need |z| = |sqrt(eps)| rho < 6 for gold.
 
-All functions are pure and stateless.
+All functions are pure; the fused I_k series keeps its last few results.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .errors import DomainError
@@ -134,6 +135,7 @@ def spherical_hankel_h1(ell: int, x: float) -> complex:
     return spherical_hankel_array(ell, x)[ell]
 
 
+@functools.lru_cache(maxsize=4)
 def _iv012_scaled(x: float) -> tuple[float, float, float]:
     """(I_0, I_1, I_2)(x) exp(-x) for 0 <= x < 30, from one ascending series.
 
@@ -180,7 +182,7 @@ def bessel_I_scaled(order: int, x: float) -> float:
         raise DomainError(f"only orders 0, 1, 2 are supported, got {order}")
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0.0:
         raise DomainError(f"modified Bessel requires x >= 0, got {x}")
-    x = float(x)
+    x = abs(float(x))  # -0.0 shares 0.0's cache key, so both give I_1 = +0.0
     if x < _IV_SERIES_MAX_X:
         return _iv012_scaled(x)[order]
     return _iv_asymptotic_scaled(order, x)

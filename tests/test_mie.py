@@ -7,6 +7,7 @@ import pytest
 import cslsim.mie as mie
 from cslsim.cli import EXIT_NONCONVERGENCE, main
 from cslsim.errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
+from cslsim.interferometer import flux_for_target_visibility, observables
 from cslsim.mie import (
     absorption_profile,
     absorption_sums,
@@ -231,3 +232,31 @@ def test_a_degenerate_denominator_is_a_resonance(monkeypatch, tmp_path):
     out = tmp_path / "observables.json"
     assert main(["observables", "--out", str(out)]) == EXIT_NONCONVERGENCE
     assert not out.exists()
+
+
+def test_a_flux_solve_and_its_observables_evaluate_the_sums_once(monkeypatch):
+    calls = []
+    sums = mie.absorption_sums
+
+    def spy(rho, eps):
+        calls.append(rho)
+        return sums(rho, eps)
+
+    monkeypatch.setattr(mie, "absorption_sums", spy)
+    species, grating = gold_cluster(1e7), default_grating()
+    flux = flux_for_target_visibility(species, grating, 0.85)
+    observables(species, grating, flux)
+    assert len(calls) == 1
+
+
+def test_the_sums_cache_changes_no_profile_or_observable():
+    species, grating = gold_cluster(1e7), default_grating()
+    flux = flux_for_target_visibility(species, grating, 0.85)
+    outputs = (lambda: absorption_profile(species, grating, 1.0),
+               lambda: absorption_profile(species, grating, 3.7),
+               lambda: observables(species, grating, flux))
+    warm = [output() for output in outputs]
+    assert mie._unit_sums.cache_info().hits == 3
+    for output, expected in zip(outputs, warm):
+        mie._unit_sums.cache_clear()
+        assert output() == expected

@@ -280,3 +280,20 @@ def test_bessel_I_rejects_negative():
         bessel_I(0, -0.5)
     with pytest.raises(DomainError):
         bessel_I(3, 1.0)
+
+
+def test_a_visibility_and_its_transmissivity_sum_the_series_once():
+    from cslsim.interferometer import transmissivity, visibility
+    from cslsim.specfun import _iv012_scaled
+    _iv012_scaled.cache_clear()
+    visibility(1.7)
+    assert _iv012_scaled.cache_info().misses == 1
+    transmissivity(5.0, 1.7)
+    assert _iv012_scaled.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_the_sign_of_a_zero_argument_does_not_reach_the_cached_series(first):
+    # -0.0 and 0.0 are one cache key; whichever comes first, I_1(0) is +0.0
+    for x in (first, -first):
+        assert math.copysign(1.0, bessel_I_scaled(1, x)) == 1.0
