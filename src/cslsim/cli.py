@@ -120,27 +120,27 @@ def _manifest(command: str, args_dict: dict, argv: list[str]) -> dict:
     }
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write through a temporary file in the same directory, so a failed
-    write never leaves a partial file under the final name."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    tmp = Path(f"{path}.tmp")
+def _write_files(files: dict) -> None:
+    """Write every file or none: each text goes to `<path>.tmp` first, and
+    all are renamed into place only once all are written.  A failure
+    removes the temporary files and the files already renamed.  The path
+    None or "-" is stdout."""
+    paths = [path for path in files if path not in (None, "-")]
+    tmps, done = [], []
     try:
-        tmp.write_bytes(text.encode("utf-8"))
-        os.replace(tmp, path)
+        for path in paths:
+            tmps.append(Path(f"{path}.tmp"))
+            tmps[-1].write_bytes(files[path].encode("utf-8"))
+        for path, tmp in zip(paths, tmps):
+            os.replace(tmp, path)
+            done.append(Path(path))
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path in tmps + done:
+            path.unlink(missing_ok=True)
         raise
-
-
-def _write_manifest(out_path: str | None, manifest: dict) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    if out_path is None or out_path == "-":
-        sys.stderr.write(text)
-    else:
-        _write_text(str(out_path) + ".manifest.json", text)
+    for path, text in files.items():
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 # -- sweep arguments ----------------------------------------------------------
@@ -257,7 +257,7 @@ def _fig2_files(args: dict, out: str | None) -> dict:
             flux = flux_for_target_visibility(sp, grating, target_v,
                                               n1_target=n1_target, reference=reference)
             profile = reference.scaled_to(flux)
-            trans = transmissivity(profile.n0, max(profile.n1, 0.0))
+            trans = transmissivity(profile.n0, profile.n1)
             cells += [_fmt(flux), _fmt(profile.n0), _fmt(profile.n1), _fmt(trans), "ok"]
         except GeometryError:
             cells += ["nan"] * 4 + ["geometry_error"]
@@ -442,7 +442,7 @@ def _manifest_args(path: str, argv: list[str]) -> tuple[str, dict]:
 def _run(ns, config: RunConfig, argv: list[str]) -> None:
     if ns.command in REPORTS:
         report = REPORTS[ns.command](ns, config)
-        _write_text(ns.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_files({ns.out: json.dumps(report, indent=2, sort_keys=True) + "\n"})
         return
     if ns.command == "rerun":
         command, args = _manifest_args(ns.manifest, argv)
@@ -450,13 +450,17 @@ def _run(ns, config: RunConfig, argv: list[str]) -> None:
         command, args = ns.command, SWEEPS[ns.command][1](ns, config)
     # every file is computed before any is written
     files = SWEEPS[command][2](args, ns.out)
-    for path, text in files.items():
-        _write_text(path, text)
+    manifest = ""
     if ns.command != "rerun":
-        manifest = _manifest(command, args, argv)
+        fields = _manifest(command, args, argv)
         if list(files) != [ns.out]:  # fig3 names its files after --out
-            manifest["outputs"] = list(files)
-        _write_manifest(ns.out, manifest)
+            fields["outputs"] = list(files)
+        manifest = json.dumps(fields, indent=2, sort_keys=True) + "\n"
+        if ns.out not in (None, "-"):
+            files[f"{ns.out}.manifest.json"] = manifest
+            manifest = ""
+    _write_files(files)
+    sys.stderr.write(manifest)  # the manifest of a sweep written to stdout
 
 
 # -- parser ------------------------------------------------------------------

@@ -20,6 +20,10 @@ _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
 _TAIL_RUN = 5            # consecutive terms that must satisfy the bound
 _LMAX = MAX_ORDER - 1    # sigma_H at order l reads the ratios at l + 1
 _DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
+# First order budget of the multipole sums: absorption_profile admits only
+# rho = k R < pi, where the tail test stops by l = 15 and the size estimate
+# rho + 4 rho^(1/3) + 6 stays below 15.  A sum that needs more doubles it.
+_FIRST_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -97,15 +101,6 @@ def _orders(rho, eps, u, rs):
         q, a = qp, ap
 
 
-def truncation_budget(rho: float) -> int:
-    """First order budget of the multipole sums, rho + 4 rho^(1/3) + 6.
-
-    It is at least 16: under the geometry guard (rho < pi) the tail test
-    stops by l = 15.
-    """
-    return min(_LMAX, max(16, math.ceil(rho + 4.0 * rho ** (1.0 / 3.0) + 6.0)))
-
-
 def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     """Dimensionless multipole sums (S0, S1) and the order l they stopped at.
 
@@ -121,7 +116,7 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     the sums start again; sums that still fail the test at _LMAX raise
     NonConvergenceError, so only converged sums are returned.
     """
-    budget = truncation_budget(rho)
+    budget = _FIRST_BUDGET
     while True:
         s0 = 0.0
         s1 = 0.0

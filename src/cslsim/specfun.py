@@ -1,18 +1,19 @@
 """Self-contained special-function kernel.
 
-Provides exactly what the physics layers consume:
+Provides what the physics layers consume:
 
 * the ratios r_l = j_(l-1)(z) / j_l(z) of spherical Bessel functions of
-  complex or real argument, from one downward pass r_l = (2l+1)/z -
-  1/r_(l+1), started at the order where its error at lmax reaches
-  rounding: the first order above lmax at which the dominant solution,
-  recurred upward from lmax on |z|, reaches 1e9,
-* spherical Bessel j_l, the upward product j_l = j_(l-1) / r_l anchored on
-  whichever of the closed forms j_0 and j_1 is the larger,
-* spherical Hankel h_l^(1) of real positive argument (stable upward y_l),
-* modified Bessel I_0, I_1, I_2 with exponentially-scaled variants: below
+  complex argument, from one downward pass r_l = (2l+1)/z - 1/r_(l+1),
+  started at the order where its error at lmax reaches rounding: the first
+  order above lmax at which the dominant solution, recurred upward from
+  lmax on |z|, reaches 1e9,
+* modified Bessel I_0, I_1, I_2, exponentially scaled, and ln I_0: below
   x = 30 all three come from one fused ascending series, above it from the
-  asymptotic expansion.
+  asymptotic expansion;
+
+and, for the tests and the benchmark's tracer, spherical Bessel j_l (the
+upward product j_l = j_(l-1) / r_l, anchored on the larger closed form of
+j_0 and j_1) and Hankel h_l^(1) = j_l + i y_l of real x > 0 (upward y_l).
 
 The spherical Bessel functions accept |z| <= MAX_ORDER: the downward pass
 takes O(|z|) steps, and the Mie sums need |z| = |sqrt(eps)| rho < 6 for gold.
@@ -31,14 +32,12 @@ from .errors import DomainError
 MAX_ORDER = 256          # largest supported spherical-Bessel order and |z|
 _TINY_Z = 1e-300         # below this |z|, r_l overflows and j_l (l >= 2) underflows
 _IV_SERIES_MAX_X = 30.0  # series/asymptotic crossover for I_k
-_IV_OVERFLOW_X = 700.0   # exp(x) overflows just above this
 
 
-def _checked(lmax: int, z):
-    # A real number stays a float, anything else becomes a complex.
+def _checked(lmax: int, z) -> complex:
     if lmax < 0 or lmax > MAX_ORDER:
         raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
-    z = float(z) if isinstance(z, (int, float)) else complex(z)
+    z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"argument must be finite, got {z}")
     if abs(z) > MAX_ORDER:
@@ -50,7 +49,7 @@ def spherical_jn_ratios(lmax: int, z) -> list:
     """[r_1, .., r_lmax], r_l = j_(l-1)(z) / j_l(z), from one downward pass.
 
     The ratios stay finite for _TINY_Z <= |z| <= MAX_ORDER, so the pass
-    needs no rescaling; a complex z gives complex ratios, a real z floats.
+    needs no rescaling.
     """
     z = _checked(lmax, z)
     az = abs(z)
@@ -78,61 +77,35 @@ def spherical_jn_ratios(lmax: int, z) -> list:
     return out
 
 
-def spherical_jn_array(lmax: int, z) -> list:
-    """j_0(z) .. j_lmax(z) from the ratio pass and one upward product.
-
-    A complex z gives complex values.  A real z (int or float) runs the
-    same pass in float arithmetic and gives floats, equal to the real part
-    of the complex pass at half its cost.
-    """
+def spherical_jn_array(lmax: int, z) -> list[complex]:
+    """j_0(z) .. j_lmax(z) from the ratio pass and one upward product."""
     z = _checked(lmax, z)
-    zero, sin, cos = (0.0, math.sin, math.cos) if isinstance(z, float) else (
-        0.0j, cmath.sin, cmath.cos)
     if abs(z) < _TINY_Z:  # j_0 = 1 and j_1 = z / 3 to rounding
-        return ([zero + 1.0, z / 3.0] + [zero] * lmax)[:lmax + 1]
+        return ([1.0 + 0.0j, z / 3.0] + [0.0j] * lmax)[:lmax + 1]
     rs = spherical_jn_ratios(max(lmax, 1), z)
     # Anchor on the larger of j_0 and j_1: j_0 / r_1 near a zero of j_1,
     # the closed form j_1 near a zero of j_0 (where |j_1| > |j_0| keeps
     # |z| away from the cancellation of the closed form at small z).
-    j = sin(z) / z
-    out = [j, j / rs[0] if abs(rs[0]) >= 1.0 else j / z - cos(z) / z]
+    j = cmath.sin(z) / z
+    out = [j, j / rs[0] if abs(rs[0]) >= 1.0 else j / z - cmath.cos(z) / z]
     for r in rs[1:]:
         out.append(out[-1] / r)
     return out[:lmax + 1]
 
 
-def spherical_bessel_j(ell: int, z) -> complex:
-    """Spherical Bessel function of the first kind, complex argument."""
-    return spherical_jn_array(ell, z)[ell]
-
-
-def spherical_yn_array(lmax: int, x: float) -> list[float]:
-    """y_0(x) .. y_lmax(x), real x > 0, by stable upward recurrence."""
-    if lmax < 0 or lmax > MAX_ORDER:
-        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
+def spherical_hankel_array(lmax: int, x: float) -> list[complex]:
+    """h_0^(1)(x) .. h_lmax^(1)(x) = j_l(x) + i y_l(x), real x > 0, with
+    y_l by stable upward recurrence."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
         raise DomainError(f"spherical y_l requires real x > 0, got {x}")
+    js = spherical_jn_array(lmax, x)
     x = float(x)
-    y0 = -math.cos(x) / x
-    if lmax == 0:
-        return [y0]
-    y1 = -math.cos(x) / (x * x) - math.sin(x) / x
-    out = [y0, y1]
+    ys = [-math.cos(x) / x]
+    if lmax:
+        ys.append(-math.cos(x) / (x * x) - math.sin(x) / x)
     for l in range(1, lmax):
-        out.append((2 * l + 1) / x * out[l] - out[l - 1])
-    return out
-
-
-def spherical_hankel_array(lmax: int, x: float) -> list[complex]:
-    """h_0^(1)(x) .. h_lmax^(1)(x) = j_l(x) + i y_l(x), real x > 0."""
-    ys = spherical_yn_array(lmax, x)
-    js = spherical_jn_array(lmax, float(x))
-    return [complex(j, y) for j, y in zip(js, ys)]
-
-
-def spherical_hankel_h1(ell: int, x: float) -> complex:
-    """Spherical Hankel function of the first kind, real x > 0."""
-    return spherical_hankel_array(ell, x)[ell]
+        ys.append((2 * l + 1) / x * ys[l] - ys[l - 1])
+    return [complex(j.real, y) for j, y in zip(js, ys)]
 
 
 @functools.lru_cache(maxsize=4)
@@ -186,14 +159,6 @@ def bessel_I_scaled(order: int, x: float) -> float:
     if x < _IV_SERIES_MAX_X:
         return _iv012_scaled(x)[order]
     return _iv_asymptotic_scaled(order, x)
-
-
-def bessel_I(order: int, x: float) -> float:
-    """Modified Bessel function of the first kind, orders 0, 1, 2."""
-    scaled = bessel_I_scaled(order, x)
-    if x > _IV_OVERFLOW_X:
-        raise DomainError(f"I_{order}({x}) overflows double precision")
-    return scaled * math.exp(x)
 
 
 def log_bessel_I0(x: float) -> float:

@@ -1,7 +1,8 @@
 """Reference computations the tests compare the package against.
 
 Each one re-derives a package result by a different method, and none of
-them is called by the package itself.
+them is called by the package itself.  The single-order accessors at the
+end only index the package's array functions, for the identity tests.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 
 from cslsim.errors import DomainError
 from cslsim.params import ClusterSpecies, CslParams, GratingConfig, cluster_radius
+from cslsim.specfun import bessel_I_scaled, spherical_hankel_array, spherical_jn_array
 
 
 def csl_exponent_oracle(species: ClusterSpecies, grating: GratingConfig,
@@ -95,3 +97,21 @@ def standing_wave_sums_oracle(rho: float, eps: complex,
             s0 += weight * (sigma_e - sigma_h)
             s1 += weight * (-1) ** (l - 1) * (sigma_e + sigma_h)
         return float(s0), float(s1)
+
+
+# -- single-order accessors ---------------------------------------------------
+
+def spherical_bessel_j(ell: int, z) -> complex:
+    return spherical_jn_array(ell, z)[ell]
+
+
+def spherical_yn_array(lmax: int, x: float) -> list[float]:
+    return [h.imag for h in spherical_hankel_array(lmax, x)]
+
+
+def spherical_hankel_h1(ell: int, x: float) -> complex:
+    return spherical_hankel_array(ell, x)[ell]
+
+
+def bessel_I(order: int, x: float) -> float:
+    return bessel_I_scaled(order, x) * math.exp(x)

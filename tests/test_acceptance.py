@@ -38,13 +38,14 @@ from cslsim.params import (
     gold_cluster,
     total_interference_time,
 )
-from cslsim.specfun import (
+from oracles import (
     bessel_I,
+    csl_exponent_oracle,
+    dipole_absorption_cross_section,
     spherical_bessel_j,
     spherical_hankel_h1,
     spherical_yn_array,
 )
-from oracles import csl_exponent_oracle, dipole_absorption_cross_section
 
 AMU = ATOMIC_MASS_UNIT
 MBAR = 100.0

@@ -280,6 +280,21 @@ def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("blocked,argv", [
+    ("x_m1e+07.csv", ["fig3", "--masses", "1e6,1e7", "--p-range=-14:-6:5",
+                      "--T-range=4:400:5", "--out", "x.csv"]),
+    ("f.csv.manifest.json", ["fig1", "--lambda0-range=-12:-10:3", "--out", "f.csv"]),
+])
+def test_a_run_that_cannot_rename_one_file_writes_none(tmp_path, monkeypatch, blocked, argv):
+    # a directory in the way of a later rename: the files renamed before
+    # it are removed again, and so is every temporary file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / blocked).mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == EXIT_USAGE
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_fig2_ok_rows_carry_the_scalar_flux(tmp_path):
     out = tmp_path / "fig2.csv"
     assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=0.8",

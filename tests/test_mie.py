@@ -206,7 +206,7 @@ def test_a_short_first_budget_doubles_to_the_same_sums(monkeypatch, rho):
     expected = absorption_sums(rho, GOLD_EPS)
     assert budgets == [16]  # the first budget suffices below the guard
     budgets.clear()
-    monkeypatch.setattr(mie, "truncation_budget", lambda rho: 2)
+    monkeypatch.setattr(mie, "_FIRST_BUDGET", 2)
     assert absorption_sums(rho, GOLD_EPS) == expected
     assert budgets == [2 ** k for k in range(1, len(budgets) + 1)]
     assert budgets[-2] < expected[2] <= budgets[-1]

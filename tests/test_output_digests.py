@@ -1,0 +1,77 @@
+"""SHA-256 of every output the CLI writes, keyed by schema.
+
+Each sweep schema in `cli.SWEEPS` pins the CSV bytes of a few runs, and the
+scalar reports pin their default stdout, so an output that moves without a
+schema bump fails here.  Digests, not files, are pinned: the default
+outputs alone are about 22 KB.
+
+The digests hold for the libm they were taken with (glibc 2.36, x86-64).
+A math library that rounds a transcendental function differently can move
+the last of the 17 significant digits in a CSV cell.
+"""
+
+import hashlib
+
+import pytest
+
+from cslsim.cli import EXIT_OK, SWEEPS, main
+
+# schema -> [(options after the command, {file name: SHA-256})]; every run
+# writes to --out out.csv, and fig3 names one file per mass after it.
+SWEEP_DIGESTS = {
+    "fig1.v3": [
+        ([], {"out.csv":
+              "37f0996fa46701354ec79823a0525e1d4d175e11d71442b1b19f96a03fea1178"}),
+    ],
+    "fig2.v7": [
+        ([], {"out.csv":
+              "c0ba1fece254dfe1d82fdd78bc904a1404bd18672f9d4f43310f6655bbd9169e"}),
+        (["--mass-range=5:10.5:600", "--target-V=0.85"], {"out.csv":
+              "8b5f35a6219282decb0259e3b05d4fa0a98ec4eec1c6dba55384e106a6c198fa"}),
+        (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
+              "d39688df090c6f7a88219199f9126f03c32fa060941ed86b524a4b82b92aac0c"}),
+    ],
+    "fig3.v3": [
+        ([], {"out_m1e+06.csv":
+              "3d5cc5871912393f2c93676c67d647f3de6ed1a332d2d17ffc3ef4b4c29d4df4",
+              "out_m1e+07.csv":
+              "981adb116b16da3ab79e2e948924a60a681ff02deb8299c2c7ba462775d6efd7",
+              "out_m1e+08.csv":
+              "26a837b093cc6e80f202522e250ec42c7923897fab7530cd7396d7c3e29b934c"}),
+    ],
+}
+
+# report command -> SHA-256 of its default stdout
+REPORT_DIGESTS = {
+    "budget": "6688c35c9d692cca5b150cf4623f09e3150e7035e7eca4b904ccc0e404a2fd33",
+    "observables": "ce1e30e5b9ca7ceedf7eef81bf205a36eb4b05b6c6e17996f4eae6f541079f73",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("schema,options,digests", [
+    (schema, options, digests)
+    for schema, runs in SWEEP_DIGESTS.items() for options, digests in runs])
+def test_sweep_bytes_match_their_schema(tmp_path, schema, options, digests):
+    command = schema.split(".")[0]
+    assert main([command, *options, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    written = {p.name: _sha256(p.read_bytes()) for p in tmp_path.glob("*.csv")}
+    assert written.keys() == digests.keys()
+    for name, digest in digests.items():
+        assert written[name] == digest, (
+            f"{schema} {' '.join(options) or 'defaults'}: {name} moved; "
+            f"bump {schema} in cli.SWEEPS and pin the new digest")
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_stdout_matches_its_digest(capsys, command):
+    assert main([command]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == REPORT_DIGESTS[command], (
+        f"the default {command} report moved; say so in CHANGES.md and pin the new digest")
+
+
+def test_every_sweep_schema_has_a_pinned_digest():
+    assert {schema for schema, _, _ in SWEEPS.values()} == set(SWEEP_DIGESTS)
