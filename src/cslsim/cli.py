@@ -46,6 +46,7 @@ from .params import (
     EnvironmentConfig,
     GratingConfig,
     RunConfig,
+    _with_keys,
     amu_to_kg,
     cluster_radius,
     kg_to_amu,
@@ -197,7 +198,7 @@ def _fig1_args(ns, config: RunConfig) -> dict:
     return {
         "wavelength_m": config.grating.laser_wavelength,
         "talbot_order": config.grating.talbot_order,
-        "rc_m": ns.rc_nm * 1e-9 if ns.rc_nm is not None else config.csl.r_c,
+        "rc_m": config.csl.r_c,
         "m0_amu": kg_to_amu(config.csl.m0),
         "lo_log10": lo, "hi_log10": hi, "steps": steps,
         "threshold": ns.threshold,
@@ -345,21 +346,7 @@ SWEEPS = {
 # -- scalar reports ----------------------------------------------------------
 
 def _budget(ns, config: RunConfig) -> dict:
-    species, grating, env_base = config.species, config.grating, config.environment
-    if ns.mass_amu is not None:
-        species = ClusterSpecies.from_amu(ns.mass_amu, species.bulk_density,
-                                          species.permittivity, species.label)
-    csl = config.csl if ns.lambda0 is None else dataclasses.replace(
-        config.csl, lambda0=ns.lambda0)
-    env = dataclasses.replace(
-        env_base,
-        gas_pressure=mbar_to_pa(ns.pressure_mbar) if ns.pressure_mbar is not None
-        else env_base.gas_pressure,
-        gas_temperature=ns.temperature_K if ns.temperature_K is not None
-        else env_base.gas_temperature,
-        environment_temperature=ns.temperature_K if ns.temperature_K is not None
-        else env_base.environment_temperature,
-    )
+    species, grating, csl, env = config.species, config.grating, config.csl, config.environment
     reduction = csl_visibility_ratio(species, grating, csl)
     budget = decoherence_budget(species, grating, env)
     return {
@@ -388,13 +375,12 @@ def _budget(ns, config: RunConfig) -> dict:
 
 
 def _observables(ns, config: RunConfig) -> dict:
-    grating = config.grating if ns.flux is None else config.grating.with_flux(ns.flux)
     # absorption_profile raises unless the multipole sums converged
-    profile = absorption_profile(config.species, grating)
+    profile = absorption_profile(config.species, config.grating)
     obs = observables_from_profile(profile)
     return {
         "species": _species_dict(config.species),
-        "grating": _grating_dict(grating),
+        "grating": _grating_dict(config.grating),
         "n0": obs.n0, "n1": obs.n1,
         "V": obs.visibility, "T": obs.transmissivity,
         "l_max": profile.truncation_order,
@@ -514,6 +500,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (section, key, flag): each value flag sets its config keys over the file's
+# or the default values; --temperature-K sets the gas and radiation temperature.
+_FLAG_KEYS = (("species", "mass_amu", "mass_amu"), ("grating", "talbot_order", "talbot_order"),
+              ("grating", "flux_J_m2", "flux"), ("csl", "rc_nm", "rc_nm"),
+              ("csl", "lambda0_hz", "lambda0"), ("environment", "pressure_mbar", "pressure_mbar"),
+              ("environment", "gas_temperature_K", "temperature_K"),
+              ("environment", "environment_temperature_K", "temperature_K"))
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -522,9 +517,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = load_config(ns.config) if ns.config else RunConfig()
-        if getattr(ns, "talbot_order", None) is not None:
-            config = dataclasses.replace(config, grating=dataclasses.replace(
-                config.grating, talbot_order=ns.talbot_order))
+        config = _with_keys(config, [(section, key, getattr(ns, flag))
+                                     for section, key, flag in _FLAG_KEYS
+                                     if getattr(ns, flag, None) is not None])
         _run(ns, config, argv)
     except (CslSimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

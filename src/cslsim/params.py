@@ -6,7 +6,6 @@ constructors / config boundary and are converted exactly once.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -68,6 +67,13 @@ def pa_to_mbar(p_pa: float) -> float:
     return p_pa / MBAR_TO_PA
 
 
+def _cluster_kg(mass_amu: float) -> float:
+    # checked before conversion, so the error names the mass as given
+    if not (mass_amu > 0.0 and math.isfinite(mass_amu)):
+        raise DomainError(f"mass must be positive and finite, got {mass_amu} amu")
+    return amu_to_kg(mass_amu)
+
+
 @dataclass(frozen=True)
 class ClusterSpecies:
     """A spherical dielectric cluster: mass, bulk density, permittivity."""
@@ -91,10 +97,7 @@ class ClusterSpecies:
     @classmethod
     def from_amu(cls, mass_amu: float, bulk_density: float,
                  permittivity: complex, label: str = "cluster") -> "ClusterSpecies":
-        # checked before conversion, so the error names the mass as given
-        if not (mass_amu > 0.0 and math.isfinite(mass_amu)):
-            raise DomainError(f"mass must be positive and finite, got {mass_amu} amu")
-        return cls(amu_to_kg(mass_amu), bulk_density, permittivity, label)
+        return cls(_cluster_kg(mass_amu), bulk_density, permittivity, label)
 
     @property
     def mass_amu(self) -> float:
@@ -145,9 +148,6 @@ class GratingConfig:
         except OverflowError:  # d^2 leaves float range
             raise DomainError(f"the Talbot time is out of float range at grating period "
                               f"{self.period} m") from None
-
-    def with_flux(self, flux: float) -> "GratingConfig":
-        return dataclasses.replace(self, laser_flux=flux)
 
 
 def default_grating() -> GratingConfig:
@@ -239,93 +239,81 @@ class RunConfig:
     environment: EnvironmentConfig = EnvironmentConfig()
 
 
-def _nm(value: float) -> float:
-    return value * 1e-9
+# Config section -> key -> (dataclass field, conversion to SI from the unit
+# the key names); eps_re and eps_im make up the permittivity.
+_CONFIG_KEYS = {
+    "species": {"label": ("label", str), "mass_amu": ("mass", _cluster_kg),
+                "density_kg_m3": ("bulk_density", float),
+                "eps_re": ("eps_re", float), "eps_im": ("eps_im", float)},
+    "grating": {"wavelength_nm": ("laser_wavelength", lambda nm: nm * 1e-9),
+                "talbot_order": ("talbot_order", int), "flux_J_m2": ("laser_flux", float)},
+    "csl": {"rc_nm": ("r_c", lambda nm: nm * 1e-9), "lambda0_hz": ("lambda0", float),
+            "m0_amu": ("m0", amu_to_kg)},
+    "environment": {"pressure_mbar": ("gas_pressure", mbar_to_pa),
+                    "gas_temperature_K": ("gas_temperature", float),
+                    "gas_mass_amu": ("gas_mass", amu_to_kg),
+                    "gas_polarizability_A3": ("gas_polarizability_volume", lambda a: a * 1e-30),
+                    "environment_temperature_K": ("environment_temperature", float),
+                    "cluster_temperature_K": ("cluster_temperature", float)},
+}
+# The keys a section must give when a file gives the section.
+_REQUIRED_KEYS = {"species": {"mass_amu", "density_kg_m3", "eps_re", "eps_im"},
+                  "grating": {"wavelength_nm"}}
 
 
-# Optional float keys: config key -> (dataclass field, conversion to SI).
-_GRATING_KEYS = {"wavelength_nm": ("laser_wavelength", _nm),
-                 "flux_J_m2": ("laser_flux", float)}
-_CSL_KEYS = {"rc_nm": ("r_c", _nm), "lambda0_hz": ("lambda0", float),
-             "m0_amu": ("m0", amu_to_kg)}
-_ENV_KEYS = {"pressure_mbar": ("gas_pressure", mbar_to_pa),
-             "gas_temperature_K": ("gas_temperature", float),
-             "gas_mass_amu": ("gas_mass", amu_to_kg),
-             "gas_polarizability_A3": ("gas_polarizability_volume", lambda a: a * 1e-30),
-             "environment_temperature_K": ("environment_temperature", float),
-             "cluster_temperature_K": ("cluster_temperature", float)}
-_SPECIES_KEYS = {"label", "mass_amu", "density_kg_m3", "eps_re", "eps_im"}
-_KNOWN_SECTIONS = {"species": _SPECIES_KEYS, "grating": {*_GRATING_KEYS, "talbot_order"},
-                   "csl": _CSL_KEYS, "environment": _ENV_KEYS}
+def _fields(section: str, values: dict) -> dict:
+    """`values`, {key: text or number}, as SI values under their field names."""
+    fields = {}
+    for key, raw in values.items():
+        field, to_si = _CONFIG_KEYS[section][key]
+        try:  # a label is text and a Talbot order an integer; all else is a float
+            value = (to_si if to_si in (str, int) else float)(raw)
+        except ValueError:
+            kind = "an integer" if to_si is int else "a number"
+            raise ConfigError(f"[{section}] {key} must be {kind}, got {raw!r}") from None
+        fields[field] = to_si(value)
+    if "eps_re" in fields:  # required together
+        fields["permittivity"] = complex(fields.pop("eps_re"), fields.pop("eps_im"))
+    return fields
 
 
-def _float(section, key, raw):
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-
-
-def _given(section, sec, keys) -> dict:
-    """The keys that `sec` sets, as SI values under their field names; a key
-    left out is not passed, so the dataclass default applies."""
-    return {field: to_si(_float(section, key, sec[key]))
-            for key, (field, to_si) in keys.items() if key in sec}
+def _with_keys(config: RunConfig, rows) -> RunConfig:
+    """`config` with the key of each (section, key, value) row set to the value."""
+    for section, key, value in rows:
+        config = dataclasses.replace(config, **{section: dataclasses.replace(
+            getattr(config, section), **_fields(section, {key: value}))})
+    return config
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a sectioned key=value config file.
+    """Parse a sectioned key=value config file, UTF-8, in which `%` is literal.
 
     Unknown sections or keys are hard errors so that a misspelled physics
-    constant can never silently fall back to a default.
+    constant can never silently fall back to a default.  Keys under
+    [DEFAULT] would reach every section, so that section is unknown too.
     """
     import configparser  # only a run with --config pays for the import
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (units live in the name)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
-
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    sections = {}
     for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
+        if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN_SECTIONS[section]:
+            if key not in _CONFIG_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    sections = {}
-
-    if parser.has_section("species"):
-        sec = parser["species"]
-        required = {"mass_amu", "density_kg_m3", "eps_re", "eps_im"}
-        missing = required - set(sec)
+        missing = _REQUIRED_KEYS.get(section, set()) - set(parser[section])
         if missing:
-            raise ConfigError(f"[species] missing keys: {sorted(missing)}")
-        label = {"label": sec["label"]} if "label" in sec else {}
-        sections["species"] = ClusterSpecies.from_amu(
-            _float("species", "mass_amu", sec["mass_amu"]),
-            _float("species", "density_kg_m3", sec["density_kg_m3"]),
-            complex(_float("species", "eps_re", sec["eps_re"]),
-                    _float("species", "eps_im", sec["eps_im"])),
-            **label,
-        )
-
-    if parser.has_section("grating"):
-        sec = parser["grating"]
-        if "wavelength_nm" not in sec:
-            raise ConfigError("[grating] missing key wavelength_nm")
-        try:
-            order = {"talbot_order": int(sec["talbot_order"])} if "talbot_order" in sec else {}
-        except ValueError as exc:
-            raise ConfigError("[grating] talbot_order must be an integer") from exc
-        sections["grating"] = GratingConfig(**_given("grating", sec, _GRATING_KEYS), **order)
-
-    if parser.has_section("csl"):
-        sections["csl"] = CslParams(**_given("csl", parser["csl"], _CSL_KEYS))
-
-    if parser.has_section("environment"):
-        sections["environment"] = EnvironmentConfig(
-            **_given("environment", parser["environment"], _ENV_KEYS))
-
+            raise ConfigError(f"[{section}] missing keys: {sorted(missing)}")
+        # from the dataclass defaults, so a [species] without a label is "cluster"
+        sections[section] = type(getattr(RunConfig, section))(**_fields(section, parser[section]))
     return RunConfig(**sections)

@@ -102,9 +102,12 @@ def spherical_hankel_array(lmax: int, x: float) -> list[complex]:
     x = float(x)
     ys = [-math.cos(x) / x]
     if lmax:
-        ys.append(-math.cos(x) / (x * x) - math.sin(x) / x)
+        # y_1 ~ -1/x^2 overflows before x * x underflows to 0
+        ys.append(-math.cos(x) / (x * x) - math.sin(x) / x if x * x else -math.inf)
     for l in range(1, lmax):
         ys.append((2 * l + 1) / x * ys[l] - ys[l - 1])
+    if not all(map(math.isfinite, ys)):
+        raise DomainError(f"spherical y_l overflows at x = {x} for lmax = {lmax}")
     return [complex(j.real, y) for j, y in zip(js, ys)]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -24,6 +25,7 @@ from cslsim.cli import (
     FIG3_HEADER,
     REPORTS,
     SWEEPS,
+    _FLAG_KEYS,
     build_parser,
     main,
 )
@@ -576,7 +578,8 @@ KEY_WALK = {
     "species": {"label": ("probe", "other"), "mass_amu": ("1e6", "2e6"),
                 "density_kg_m3": ("19300", "10500"), "eps_re": ("0.9", "1.2"),
                 "eps_im": ("3.2", "2.0")},
-    "grating": {"wavelength_nm": ("157", "160"), "flux_J_m2": ("1.0", "2.0")},
+    "grating": {"wavelength_nm": ("157", "160"), "talbot_order": ("2", "3"),
+                "flux_J_m2": ("1.0", "2.0")},
     "csl": {"rc_nm": ("100", "50"), "lambda0_hz": ("1e-10", "1e-9"), "m0_amu": ("1", "2")},
     "environment": {"pressure_mbar": ("1e-9", "1e-8"), "gas_temperature_K": ("300", "200"),
                     "gas_mass_amu": ("28", "40"), "gas_polarizability_A3": ("1.74", "1.64"),
@@ -590,8 +593,8 @@ NOT_APPLICABLE = {
     # decoherence or species
     "fig1": {"flux_J_m2", "lambda0_hz", *ENV_KEYS, *KEY_WALK["species"]},
     # the flux is solved for, the mass is the axis and the label is not
-    # written; no CSL and no decoherence
-    "fig2": {"flux_J_m2", "mass_amu", "label", *CSL_KEYS, *ENV_KEYS},
+    # written; the flux solve reads no Talbot order; no CSL and no decoherence
+    "fig2": {"flux_J_m2", "mass_amu", "label", "talbot_order", *CSL_KEYS, *ENV_KEYS},
     # pressure and radiation temperature are the axes, --masses sets the
     # masses, the label is not written, and the rates take the model's
     # conductivity, not eps at the laser wavelength; no absorption or CSL
@@ -605,33 +608,111 @@ WALK_ARGV = {"fig1": ["--lambda0-range=-12:-8:3"], "fig2": ["--mass-range=5:8:4"
              "budget": [], "observables": []}
 
 
+def _walk_ini(changed=()):
+    """KEY_WALK's base config, with the changed value of each (section, key)
+    in `changed`."""
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {new if (section, key) in changed else base}\n"
+                                   for key, (base, new) in keys.items())
+        for section, keys in KEY_WALK.items())
+
+
+def _walk_outputs(work, command, argv=(), changed=()):
+    """The files `command` writes in `work` from _walk_ini(changed); a
+    manifest without its timestamp and command line, and with its output
+    paths cut to their names."""
+    work.mkdir()
+    cfg = work / "run.ini"
+    cfg.write_text(_walk_ini(changed))
+    assert run(["--config", str(cfg), command, *WALK_ARGV[command], *argv,
+                "--out", str(work / "out")]) == EXIT_OK
+    outputs = {}
+    for path in work.glob("out*"):
+        outputs[path.name] = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(outputs[path.name])
+            del manifest["timestamp"], manifest["command_line"]
+            manifest["outputs"] = [Path(name).name for name in manifest.get("outputs", [])]
+            outputs[path.name] = manifest
+    return outputs
+
+
 def test_key_walk_covers_every_key_and_command():
     assert {section: set(keys) for section, keys in KEY_WALK.items()} == {
-        "species": params._SPECIES_KEYS, "grating": set(params._GRATING_KEYS),
-        "csl": set(params._CSL_KEYS), "environment": set(params._ENV_KEYS)}
+        section: set(keys) for section, keys in params._CONFIG_KEYS.items()}
     assert set(WALK_ARGV) == set(NOT_APPLICABLE) == {*SWEEPS, *REPORTS}
 
 
 @pytest.mark.parametrize("command", sorted(WALK_ARGV))
 def test_every_config_key_reaches_the_commands_that_read_it(tmp_path, command):
-    def outputs(name, changed=None):
-        work = tmp_path / name
-        work.mkdir()
-        cfg = work / "run.ini"
-        cfg.write_text("".join(
-            f"[{section}]\n" + "".join(f"{key} = {changed if key == name else base}\n"
-                                       for key, (base, _) in keys.items())
-            for section, keys in KEY_WALK.items()))
-        assert run(["--config", str(cfg), command, *WALK_ARGV[command],
-                    "--out", str(work / "out")]) == EXIT_OK
-        return {p.name: p.read_bytes() for p in work.glob("out*")
-                if not p.name.endswith(".manifest.json")}
+    def outputs(name, changed=()):
+        return {file: data for file, data in _walk_outputs(tmp_path / name, command,
+                                                           changed=changed).items()
+                if not file.endswith(".manifest.json")}
 
     base = outputs("base")
-    moved = {key for keys in KEY_WALK.values() for key, (_, changed) in keys.items()
-             if outputs(key, changed) != base}
+    moved = {key for section, keys in KEY_WALK.items() for key in keys
+             if outputs(key, {(section, key)}) != base}
     every = {key for keys in KEY_WALK.values() for key in keys}
     assert moved == every - NOT_APPLICABLE[command]
+
+
+def _commands_taking(dest):
+    """The commands whose parser has an option that sets `dest`."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return sorted(name for name, parser in commands.items()
+                  if dest in {action.dest for action in parser._actions})
+
+
+@pytest.mark.parametrize("flag,command", [
+    (flag, command) for flag in sorted({flag for _, _, flag in _FLAG_KEYS})
+    for command in _commands_taking(flag)])
+def test_a_value_flag_writes_what_its_config_keys_write(tmp_path, flag, command):
+    keys = {(section, key) for section, key, dest in _FLAG_KEYS if dest == flag}
+    [value] = {KEY_WALK[section][key][1] for section, key in keys}
+    option = f"--{flag.replace('_', '-')}={value}"
+    by_flag = _walk_outputs(tmp_path / "flag", command, [option])
+    assert by_flag == _walk_outputs(tmp_path / "key", command, changed=keys)
+    assert by_flag != _walk_outputs(tmp_path / "base", command)
+
+
+def test_every_value_flag_has_a_row_in_the_readme_table():
+    rows = re.findall(r"^\| `(--[\w-]+)` \| `\[(\w+)\]` \| (.*) \|$",
+                      README.read_text(encoding="utf-8"), flags=re.M)
+    assert {(section, key, flag) for flag, section, keys in rows
+            for key in re.findall(r"`(\w+)`", keys)} == {
+        (section, key, f"--{dest.replace('_', '-')}") for section, key, dest in _FLAG_KEYS}
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"lambda0_hz = 1e-10\n[csl]\nrc_nm = 50\n", "no section headers"),
+    (b"[csl]\nrc_nm = 50\nrc_nm = 60\n", "option 'rc_nm' in section 'csl' already exists"),
+    (b"[csl]\nrc_nm = 50\n[csl]\nlambda0_hz = 1e-10\n", "section 'csl' already exists"),
+    (b"[csl]\nrc_nm\n", "parsing errors"),
+    (b"[csl]\nrc_nm = 50%\n", "[csl] rc_nm must be a number, got '50%'"),
+    (b"[species]\nlabel = \xff\xfe\n", "can't decode byte 0xff"),
+    (b"[DEFAULT]\nlambda0_hz = 1e-10\n", "unknown config section [DEFAULT]"),
+    (b"[DEFAULT]\nlambda0_hz = 1e-10\n[csl]\nrc_nm = 100\n",
+     "unknown config section [DEFAULT]"),
+], ids=["key-before-section", "duplicate-option", "duplicate-section", "key-without-value",
+        "percent-in-number", "not-utf-8", "default-alone", "default-beside-csl"])
+def test_a_malformed_config_is_a_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(text)
+    assert run(["--config", str(cfg), "budget", "--out", str(tmp_path / "b.json")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_a_percent_in_a_config_value_is_literal(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEXT.replace("label = probe", "label = 5%Au"), encoding="utf-8")
+    assert run(["--config", str(cfg), "budget"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["species"]["label"] == "5%Au"
 
 
 def test_budget_report(tmp_path):

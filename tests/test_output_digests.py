@@ -2,8 +2,9 @@
 
 Each sweep schema in `cli.SWEEPS` pins the CSV bytes of a few runs, and the
 scalar reports pin their default stdout, so an output that moves without a
-schema bump fails here.  Digests, not files, are pinned: the default
-outputs alone are about 22 KB.
+schema bump fails here.  Three runs with README's config file pin the path
+from a config file to the numerics.  Digests, not files, are pinned: the
+default outputs alone are about 22 KB.
 
 The digests hold for the libm they were taken with (glibc 2.36, x86-64).
 A math library that rounds a transcendental function differently can move
@@ -11,10 +12,14 @@ the last of the 17 significant digits in a CSV cell.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
-from cslsim.cli import EXIT_OK, SWEEPS, main
+from cslsim.cli import EXIT_OK, REPORTS, SWEEPS, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # schema -> [(options after the command, {file name: SHA-256})]; every run
 # writes to --out out.csv, and fig3 names one file per mass after it.
@@ -47,6 +52,15 @@ REPORT_DIGESTS = {
     "observables": "ce1e30e5b9ca7ceedf7eef81bf205a36eb4b05b6c6e17996f4eae6f541079f73",
 }
 
+# With README's `ini` block as the config file: options -> SHA-256 of the
+# report's stdout, or of out.csv for a sweep
+README_CONFIG_DIGESTS = [
+    (["budget"], "4ec124c5b3e95f9a1f9a9506b0616d2f556325089d3139a2e01b29328e0c7709"),
+    (["observables"], "bd07180375bde38c7c7299dc45a4fd711102f9a2da9f9fbfb3a3f27d80363430"),
+    (["fig2", "--mass-range=5:8:9"],
+     "fcc341aac32190aa75421b4a5c380ce453297012e43d0e59be93f4afa0297435"),
+]
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -75,3 +89,17 @@ def test_report_stdout_matches_its_digest(capsys, command):
 
 def test_every_sweep_schema_has_a_pinned_digest():
     assert {schema for schema, _, _ in SWEEPS.values()} == set(SWEEP_DIGESTS)
+
+
+@pytest.mark.parametrize("options,digest", README_CONFIG_DIGESTS)
+def test_readme_config_outputs_match_their_digests(tmp_path, capsys, options, digest):
+    ini = re.search(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    flags=re.M | re.S).group(1)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    out = [] if options[0] in REPORTS else ["--out", str(tmp_path / "out.csv")]
+    assert main(["--config", str(cfg), *options, *out]) == EXIT_OK
+    data = (tmp_path / "out.csv").read_bytes() if out else capsys.readouterr().out.encode("utf-8")
+    assert _sha256(data) == digest, (
+        f"{' '.join(options)} with README's config moved; say so in CHANGES.md "
+        f"and pin the new digest")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -190,6 +191,13 @@ def test_h1_rejects_nonpositive():
         spherical_hankel_h1(0, 0.0)
     with pytest.raises(DomainError):
         spherical_hankel_h1(2, -1.0)
+
+
+@pytest.mark.parametrize("lmax,x", [(1, 5.6e-252), (1, 1e-160), (3, 1e-100), (0, 5e-324)])
+def test_hankel_refuses_a_y_past_the_float_range(lmax, x):
+    # x * x underflows to 0 at 5.6e-252; y_1 overflows at 1e-160 and y_3 at 1e-100
+    with pytest.raises(DomainError, match=re.escape(f"x = {x} for lmax = {lmax}")):
+        spherical_hankel_array(lmax, x)
 
 
 # -- modified Bessel I --------------------------------------------------------
