@@ -77,16 +77,20 @@ def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
 def solve_modulation_for_visibility(v_target: float) -> float:
     """Invert the visibility for n1 on its first monotone branch.
 
-    Newton on ln V against ln n1, both read from one fused (I_0, I_1, I_2)
+    Halley steps on g(s) = ln V - ln V_target against s = ln n1,
+    ds = -2 g g' / (2 g'^2 - g g''), all read from one fused (I_0, I_1, I_2)
     series per step: with x = n1 and r_k = I_k / I_0, ln V = ln(2 r_2) +
-    2 ln r_1 and d ln V / d ln x = x (2 / r_1 + r_1 / r_2 - 3 r_1) - 4.  It
-    starts from the small-n1 limit (16 V)^(1/4) below V = 0.3 and from
-    2 V + 1 above, keeps the root bracketed in [0, _N1_BRACKET_MAX] and
-    bisects whenever a step would leave the bracket; a step past the top
-    tries the top first.  Stops once
-    |ln V - ln V_target| <= 1e-13, so a small target is met to the same
-    relative accuracy as a large one; bounded at 100 steps in case rounding
-    stalls the residual above that, when it returns the last iterate.
+    2 ln r_1, g' = x f - 4 with f = 2 / r_1 + r_1 / r_2 - 3 r_1, and
+    g'' = x (f + x f'), where f' follows from r_1' = 1 - r_1 / x - r_1^2
+    and r_2' = r_1 - 2 r_2 / x - r_1 r_2.  It starts from the small-n1 limit
+    (16 V)^(1/4) below V = 0.3 and from the large-n1 limit
+    6 / (2 - V) - 1 (V ~ 2 - 6 / n1) above, keeps the root bracketed in
+    [0, _N1_BRACKET_MAX] and bisects whenever the Halley denominator is
+    not positive or a step would leave the bracket; a step past the top
+    tries the top first.  Stops once |ln V - ln V_target| <= 1e-13, so a
+    small target is met to the same relative accuracy as a large one;
+    bounded at 100 steps in case rounding stalls the residual above that,
+    when it returns the last iterate.
     """
     if not (0.0 < v_target < 2.0):
         raise UnachievableTargetError(
@@ -96,9 +100,9 @@ def solve_modulation_for_visibility(v_target: float) -> float:
             f"target visibility {v_target} is beyond the monotone branch "
             f"maximum V({_N1_BRACKET_MAX}) = {_V_BRACKET_MAX:.6f}")
     ln_target = math.log(v_target)
-    x = (16.0 * v_target) ** 0.25 if v_target < 0.3 else 2.0 * v_target + 1.0
+    x = (16.0 * v_target) ** 0.25 if v_target < 0.3 else 6.0 / (2.0 - v_target) - 1.0
     # hi starts one ulp above the top, so that the top itself can be tried:
-    # for a target within rounding of V(20) every Newton step overshoots it
+    # for a target within rounding of V(20) every step overshoots it
     lo, hi = 0.0, math.nextafter(_N1_BRACKET_MAX, math.inf)
     for _ in range(100):
         i0, i1, i2 = _iv012_scaled(x)
@@ -110,8 +114,12 @@ def solve_modulation_for_visibility(v_target: float) -> float:
             lo = x
         else:
             hi = x
-        x = min(x * math.exp(-g / (x * (2.0 / r1 + r1 / r2 - 3.0 * r1) - 4.0)),
-                _N1_BRACKET_MAX)
+        a, p = r1 / r2, 1.0 / r1 - 1.0 / x - r1  # r1/r2 and r1'/r1
+        f = 2.0 / r1 + a - 3.0 * r1
+        g1 = x * f - 4.0
+        g2 = x * (f + x * (a * (1.0 / r1 + 1.0 / x - a) - p * (2.0 / r1 + 3.0 * r1)))
+        den = 2.0 * g1 * g1 - g * g2  # a non-positive one sends x to lo: bisect
+        x = min(x * math.exp(-2.0 * g * g1 / den), _N1_BRACKET_MAX) if den > 0.0 else lo
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
     return x

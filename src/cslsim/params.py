@@ -68,10 +68,11 @@ def pa_to_mbar(p_pa: float) -> float:
 
 
 def _cluster_kg(mass_amu: float) -> float:
-    # checked before conversion, so the error names the mass as given
-    if not (mass_amu > 0.0 and math.isfinite(mass_amu)):
-        raise DomainError(f"mass must be positive and finite, got {mass_amu} amu")
-    return amu_to_kg(mass_amu)
+    # checked in kg, where a tiny mass underflows to 0, but named as given
+    mass = amu_to_kg(mass_amu)
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise DomainError(f"mass must be positive and finite in kg, got {mass_amu} amu")
+    return mass
 
 
 @dataclass(frozen=True)

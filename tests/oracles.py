@@ -99,6 +99,45 @@ def standing_wave_sums_oracle(rho: float, eps: complex,
         return float(s0), float(s1)
 
 
+def iv_oracle(order: int, x: float, terms: int = 80) -> float:
+    """I_order(x) from its ascending series, each order summed on its own."""
+    total = 0.0
+    term = (x / 2.0) ** order / math.factorial(order)
+    for k in range(terms):
+        total += term
+        term *= (x / 2.0) ** 2 / ((k + 1) * (k + 1 + order))
+        if term < total * 1e-17:
+            break
+    return total
+
+
+def visibility_oracle(n1: float) -> float:
+    """2 I_1^2 I_2 / I_0^3 from `iv_oracle`."""
+    return 2.0 * iv_oracle(1, n1) ** 2 * iv_oracle(2, n1) / iv_oracle(0, n1) ** 3
+
+
+def solve_oracle(target: float) -> float:
+    """The n1 in [1e-150, 20] with V(n1) = target, by bisection on ln n1.
+
+    V is compared as ln 2 + 2 ln(I_1/I_0) + ln(I_2/I_0), so a target down
+    to the smallest subnormal, whose root is about 3e-81, is bisected as
+    finely as one near 1; no Bessel ratio underflows above n1 = 1e-150.
+    """
+    ln_target = math.log(target)
+    lo, hi = math.log(1e-150), math.log(20.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        n1 = math.exp(mid)
+        i0 = iv_oracle(0, n1)
+        ln_v = (math.log(2.0 * iv_oracle(2, n1) / i0)
+                + 2.0 * math.log(iv_oracle(1, n1) / i0))
+        if ln_v < ln_target:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
 # -- single-order accessors ---------------------------------------------------
 
 def spherical_bessel_j(ell: int, z) -> complex:

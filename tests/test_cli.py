@@ -171,7 +171,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
-                                    "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6",
+                                    "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
                                     "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
@@ -268,6 +268,23 @@ def test_bad_mass_is_reported_in_amu(tmp_path, capsys):
         capsys.readouterr()
         assert run([*argv, "--out", str(tmp_path / "f.csv")]) == EXIT_USAGE
         assert "got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_mass_that_underflows_in_kg_is_reported_in_amu(tmp_path, monkeypatch, capsys,
+                                                         source):
+    # 1e-320 amu is 0.0 kg
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        argv = ["budget", "--mass-amu", "1e-320"]
+    else:
+        Path("tiny.ini").write_text(CONFIG_TEXT.replace("mass_amu = 1e6", "mass_amu = 1e-320"))
+        argv = ["--config", "tiny.ini", "budget"]
+    assert run([*argv, "--out", "b.json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1e-320 amu" in captured.err
+    assert sorted(os.listdir(tmp_path)) == (["tiny.ini"] if source == "config" else [])
 
 
 def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):

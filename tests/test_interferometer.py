@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cslsim.interferometer as interferometer
 from cslsim.errors import DomainError, UnachievableTargetError
@@ -15,33 +16,7 @@ from cslsim.interferometer import (
 )
 from cslsim.mie import absorption_profile
 from cslsim.params import default_grating, gold_cluster
-
-
-# -- independent oracle: visibility from ascending Bessel-I series ------------
-
-def iv_oracle(order, x, terms=80):
-    total = 0.0
-    term = (x / 2.0) ** order / math.factorial(order)
-    for k in range(terms):
-        total += term
-        term *= (x / 2.0) ** 2 / ((k + 1) * (k + 1 + order))
-        if term < total * 1e-17:
-            break
-    return total
-
-
-def visibility_oracle(n1):
-    return 2.0 * iv_oracle(1, n1) ** 2 * iv_oracle(2, n1) / iv_oracle(0, n1) ** 3
-
-
-def solve_oracle(target, lo=0.0, hi=20.0):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if visibility_oracle(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from oracles import iv_oracle, solve_oracle, visibility_oracle
 
 
 def test_zero_modulation_gives_zero_visibility():
@@ -66,27 +41,29 @@ def test_solve_matches_bisection_oracle(target):
         solve_oracle(target), rel=1e-8)
 
 
-def test_solve_needs_few_visibility_calls(monkeypatch):
-    calls = []
-
-    def counted(n1):
-        calls.append(n1)
-        return visibility(n1)
-
-    monkeypatch.setattr(interferometer, "visibility", counted)
+def test_solve_needs_few_visibility_calls():
+    # the solve calls no `visibility`: it stops at |ln V - ln V_target| <=
+    # 1e-13 on its own fused series, so the public visibility at its root
+    # must meet that stop, give or take rounding between the two formulas
     for k in range(25):
-        calls.clear()
-        solve_modulation_for_visibility(0.5 + 1.2 * k / 24)
-        assert len(calls) <= 20
+        target = 0.5 + 1.2 * k / 24
+        n1 = solve_modulation_for_visibility(target)
+        assert abs(math.log(visibility(n1)) - math.log(target)) <= 2e-13
 
 
-def test_solve_needs_few_fused_bessel_passes(monkeypatch):
-    # log-spaced over [1e-12, 1], linear over [1, V(20)), and the last
-    # double below the bracket top
-    top = interferometer._V_BRACKET_MAX
-    targets = ([10.0 ** (-12 + 12 * k / 1001) for k in range(1002)]
-               + [1.0 + (top - 1.0) * k / 1001 for k in range(1001)]
-               + [math.nextafter(top, 0.0)])
+# log-spaced over [1e-12, 1], linear over [1, V(20)), and the last double
+# below the bracket top
+_TOP = interferometer._V_BRACKET_MAX
+_BELOW_TOP = math.nextafter(_TOP, 0.0)
+SOLVE_TARGETS = ([10.0 ** (-12 + 12 * k / 1001) for k in range(1002)]
+                 + [1.0 + (_TOP - 1.0) * k / 1001 for k in range(1001)]
+                 + [_BELOW_TOP])
+# the band of visibilities that perfbench's point_reports draws from
+BAND_TARGETS = [0.80 + 0.10 * k / 500 for k in range(501)]
+
+
+@pytest.fixture
+def triple_calls(monkeypatch):
     calls = []
     triple = interferometer._iv012_scaled
 
@@ -95,10 +72,35 @@ def test_solve_needs_few_fused_bessel_passes(monkeypatch):
         return triple(x)
 
     monkeypatch.setattr(interferometer, "_iv012_scaled", counted)
-    for target in targets:
-        calls.clear()
+    return calls
+
+
+def test_solve_needs_few_fused_bessel_passes(triple_calls):
+    for target in SOLVE_TARGETS:
+        triple_calls.clear()
         solve_modulation_for_visibility(target)
-        assert 1 <= len(calls) <= 8
+        assert 1 <= len(triple_calls) <= 8
+
+
+@pytest.mark.parametrize("targets,most", [(SOLVE_TARGETS, 4), (BAND_TARGETS, 3)],
+                         ids=["grid", "band"])
+def test_halley_steps_bound_the_fused_passes(triple_calls, targets, most):
+    for target in targets:
+        triple_calls.clear()
+        solve_modulation_for_visibility(target)
+        assert 1 <= len(triple_calls) <= most, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.floats(math.log(5e-324), math.log(_BELOW_TOP)).map(
+        lambda s: min(max(math.exp(s), 5e-324), _BELOW_TOP)),
+    st.sampled_from([5e-324, math.nextafter(0.3, 0.0), 0.3, math.nextafter(0.3, 1.0),
+                     _BELOW_TOP])))
+def test_solve_over_extreme_targets_matches_the_oracle(target):
+    n1 = solve_modulation_for_visibility(target)
+    assert 0.0 <= n1 <= 20.0
+    assert n1 == pytest.approx(solve_oracle(target), rel=1e-10)
 
 
 def test_solve_matches_bisection_oracle_on_a_dense_grid():

@@ -28,13 +28,13 @@ SWEEP_DIGESTS = {
         ([], {"out.csv":
               "37f0996fa46701354ec79823a0525e1d4d175e11d71442b1b19f96a03fea1178"}),
     ],
-    "fig2.v7": [
+    "fig2.v8": [
         ([], {"out.csv":
-              "c0ba1fece254dfe1d82fdd78bc904a1404bd18672f9d4f43310f6655bbd9169e"}),
+              "cfd92ead215496a039aac25ea7c8b2bbf599241cf20c0c9830c438085774bc8b"}),
         (["--mass-range=5:10.5:600", "--target-V=0.85"], {"out.csv":
-              "8b5f35a6219282decb0259e3b05d4fa0a98ec4eec1c6dba55384e106a6c198fa"}),
+              "b2efd9ada140085b39859d309ce572582ea323f941b18d89f6cda0b549876523"}),
         (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
-              "d39688df090c6f7a88219199f9126f03c32fa060941ed86b524a4b82b92aac0c"}),
+              "1282eb79f3be7015a051a2ac8ca9804a2c56ed4a5cbf7e7a62dfdbbb5d52fa72"}),
     ],
     "fig3.v3": [
         ([], {"out_m1e+06.csv":
@@ -58,7 +58,7 @@ README_CONFIG_DIGESTS = [
     (["budget"], "4ec124c5b3e95f9a1f9a9506b0616d2f556325089d3139a2e01b29328e0c7709"),
     (["observables"], "bd07180375bde38c7c7299dc45a4fd711102f9a2da9f9fbfb3a3f27d80363430"),
     (["fig2", "--mass-range=5:8:9"],
-     "fcc341aac32190aa75421b4a5c380ce453297012e43d0e59be93f4afa0297435"),
+     "578b0dc198707544b3b4aec4f20b5098a8410b907730f2d161f72288397fbd5a"),
 ]
 
 
