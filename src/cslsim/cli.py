@@ -27,7 +27,6 @@ from .decoherence import DEFAULT_MODEL, critical_contour, decoherence_budget
 from .errors import (
     ConfigError,
     CslSimError,
-    DomainError,
     GeometryError,
     NonConvergenceError,
     UnachievableTargetError,
@@ -35,7 +34,6 @@ from .errors import (
 from .interferometer import (
     flux_for_target_visibility,
     observables_from_profile,
-    solve_modulation_for_visibility,
     transmissivity,
 )
 from .mie import absorption_profile
@@ -236,35 +234,20 @@ def _fig2_files(args: dict, out: str | None) -> dict:
     if not math.isfinite(target_v):
         raise ConfigError(f"'target_v' must be finite, got {target_v}")
     masses = _log_grid(args, "lo_log10", "hi_log10", "steps")
-    # n1 at the target V depends on neither the mass nor the Talbot order
-    try:
-        n1_target = solve_modulation_for_visibility(target_v)
-    except UnachievableTargetError:
-        n1_target = None
     rows = [FIG2_HEADER]
     for mass_amu in masses:
         sp = _species_from(args, mass_amu)
-        radius = cluster_radius(sp)
-        cells = [_fmt(mass_amu), _fmt(radius * 1e9)]
-        if n1_target is None:
-            rows.append(",".join(cells + ["nan"] * 4 + ["unreachable"]))
-            continue
-        # one Mie evaluation per mass, at unit flux; a sphere past the
-        # geometry guard has none, and the flux solve raises for it.  A Mie
-        # DomainError is a bad species, not an unreachable row.
-        reference = (absorption_profile(sp, grating, 1.0)
-                     if radius < grating.period else None)
+        cells = [_fmt(mass_amu), _fmt(cluster_radius(sp) * 1e9)]
         try:
-            flux = flux_for_target_visibility(sp, grating, target_v,
-                                              n1_target=n1_target, reference=reference)
-            profile = reference.scaled_to(flux)
-            trans = transmissivity(profile.n0, profile.n1)
-            cells += [_fmt(flux), _fmt(profile.n0), _fmt(profile.n1), _fmt(trans), "ok"]
+            flux = flux_for_target_visibility(sp, grating, target_v)
         except GeometryError:
             cells += ["nan"] * 4 + ["geometry_error"]
-        except DomainError:
-            # n1 <= 0 at this sphere size: no flux reaches the target V
+        except UnachievableTargetError:
             cells += ["nan"] * 4 + ["unreachable"]
+        else:
+            unit = absorption_profile(sp, grating, 1.0)  # the flux solve's, from the cache
+            n0, n1 = unit.n0 * flux, unit.n1 * flux
+            cells += [_fmt(flux), _fmt(n0), _fmt(n1), _fmt(transmissivity(n0, n1)), "ok"]
         rows.append(",".join(cells))
     return {out: _csv(rows)}
 

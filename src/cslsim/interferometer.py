@@ -7,6 +7,7 @@ flux that realizes a target visibility.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,8 @@ def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
     )
 
 
+# n1 depends on the target alone, and a sweep asks for one target for every mass
+@functools.lru_cache(maxsize=1)
 def solve_modulation_for_visibility(v_target: float) -> float:
     """Invert the visibility for n1 on its first monotone branch.
 
@@ -126,21 +129,17 @@ def solve_modulation_for_visibility(v_target: float) -> float:
 
 
 def flux_for_target_visibility(species: ClusterSpecies, grating: GratingConfig,
-                               v_target: float, *, n1_target: float | None = None,
-                               reference: AbsorptionProfile | None = None) -> float:
+                               v_target: float) -> float:
     """Pulse flux that realizes the target visibility for this species.
 
-    n1 is exactly linear in the flux, so one profile evaluation at a
-    reference flux fixes the slope and the solve reduces to a 1-D root
-    find for n1 followed by a division.  A sweep passes the n1 it solved
-    once for every mass, and the species' profile that it already holds.
+    n1 is exactly linear in the flux, so the solve for n1 and one profile
+    at unit flux fix it by a division.  A species whose profile has no
+    modulation reaches no visibility at any flux.
     """
-    if n1_target is None:
-        n1_target = solve_modulation_for_visibility(v_target)
-    if reference is None:
-        reference = absorption_profile(species, grating, flux=1.0)
-    if reference.n1 <= 0.0:
-        raise DomainError(
+    n1_target = solve_modulation_for_visibility(v_target)
+    unit = absorption_profile(species, grating, 1.0)
+    if unit.n1 <= 0.0:
+        raise UnachievableTargetError(
             f"species {species.label!r} has no absorption modulation; "
             "cannot reach a nonzero visibility")
-    return n1_target / reference.n1 * reference.flux
+    return n1_target / unit.n1

@@ -41,11 +41,6 @@ class AbsorptionProfile:
             raise DomainError(
                 f"n(x) would go negative: n0={self.n0}, n1={self.n1}")
 
-    def scaled_to(self, flux: float) -> "AbsorptionProfile":
-        """Both parameters are exactly linear in the pulse flux."""
-        s = flux / self.flux
-        return AbsorptionProfile(self.n0 * s, self.n1 * s, flux, self.truncation_order)
-
 
 def _refractive_root(eps: complex) -> complex:
     # Principal branch; Im(sqrt(eps)) >= 0 so waves decay into the sphere.

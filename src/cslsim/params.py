@@ -67,11 +67,11 @@ def pa_to_mbar(p_pa: float) -> float:
     return p_pa / MBAR_TO_PA
 
 
-def _cluster_kg(mass_amu: float) -> float:
+def _cluster_kg(mass_amu: float, name: str = "mass") -> float:
     # checked in kg, where a tiny mass underflows to 0, but named as given
     mass = amu_to_kg(mass_amu)
     if not (mass > 0.0 and math.isfinite(mass)):
-        raise DomainError(f"mass must be positive and finite in kg, got {mass_amu} amu")
+        raise DomainError(f"{name} must be positive and finite in kg, got {mass_amu} amu")
     return mass
 
 
@@ -191,12 +191,11 @@ class EnvironmentConfig:
     def __post_init__(self):
         if not (self.gas_pressure >= 0.0 and math.isfinite(self.gas_pressure)):
             raise DomainError("gas_pressure must be >= 0")
-        for name in ("gas_temperature", "environment_temperature", "cluster_temperature"):
+        for name in ("gas_temperature", "environment_temperature", "cluster_temperature",
+                     "gas_mass", "gas_polarizability_volume"):
             value = getattr(self, name)
             if value is not None and not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"{name} must be positive")
-        if self.gas_mass <= 0.0 or self.gas_polarizability_volume <= 0.0:
-            raise DomainError("gas_mass and gas_polarizability_volume must be positive")
+                raise DomainError(f"{name} must be positive and finite, got {value}")
 
     @property
     def radiation_temperature(self) -> float:
@@ -249,10 +248,10 @@ _CONFIG_KEYS = {
     "grating": {"wavelength_nm": ("laser_wavelength", lambda nm: nm * 1e-9),
                 "talbot_order": ("talbot_order", int), "flux_J_m2": ("laser_flux", float)},
     "csl": {"rc_nm": ("r_c", lambda nm: nm * 1e-9), "lambda0_hz": ("lambda0", float),
-            "m0_amu": ("m0", amu_to_kg)},
+            "m0_amu": ("m0", lambda amu: _cluster_kg(amu, "m0"))},
     "environment": {"pressure_mbar": ("gas_pressure", mbar_to_pa),
                     "gas_temperature_K": ("gas_temperature", float),
-                    "gas_mass_amu": ("gas_mass", amu_to_kg),
+                    "gas_mass_amu": ("gas_mass", lambda amu: _cluster_kg(amu, "gas_mass")),
                     "gas_polarizability_A3": ("gas_polarizability_volume", lambda a: a * 1e-30),
                     "environment_temperature_K": ("environment_temperature", float),
                     "cluster_temperature_K": ("cluster_temperature", float)},

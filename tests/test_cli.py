@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cslsim import params
 from cslsim.cli import (
@@ -287,6 +287,19 @@ def test_a_mass_that_underflows_in_kg_is_reported_in_amu(tmp_path, monkeypatch, 
     assert sorted(os.listdir(tmp_path)) == (["tiny.ini"] if source == "config" else [])
 
 
+@pytest.mark.parametrize("section,key,name", [("csl", "m0_amu", "m0"),
+                                               ("environment", "gas_mass_amu", "gas_mass")])
+def test_a_config_mass_that_underflows_in_kg_is_reported_in_amu(tmp_path, monkeypatch, capsys,
+                                                                section, key, name):
+    monkeypatch.chdir(tmp_path)
+    Path("tiny.ini").write_text(f"{CONFIG_TEXT}\n[{section}]\n{key} = 1e-320\n")
+    assert run(["--config", "tiny.ini", "budget", "--out", "b.json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be positive and finite in kg, got 1e-320 amu" in captured.err
+    assert os.listdir(tmp_path) == ["tiny.ini"]
+
+
 def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
     import cslsim.cli
 
@@ -325,6 +338,27 @@ def test_fig2_ok_rows_carry_the_scalar_flux(tmp_path):
         if row[-1] == "ok":
             flux = flux_for_target_visibility(gold_cluster(float(row[0])), grating, 0.8)
             assert float(row[2]) == pytest.approx(flux, rel=1e-12)
+
+
+def test_a_fig2_sweep_shares_one_n1_solve_and_one_mie_evaluation_per_row(tmp_path,
+                                                                         monkeypatch):
+    import cslsim.interferometer
+    import cslsim.mie
+
+    def counted(module, name):
+        calls, original = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    sums = counted(cslsim.mie, "absorption_sums")
+    passes = counted(cslsim.interferometer, "_iv012_scaled")  # the n1 solve's series
+    out = tmp_path / "fig2.csv"
+    assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=0.8",
+                "--out", str(out)]) == EXIT_OK
+    statuses = [r.split(",")[-1] for r in read_rows(out)[1:]]
+    assert set(statuses) == {"ok", "unreachable", "geometry_error"}
+    assert len(sums) == len(statuses) - statuses.count("geometry_error")
+    assert 1 <= len(passes) <= 4
 
 
 @given(st.floats(3.0, 11.0), st.floats(0.01, 2.0), st.integers(1, 12), st.floats(0.05, 1.7))
@@ -794,7 +828,8 @@ def test_csv_uses_lf_and_17_sig_figs(tmp_path):
     assert float(value) == float(f"{float(value):.17g}")
 
 
-# Float values that reach the numerics from a config file or an edited manifest.
+# Float values that reach the numerics from an edited manifest (a config file
+# can also give nan and inf).
 FUZZ_VALUES = [v for v in EXTREME_VALUES if v not in ("nan", "inf")]
 FUZZ_ARGV = {"fig1": ["--lambda0-range=-12:-8:3"], "fig2": ["--mass-range=5:8:4"],
              "fig3": [*FIG3_SMALL[1:], "--T-range=4:400:5"], "observables": []}
@@ -832,7 +867,10 @@ def _assert_documented_exit(argv, work, keep):
 
 
 @given(st.sampled_from(sorted(FUZZ_ARGV)), st.sampled_from(CONFIG_FLOATS),
-       st.sampled_from(FUZZ_VALUES))
+       st.sampled_from(EXTREME_VALUES))
+@example("fig3", ("environment", "gas_mass_amu"), "nan")
+@example("fig3", ("environment", "gas_polarizability_A3"), "nan")
+@example("fig3", ("environment", "gas_polarizability_A3"), "inf")
 @settings(max_examples=200, deadline=None)
 def test_config_floats_end_in_a_documented_exit_code(command, section_key, value):
     with tempfile.TemporaryDirectory() as tmp:

@@ -101,8 +101,7 @@ def test_flux_linearity():
     p2 = absorption_profile(species, grating, flux=2.0)
     assert p2.n0 == pytest.approx(2.0 * p1.n0, rel=1e-14)
     assert p2.n1 == pytest.approx(2.0 * p1.n1, rel=1e-14)
-    p3 = p1.scaled_to(2.0)
-    assert p3.n0 == p2.n0 and p3.n1 == p2.n1
+    assert 2.0 * p1.n0 == p2.n0 and 2.0 * p1.n1 == p2.n1
 
 
 def test_geometry_depends_only_on_rho():
