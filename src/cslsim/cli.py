@@ -279,8 +279,10 @@ def _fig3_files(args: dict, out: str | None) -> dict:
     """One CSV per mass, named <stem>_m<mass><suffix>.
 
     Two masses that agree in the six digits of the name would share a
-    file, so they are refused before anything is computed.
+    file, so they are refused before anything is computed, as is out "-".
     """
+    if out == "-":
+        raise ConfigError("fig3 writes one file per mass: --out must name a file, not -")
     if not args["masses_amu"]:
         raise ConfigError("'masses_amu' must list at least one mass in amu")
     if not 0.0 < args["level"] < 1.0:
@@ -385,7 +387,10 @@ def _same_type(value, like) -> bool:
 
 def _manifest_args(path: str, argv: list[str]) -> tuple[str, dict]:
     """The command and `args` of a manifest this build can reproduce."""
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
+        raise ConfigError(f"malformed manifest {path}: {exc}") from None
     command = manifest.get("command") if isinstance(manifest, dict) else None
     args = manifest.get("args") if command in SWEEPS else None
     if not isinstance(args, dict):
@@ -504,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
                                      for section, key, flag in _FLAG_KEYS
                                      if getattr(ns, flag, None) is not None])
         _run(ns, config, argv)
-    except (CslSimError, OSError, json.JSONDecodeError) as exc:
+    except (CslSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, GeometryError):
             return EXIT_GEOMETRY

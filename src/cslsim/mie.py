@@ -42,60 +42,6 @@ class AbsorptionProfile:
                 f"n(x) would go negative: n0={self.n0}, n1={self.n1}")
 
 
-def _refractive_root(eps: complex) -> complex:
-    # Principal branch; Im(sqrt(eps)) >= 0 so waves decay into the sphere.
-    u = cmath.sqrt(eps)
-    if u.imag < 0.0:
-        u = -u
-    return u
-
-
-def multipole_orders(rho: float, eps: complex, lmax: int):
-    """(sigma_E, sigma_H) for l = 1 .. lmax at scaled radius rho = k_L R.
-
-    Both have degree 0 in the normalization of j_l(u rho): they read only
-    the ratios r_l = j_(l-1)(u rho) / j_l(u rho), built here once, and
-    h_l(rho) through moduli, carried upward inside the order loop as
-    q_l = h_(l-1) / h_l and |1 / h_l|^2 (relative error O(l eps_mach);
-    |1 / h_l|^2 underflows to 0, never overflows).  Each pair is computed
-    only when drawn, so a sum that stops early pays for no later order.
-    The ratio pass takes O(|u rho|) steps, so |u| rho is bounded by MAX_ORDER.
-    """
-    if lmax < 1 or lmax > _LMAX:
-        raise DomainError(f"lmax must be in [1, {_LMAX}], got {lmax}")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be positive, got {rho}")
-    eps = complex(eps)
-    if eps.imag < 0.0:
-        raise DomainError("Im(eps) must be >= 0")
-    u = _refractive_root(eps)
-    if abs(u) * rho > MAX_ORDER:
-        raise DomainError(f"|sqrt(eps)| rho must be at most {MAX_ORDER}, got {abs(u) * rho:.4g}")
-    return _orders(rho, eps, u, spherical_jn_ratios(lmax + 1, u * rho))
-
-
-def _orders(rho, eps, u, rs):
-    # With r = r_l, q = q_l and a = |1/h_l|^2 (primed at l + 1):
-    #   sigma_E = Im(eps conj(u rho r - l)) a / |l (eps-1) + u rho (r - u q)|^2
-    #   sigma_H = Im(u r) a' / (rho |1 - u q' / r'|^2)
-    urho = u * rho
-    em1 = eps - 1.0
-    q = 1j * rho / (rho + 1j)             # h_0 / h_1
-    a = rho ** 4 / (rho * rho + 1.0)      # |1 / h_1|^2
-    for l, r, rp in zip(range(1, len(rs)), rs, rs[1:]):
-        qp = 1.0 / ((2 * l + 1) / rho - q)
-        ap = a * abs(qp) ** 2
-        den_e = abs(l * em1 + urho * (r - u * q)) ** 2
-        if den_e < _DEGENERATE_DEN:
-            raise ResonanceError(f"degenerate sigma_E denominator at l={l}, rho={rho}")
-        den_h = abs(1.0 - u * qp / rp) ** 2
-        if den_h < _DEGENERATE_DEN:
-            raise ResonanceError(f"degenerate sigma_H denominator at l={l}, rho={rho}")
-        yield ((eps * (urho * r - l).conjugate()).imag * a / den_e,
-               (u * r).imag * ap / (rho * den_h))
-        q, a = qp, ap
-
-
 def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     """Dimensionless multipole sums (S0, S1) and the order l they stopped at.
 
@@ -105,19 +51,53 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
         S0 = sum_l (2l+1) pi / rho * (sigma_E - sigma_H)
         S1 = sum_l (2l+1) pi / rho * (-1)^(l-1) * (sigma_E + sigma_H)
 
-    Both carry the common prefactor 4 F_L / (h nu_L k_L^2) in n0, n1.  The
-    sums stop once _TAIL_RUN consecutive terms fall below _TAIL_TOL of the
-    partial sum.  A budget that runs out first is doubled, up to _LMAX, and
-    the sums start again; sums that still fail the test at _LMAX raise
+    Both carry the common prefactor 4 F_L / (h nu_L k_L^2) in n0, n1.  Each
+    order reads the ratios r_l = j_(l-1)(u rho) / j_l(u rho), one O(|u rho|)
+    pass per budget (so |u| rho <= MAX_ORDER), and h_l(rho) through moduli,
+    carried upward as q_l = h_(l-1) / h_l and |1 / h_l|^2 (relative error
+    O(l eps_mach); |1 / h_l|^2 underflows to 0, never overflows).
+
+    The sums stop once _TAIL_RUN consecutive terms fall below _TAIL_TOL of
+    the partial sum.  A budget that runs out first is doubled, up to _LMAX,
+    and the sums start again; sums that still fail the test at _LMAX raise
     NonConvergenceError, so only converged sums are returned.
     """
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise DomainError(f"rho must be positive, got {rho}")
+    eps = complex(eps)
+    if eps.imag < 0.0:
+        raise DomainError("Im(eps) must be >= 0")
+    # Principal branch; Im(sqrt(eps)) >= 0 so waves decay into the sphere.
+    u = cmath.sqrt(eps)
+    if u.imag < 0.0:
+        u = -u
+    if abs(u) * rho > MAX_ORDER:
+        raise DomainError(f"|sqrt(eps)| rho must be at most {MAX_ORDER}, got {abs(u) * rho:.4g}")
+    # With r = r_l, q = q_l and a = |1/h_l|^2 (primed at l + 1):
+    #   sigma_E = Im(eps conj(u rho r - l)) a / |l (eps-1) + u rho (r - u q)|^2
+    #   sigma_H = Im(u r) a' / (rho |1 - u q' / r'|^2)
+    urho = u * rho
+    em1 = eps - 1.0
     budget = _FIRST_BUDGET
     while True:
-        s0 = 0.0
-        s1 = 0.0
+        rs = spherical_jn_ratios(budget + 1, urho)
+        q = 1j * rho / (rho + 1j)             # h_0 / h_1
+        a = rho ** 4 / (rho * rho + 1.0)      # |1 / h_1|^2
+        s0 = s1 = 0.0
         sign = 1.0  # (-1)^(l-1)
         run = 0
-        for l, (se, sh) in enumerate(multipole_orders(rho, eps, budget), 1):
+        for l, r, rp in zip(range(1, budget + 1), rs, rs[1:]):
+            qp = 1.0 / ((2 * l + 1) / rho - q)
+            ap = a * abs(qp) ** 2
+            den_e = abs(l * em1 + urho * (r - u * q)) ** 2
+            if den_e < _DEGENERATE_DEN:
+                raise ResonanceError(f"degenerate sigma_E denominator at l={l}, rho={rho}")
+            den_h = abs(1.0 - u * qp / rp) ** 2
+            if den_h < _DEGENERATE_DEN:
+                raise ResonanceError(f"degenerate sigma_H denominator at l={l}, rho={rho}")
+            se = (eps * (urho * r - l).conjugate()).imag * a / den_e
+            sh = (u * r).imag * ap / (rho * den_h)
+            q, a = qp, ap
             weight = (2 * l + 1) * math.pi / rho
             d0 = weight * (se - sh)
             d1 = weight * sign * (se + sh)

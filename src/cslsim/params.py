@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -120,8 +121,10 @@ class GratingConfig:
     def __post_init__(self):
         if not (self.laser_wavelength > 0.0 and math.isfinite(self.laser_wavelength)):
             raise DomainError("laser_wavelength must be positive")
-        if not (isinstance(self.talbot_order, int) and self.talbot_order >= 1):
-            raise DomainError("talbot_order must be a positive integer")
+        # the Talbot time scales with the order, so it must have a double value
+        order = self.talbot_order
+        if not (isinstance(order, int) and 1 <= order <= sys.float_info.max):
+            raise DomainError(f"talbot_order must be an integer from 1 to {sys.float_info.max:g}")
         if not (self.laser_flux >= 0.0 and math.isfinite(self.laser_flux)):
             raise DomainError("laser_flux must be >= 0")
 

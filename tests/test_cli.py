@@ -397,13 +397,23 @@ def test_a_permittivity_past_the_bessel_bound_is_a_usage_error(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_unreadable_manifest_is_usage_error(tmp_path):
+def test_unreadable_manifest_is_usage_error(tmp_path, capsys):
     assert run(["rerun", "--manifest", str(tmp_path / "missing.json")]) == EXIT_USAGE
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run(["rerun", "--manifest", str(broken)]) == EXIT_USAGE
     broken.write_text("[]")
     assert run(["rerun", "--manifest", str(broken)]) == EXIT_USAGE
+    # bytes that are not UTF-8, arrays nested past the parser's recursion
+    # limit, and an integer past the int-from-text digit limit
+    for content in (b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+                    b'{"command": "fig1", "args": {"threshold": 1' + b"0" * 5000 + b"}}"):
+        broken.write_bytes(content)
+        capsys.readouterr()
+        assert run(["rerun", "--manifest", str(broken)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"malformed manifest {broken}" in captured.err
 
 
 def test_unwritable_output_is_usage_error(tmp_path):
@@ -567,6 +577,46 @@ def test_a_fig3_manifest_past_float_range_is_usage_error(tmp_path, capsys, key, 
                 "--out", str(tmp_path / "replay.csv")]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("replay*"))
+
+
+def test_a_talbot_order_past_float_range_is_usage_error(tmp_path, monkeypatch, capsys):
+    # 10**400 has no double value, and the Talbot time scales with the order
+    monkeypatch.chdir(tmp_path)
+    order = str(10 ** 400)
+    for argv in (["fig1", "--lambda0-range=-12:-10:3"], [*FIG3_SMALL, "--T-range=4:400:3"],
+                 ["budget"]):
+        assert run([*argv, f"--talbot-order={order}", "--out", "out.csv"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "talbot_order" in captured.err
+        assert os.listdir(tmp_path) == []
+    assert run(["fig1", "--lambda0-range=-12:-10:3", "--out", "fig1.csv"]) == EXIT_OK
+    meta = json.loads(Path("fig1.csv.manifest.json").read_text())
+    meta["args"]["talbot_order"] = 10 ** 400
+    Path("fig1.csv.manifest.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", "fig1.csv.manifest.json", "--out", "replay.csv"]) \
+        == EXIT_USAGE
+    assert "talbot_order" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["fig1.csv", "fig1.csv.manifest.json"]
+
+
+def test_fig3_refuses_stdout_as_its_output(tmp_path, monkeypatch, capsys):
+    # fig3 names one file per mass after --out, so "-" names none
+    made, cwd = tmp_path / "made", tmp_path / "cwd"
+    made.mkdir()
+    cwd.mkdir()
+    fig3 = [*FIG3_SMALL, "--T-range=4:400:3"]
+    assert run([*fig3, "--out", str(made / "fig3.csv")]) == EXIT_OK
+    monkeypatch.chdir(cwd)
+    for argv in ([*fig3, "--out", "-"],
+                 ["rerun", "--manifest", str(made / "fig3.csv.manifest.json"), "--out", "-"]):
+        capsys.readouterr()
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+        assert os.listdir(cwd) == []
 
 
 @pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "observables"])

@@ -8,11 +8,7 @@ import cslsim.mie as mie
 from cslsim.cli import EXIT_NONCONVERGENCE, main
 from cslsim.errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
 from cslsim.interferometer import flux_for_target_visibility, observables
-from cslsim.mie import (
-    absorption_profile,
-    absorption_sums,
-    multipole_orders,
-)
+from cslsim.mie import absorption_profile, absorption_sums
 from cslsim.params import (
     PLANCK_H,
     ClusterSpecies,
@@ -65,6 +61,16 @@ def mie_absorption_cross_section_oracle(x, eps, nmax=40):
 
 # -- multipole components -----------------------------------------------------
 
+def partial_sums(monkeypatch, rho, eps, orders):
+    """(S0, S1) through exactly `orders` multipole orders: an infinite tail
+    bound passes every term, so the sums stop after _TAIL_RUN of them."""
+    monkeypatch.setattr(mie, "_TAIL_TOL", math.inf)
+    monkeypatch.setattr(mie, "_TAIL_RUN", orders)
+    s0, s1, used = absorption_sums(rho, eps)
+    assert used == orders
+    return s0, s1
+
+
 def test_lossless_sphere_absorbs_nothing():
     s0, s1, _ = absorption_sums(0.5, 2.25 + 0.0j)
     assert s0 == 0.0
@@ -80,9 +86,14 @@ def test_dipole_limit_small_sphere():
     assert profile.n0 == pytest.approx(n0_dipole, rel=0.01)
 
 
-def test_quadrupole_suppression_at_small_rho():
+def test_quadrupole_suppression_at_small_rho(monkeypatch):
+    # order l adds (2l+1) pi / rho (sigma_E - sigma_H) to S0 and
+    # (-1)^(l-1) (2l+1) pi / rho (sigma_E + sigma_H) to S1
     rho = 0.05
-    (se1, _), (se2, _) = multipole_orders(rho, GOLD_EPS, 2)
+    s0_1, s1_1 = partial_sums(monkeypatch, rho, GOLD_EPS, 1)
+    s0_2, s1_2 = partial_sums(monkeypatch, rho, GOLD_EPS, 2)
+    se1 = rho / (6.0 * math.pi) * (s0_1 + s1_1)
+    se2 = rho / (10.0 * math.pi) * ((s0_2 - s0_1) - (s1_2 - s1_1))
     assert abs(se2 / se1) < 50.0 * rho ** 2
 
 
@@ -120,11 +131,14 @@ def test_geometry_depends_only_on_rho():
     assert p2.n1 == pytest.approx(p1.n1, rel=1e-12)
 
 
-def test_n0_series_sign_structure():
-    # every assembled n0 term is >= 0 for an absorbing sphere
+def test_n0_series_sign_structure(monkeypatch):
+    # every assembled n0 term is >= 0 for an absorbing sphere, so the
+    # partial sums of S0 never decrease
     for rho in (0.05, 0.3, 0.64, 1.5):
-        contributions = [se - sh for se, sh in multipole_orders(rho, GOLD_EPS, 30)]
-        assert all(c >= -1e-25 for c in contributions)
+        with monkeypatch.context() as patch:
+            partial = [partial_sums(patch, rho, GOLD_EPS, orders)[0]
+                       for orders in range(1, 31)]
+        assert all(a <= b for a, b in zip(partial, partial[1:]))
         s0, _, _ = absorption_sums(rho, GOLD_EPS)
         assert s0 > 0.0
 
@@ -167,15 +181,11 @@ def test_geometry_guard_rejects_large_sphere():
 
 def test_multipole_components_domain_errors():
     with pytest.raises(DomainError):
-        multipole_orders(0.5, GOLD_EPS, 0)
+        absorption_sums(-0.5, GOLD_EPS)
     with pytest.raises(DomainError):
-        multipole_orders(0.5, GOLD_EPS, mie._LMAX + 1)
-    with pytest.raises(DomainError):
-        multipole_orders(-0.5, GOLD_EPS, 1)
-    with pytest.raises(DomainError):
-        multipole_orders(0.5, 1.0 - 0.1j, 1)
+        absorption_sums(0.5, 1.0 - 0.1j)
     with pytest.raises(DomainError, match="sqrt"):
-        multipole_orders(3.0, 2e4 + 1j, 16)
+        absorption_sums(3.0, 2e4 + 1j)
 
 
 @pytest.mark.parametrize("eps", [GOLD_EPS, 1.5 + 0.01j])
@@ -188,14 +198,15 @@ def test_both_sums_match_the_mpmath_standing_wave_oracle(rho, eps):
 
 
 def _record_budgets(monkeypatch):
+    # each budget builds the Bessel ratios one order past it
     budgets = []
-    orders = mie.multipole_orders
+    ratios = mie.spherical_jn_ratios
 
-    def spy(rho, eps, lmax):
-        budgets.append(lmax)
-        return orders(rho, eps, lmax)
+    def spy(lmax, z):
+        budgets.append(lmax - 1)
+        return ratios(lmax, z)
 
-    monkeypatch.setattr(mie, "multipole_orders", spy)
+    monkeypatch.setattr(mie, "spherical_jn_ratios", spy)
     return budgets
 
 

@@ -296,16 +296,18 @@ def test_the_sign_of_a_zero_argument_does_not_reach_the_cached_series(first):
         assert math.copysign(1.0, bessel_I_scaled(1, x)) == 1.0
 
 
-def test_every_public_function_is_called_by_the_package_or_timed():
+@pytest.mark.parametrize("layer", ["specfun", "mie"])
+def test_every_public_function_is_called_by_the_package_or_timed(layer):
     # a helper that only tests call belongs in tests/oracles.py
+    import importlib
     import inspect
 
-    from cslsim import specfun
     from perfbench.tracing import WRAPPED, package_modules
 
-    bound = {id(value) for module in package_modules() if module is not specfun
-             for value in vars(module).values()}
-    unused = [name for name, f in inspect.getmembers(specfun, inspect.isfunction)
-              if f.__module__ == specfun.__name__ and not name.startswith("_")
-              and id(f) not in bound and name not in WRAPPED["specfun"]]
+    module = importlib.import_module(f"cslsim.{layer}")
+    bound = {id(value) for other in package_modules() if other is not module
+             for value in vars(other).values()}
+    unused = [name for name, f in inspect.getmembers(module, inspect.isfunction)
+              if f.__module__ == module.__name__ and not name.startswith("_")
+              and id(f) not in bound and name not in WRAPPED[layer]]
     assert unused == []
