@@ -7,18 +7,17 @@ sub-period regime R < d.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
 from .params import PLANCK_H, ClusterSpecies, GratingConfig, cluster_radius
-from .specfun import MAX_ORDER, spherical_jn_ratios
+from .specfun import MAX_ORDER, _jn_ratio_pass
 
 _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
 _TAIL_RUN = 5            # consecutive terms that must satisfy the bound
-_LMAX = MAX_ORDER - 1    # sigma_H at order l reads the ratios at l + 1
+_LMAX = MAX_ORDER - 1    # sigma_H at order l reads D at l + 1
 _DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
 # First order budget of the multipole sums: absorption_profile admits only
 # rho = k R < pi, where the tail test stops by l = 15 and the size estimate
@@ -51,11 +50,13 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
         S0 = sum_l (2l+1) pi / rho * (sigma_E - sigma_H)
         S1 = sum_l (2l+1) pi / rho * (-1)^(l-1) * (sigma_E + sigma_H)
 
-    Both carry the common prefactor 4 F_L / (h nu_L k_L^2) in n0, n1.  Each
-    order reads the ratios r_l = j_(l-1)(u rho) / j_l(u rho), one O(|u rho|)
-    pass per budget (so |u| rho <= MAX_ORDER), and h_l(rho) through moduli,
-    carried upward as q_l = h_(l-1) / h_l and |1 / h_l|^2 (relative error
-    O(l eps_mach); |1 / h_l|^2 underflows to 0, never overflows).
+    Both carry the common prefactor 4 F_L / (h nu_L k_L^2) in n0, n1.  With
+    u = sqrt(eps), each order reads D_l = u rho j_(l-1)(u rho) / j_l(u rho),
+    a function of w = eps rho^2 alone, so no square root is taken: one
+    O(sqrt|w|) pass per budget (so |w| <= MAX_ORDER^2).  It reads h_l(rho)
+    through moduli, carried upward as q_l = h_(l-1) / h_l and |1 / h_l|^2
+    (relative error O(l eps_mach); |1 / h_l|^2 underflows to 0, never
+    overflows).
 
     The sums stop once _TAIL_RUN consecutive terms fall below _TAIL_TOL of
     the partial sum.  A budget that runs out first is doubled, up to _LMAX,
@@ -67,38 +68,38 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     eps = complex(eps)
     if eps.imag < 0.0:
         raise DomainError("Im(eps) must be >= 0")
-    # Principal branch; Im(sqrt(eps)) >= 0 so waves decay into the sphere.
-    u = cmath.sqrt(eps)
-    if u.imag < 0.0:
-        u = -u
-    if abs(u) * rho > MAX_ORDER:
-        raise DomainError(f"|sqrt(eps)| rho must be at most {MAX_ORDER}, got {abs(u) * rho:.4g}")
-    # With r = r_l, q = q_l and a = |1/h_l|^2 (primed at l + 1):
-    #   sigma_E = Im(eps conj(u rho r - l)) a / |l (eps-1) + u rho (r - u q)|^2
-    #   sigma_H = Im(u r) a' / (rho |1 - u q' / r'|^2)
-    urho = u * rho
+    erho = eps * rho
+    w = erho * rho
+    if not abs(w) <= MAX_ORDER * MAX_ORDER:
+        raise DomainError(f"|sqrt(eps)| rho must be at most {MAX_ORDER}, "
+                          f"got {math.sqrt(abs(eps)) * rho:.4g}")
+    # With D = D_l, q = q_l and a = |1/h_l|^2 (primed at l + 1):
+    #   sigma_E = Im(eps conj(D - l)) a / |l (eps-1) + D - eps rho q|^2
+    #   sigma_H = Im(D) / rho * a' / (rho |1 - eps rho q' / D'|^2)
+    # sigma_H divides by rho twice, since rho^2 may underflow.
     em1 = eps - 1.0
     budget = _FIRST_BUDGET
     while True:
-        rs = spherical_jn_ratios(budget + 1, urho)
+        ds = _jn_ratio_pass(budget + 1, w)
         q = 1j * rho / (rho + 1j)             # h_0 / h_1
         a = rho ** 4 / (rho * rho + 1.0)      # |1 / h_1|^2
         s0 = s1 = 0.0
         sign = 1.0  # (-1)^(l-1)
         run = 0
-        for l, r, rp in zip(range(1, budget + 1), rs, rs[1:]):
-            qp = 1.0 / ((2 * l + 1) / rho - q)
+        for l, d, dp in zip(range(1, budget + 1), ds, ds[1:]):
+            n = 2 * l + 1
+            qp = 1.0 / (n / rho - q)
             ap = a * abs(qp) ** 2
-            den_e = abs(l * em1 + urho * (r - u * q)) ** 2
+            den_e = abs(l * em1 + d - erho * q) ** 2
             if den_e < _DEGENERATE_DEN:
                 raise ResonanceError(f"degenerate sigma_E denominator at l={l}, rho={rho}")
-            den_h = abs(1.0 - u * qp / rp) ** 2
+            den_h = abs(1.0 - erho * qp / dp) ** 2
             if den_h < _DEGENERATE_DEN:
                 raise ResonanceError(f"degenerate sigma_H denominator at l={l}, rho={rho}")
-            se = (eps * (urho * r - l).conjugate()).imag * a / den_e
-            sh = (u * r).imag * ap / (rho * den_h)
+            se = (eps * (d - l).conjugate()).imag * a / den_e
+            sh = d.imag / rho * ap / (rho * den_h)
             q, a = qp, ap
-            weight = (2 * l + 1) * math.pi / rho
+            weight = n * math.pi / rho
             d0 = weight * (se - sh)
             d1 = weight * sign * (se + sh)
             sign = -sign

@@ -126,7 +126,7 @@ class GratingConfig:
         if not (isinstance(order, int) and 1 <= order <= sys.float_info.max):
             raise DomainError(f"talbot_order must be an integer from 1 to {sys.float_info.max:g}")
         if not (self.laser_flux >= 0.0 and math.isfinite(self.laser_flux)):
-            raise DomainError("laser_flux must be >= 0")
+            raise DomainError(f"laser_flux must be >= 0 and finite, got {self.laser_flux}")
 
     @property
     def period(self) -> float:
@@ -171,7 +171,7 @@ class CslParams:
         if not (self.r_c > 0.0 and math.isfinite(self.r_c)):
             raise DomainError("r_c must be positive")
         if not (self.lambda0 >= 0.0 and math.isfinite(self.lambda0)):
-            raise DomainError("lambda0 must be >= 0")
+            raise DomainError(f"lambda0 must be >= 0 and finite, got {self.lambda0}")
         if not (self.m0 > 0.0 and math.isfinite(self.m0)):
             raise DomainError("m0 must be positive")
 
@@ -193,7 +193,7 @@ class EnvironmentConfig:
 
     def __post_init__(self):
         if not (self.gas_pressure >= 0.0 and math.isfinite(self.gas_pressure)):
-            raise DomainError("gas_pressure must be >= 0")
+            raise DomainError(f"gas_pressure must be >= 0 and finite, got {self.gas_pressure}")
         for name in ("gas_temperature", "environment_temperature", "cluster_temperature",
                      "gas_mass", "gas_polarizability_volume"):
             value = getattr(self, name)

@@ -2,21 +2,22 @@
 
 Provides what the physics layers consume:
 
-* the ratios r_l = j_(l-1)(z) / j_l(z) of spherical Bessel functions of
-  complex argument, from one downward pass r_l = (2l+1)/z - 1/r_(l+1),
+* for the Mie sums, D_l = z j_(l-1)(z) / j_l(z) as a function of w = z^2
+  alone, with no square root, from one downward pass D_l = (2l+1) - w / D_(l+1),
   started at the order where its error at lmax reaches rounding: the first
   order above lmax at which the dominant solution, recurred upward from
-  lmax on |z|, reaches 1e9,
+  lmax on |z| = sqrt|w|, reaches 1e9,
 * modified Bessel I_0, I_1, I_2, exponentially scaled, and ln I_0: below
   x = 30 all three come from one fused ascending series, above it from the
   asymptotic expansion;
 
 and, for the tests and the benchmark's tracer, spherical Bessel j_l (the
-upward product j_l = j_(l-1) / r_l, anchored on the larger closed form of
-j_0 and j_1) and Hankel h_l^(1) = j_l + i y_l of real x > 0 (upward y_l).
+upward product j_l = j_(l-1) / r_l with r_l = D_l / z, anchored on the
+larger closed form of j_0 and j_1) and Hankel h_l^(1) = j_l + i y_l of
+real x > 0 (upward y_l).
 
 The spherical Bessel functions accept |z| <= MAX_ORDER: the downward pass
-takes O(|z|) steps, and the Mie sums need |z| = |sqrt(eps)| rho < 6 for gold.
+takes O(|z|) steps, and the Mie sums need |z| = sqrt|eps rho^2| < 6 for gold.
 
 All functions are pure; the fused I_k series keeps its last few results.
 """
@@ -45,34 +46,35 @@ def _checked(lmax: int, z) -> complex:
     return z
 
 
-def spherical_jn_ratios(lmax: int, z) -> list:
-    """[r_1, .., r_lmax], r_l = j_(l-1)(z) / j_l(z), from one downward pass.
+def _jn_ratio_pass(lmax: int, w: complex) -> list:
+    """[D_1, .., D_lmax], D_l = z j_(l-1)(z) / j_l(z) with z^2 = w, from one
+    downward pass D_l = (2l+1) - w / D_(l+1).
 
-    The ratios stay finite for _TINY_Z <= |z| <= MAX_ORDER, so the pass
-    needs no rescaling.
+    The caller bounds |w| by MAX_ORDER^2.  w = 0, which a tiny z rounds to,
+    gives D_l = 2l + 1, the z -> 0 limit.
     """
-    z = _checked(lmax, z)
-    az = abs(z)
-    if az < _TINY_Z:
-        raise DomainError(f"j_(l-1)/j_l overflows below |z| = {_TINY_Z}, got {z}")
     # Start where the error at lmax has fallen to rounding: recur the
     # dominant solution upward from lmax on |z|, p_lmax = 1 and
-    # p_(lmax-1) = 0, until |p| >= 1e9.  Taking 1/r = 0 there leaves an
-    # error at lmax of about 1 / p^2 = 1e-18 of r_lmax.
-    p_lo, p, lstart = 0.0, 1.0, lmax
-    while abs(p) < 1e9:
-        p_lo, p = p, (2 * lstart + 1) / az * p - p_lo
-        lstart += 1
-    # A ratio that rounds to 0 (j_(l-1) at a zero) is kept tiny instead, so
-    # 1/r stays finite and j_(l-1) / r_l still gives j_l.
-    inv = 0.0  # 1 / r_(l+1)
-    for l in range(lstart, lmax, -1):
-        inv = 1.0 / ((2 * l + 1) / z - inv or 1e-300)
+    # p_(lmax-1) = 0, until |p| >= 1e9.  Taking w / D = 0 there leaves an
+    # error at lmax of about 1 / p^2 = 1e-18 of D_lmax.  At w = 0 the pass
+    # is exact from lmax.
+    lstart = lmax
+    if w:
+        az = math.sqrt(abs(w))
+        p_lo, p = 0.0, 1.0
+        while abs(p) < 1e9:
+            p_lo, p = p, (2 * lstart + 1) / az * p - p_lo
+            lstart += 1
+    # A D_l that rounds to 0 (j_(l-1) at a zero) is kept tiny instead, so
+    # w / D stays finite and j_(l-1) / r_l still gives j_l.
+    t = 0.0  # w / D_(l+1)
+    for n in range(2 * lstart + 1, 2 * lmax + 1, -2):  # n = 2l + 1
+        t = w / (n - t or 1e-300)
     out = []
-    for l in range(lmax, 0, -1):
-        r = (2 * l + 1) / z - inv or 1e-300
-        out.append(r)
-        inv = 1.0 / r
+    for n in range(2 * lmax + 1, 1, -2):
+        d = n - t or 1e-300
+        out.append(d)
+        t = w / d
     out.reverse()
     return out
 
@@ -82,7 +84,7 @@ def spherical_jn_array(lmax: int, z) -> list[complex]:
     z = _checked(lmax, z)
     if abs(z) < _TINY_Z:  # j_0 = 1 and j_1 = z / 3 to rounding
         return ([1.0 + 0.0j, z / 3.0] + [0.0j] * lmax)[:lmax + 1]
-    rs = spherical_jn_ratios(max(lmax, 1), z)
+    rs = [d / z for d in _jn_ratio_pass(max(lmax, 1), z * z)]
     # Anchor on the larger of j_0 and j_1: j_0 / r_1 near a zero of j_1,
     # the closed form j_1 near a zero of j_0 (where |j_1| > |j_0| keeps
     # |z| away from the cancellation of the closed form at small z).

@@ -172,7 +172,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
                                     "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
-                                    "fig3.v1", "fig3.v2"])
+                                    "fig2.v8", "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -523,6 +523,19 @@ def test_observables_at_a_saturating_flux_reports_v_two(capsys):
     assert run(["observables", "--flux", "1e300"]) == EXIT_OK
     data = _strict_json(capsys.readouterr().out)
     assert data["V"] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["observables", "--flux", "1e309"], "laser_flux"),
+    (["budget", "--lambda0", "1e309"], "lambda0"),
+    (["budget", "--pressure-mbar", "1e309"], "gas_pressure"),
+])
+def test_an_infinite_value_is_named_as_such(capsys, argv, name):
+    # 1e309 parses to inf, which is not negative
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be >= 0 and finite, got inf" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,9 +10,11 @@ from cslsim.errors import DomainError, GeometryError, NonConvergenceError, Reson
 from cslsim.interferometer import flux_for_target_visibility, observables
 from cslsim.mie import absorption_profile, absorption_sums
 from cslsim.params import (
+    GOLD_DENSITY,
     PLANCK_H,
     ClusterSpecies,
     GratingConfig,
+    cluster_radius,
     default_grating,
     gold_cluster,
 )
@@ -172,6 +174,32 @@ def test_position_average_matches_traveling_wave_mie(rho):
     assert s0 == pytest.approx(math.pi * oracle, rel=1e-8)
 
 
+def test_a_rayleigh_sphere_of_large_permittivity_has_a_profile():
+    # rho ~ 3e-54: an error of 5e-12 in S1 puts n1 above n0 (1 + 1e-12)
+    species = ClusterSpecies.from_amu(5.489919081653643e-141, GOLD_DENSITY, 1e5 + 1j)
+    profile = absorption_profile(species, GratingConfig(1e-3))
+    assert 0.0 < profile.n1 <= profile.n0
+
+
+@pytest.mark.parametrize("eps", [1e5 + 1j, 1e4 + 1j, 1e3 + 1j, GOLD_EPS, 1.5 + 0.01j])
+def test_no_sub_period_sphere_has_n1_above_n0(eps):
+    # 600 masses from 1e-290 to 1e12 amu at 1 mm and 157 nm: rho from 4e-104 to pi
+    refused = []
+    for wavelength in (1e-3, 157e-9):
+        grating = GratingConfig(wavelength)
+        for k in range(600):
+            species = ClusterSpecies.from_amu(10.0 ** (-290.0 + 302.0 * k / 599),
+                                              GOLD_DENSITY, eps)
+            if cluster_radius(species) >= grating.period:
+                continue
+            try:
+                absorption_profile(species, grating)
+            except DomainError as err:
+                if "sqrt(eps)" not in str(err):  # past the Bessel bound is refused
+                    refused.append((wavelength, species.mass_amu))
+    assert refused == []
+
+
 def test_geometry_guard_rejects_large_sphere():
     grating = default_grating()
     huge = gold_cluster(1e11)  # R > 78.5 nm
@@ -188,8 +216,14 @@ def test_multipole_components_domain_errors():
         absorption_sums(3.0, 2e4 + 1j)
 
 
-@pytest.mark.parametrize("eps", [GOLD_EPS, 1.5 + 0.01j])
-@pytest.mark.parametrize("rho", [0.001, 0.05, 0.3, 1.0, 2.0, 3.1])
+@pytest.mark.parametrize("rho, eps", [
+    *[(rho, eps) for eps in (GOLD_EPS, 1.5 + 0.01j)
+      for rho in (0.001, 0.05, 0.3, 1.0, 2.0, 3.1)],
+    # a large permittivity at small rho, where u j_(l-1)(u rho) / j_l(u rho),
+    # u = sqrt(eps), is nearly real: the magnetic term is its imaginary part
+    *[(rho, eps) for eps in (1e3 + 1j, 1e5 + 1j) for rho in (1e-4, 1e-10)],
+    (0.5, 1e5 + 1j),
+])
 def test_both_sums_match_the_mpmath_standing_wave_oracle(rho, eps):
     s0, s1, _ = absorption_sums(rho, eps)
     o0, o1 = standing_wave_sums_oracle(rho, eps)
@@ -197,16 +231,23 @@ def test_both_sums_match_the_mpmath_standing_wave_oracle(rho, eps):
     assert s1 == pytest.approx(o1, rel=1e-12, abs=0.0)
 
 
+def test_the_sums_resolve_n0_minus_n1_of_a_rayleigh_sphere():
+    # S0 - S1 is 2e-17 of S0 here, so the magnetic term must come without cancellation
+    s0, s1, _ = absorption_sums(1e-10, 1e3 + 1j)
+    o0, o1 = standing_wave_sums_oracle(1e-10, 1e3 + 1j)
+    assert s0 - s1 == pytest.approx(o0 - o1, rel=1e-9, abs=0.0)
+
+
 def _record_budgets(monkeypatch):
-    # each budget builds the Bessel ratios one order past it
+    # each budget builds the Bessel ratios D_l one order past it
     budgets = []
-    ratios = mie.spherical_jn_ratios
+    ratios = mie._jn_ratio_pass
 
-    def spy(lmax, z):
+    def spy(lmax, w):
         budgets.append(lmax - 1)
-        return ratios(lmax, z)
+        return ratios(lmax, w)
 
-    monkeypatch.setattr(mie, "spherical_jn_ratios", spy)
+    monkeypatch.setattr(mie, "_jn_ratio_pass", spy)
     return budgets
 
 

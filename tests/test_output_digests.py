@@ -28,13 +28,13 @@ SWEEP_DIGESTS = {
         ([], {"out.csv":
               "37f0996fa46701354ec79823a0525e1d4d175e11d71442b1b19f96a03fea1178"}),
     ],
-    "fig2.v8": [
+    "fig2.v9": [
         ([], {"out.csv":
-              "cfd92ead215496a039aac25ea7c8b2bbf599241cf20c0c9830c438085774bc8b"}),
+              "61f447714e43cc1b3aac4f9cf3de78051db2cb0702f0cff41b63760f7aa0ef17"}),
         (["--mass-range=5:10.5:600", "--target-V=0.85"], {"out.csv":
-              "b2efd9ada140085b39859d309ce572582ea323f941b18d89f6cda0b549876523"}),
+              "e26dd5c06a8968bb75370653cd7f5ddb7317daa66ef854ee41bcec37c69c13d8"}),
         (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
-              "1282eb79f3be7015a051a2ac8ca9804a2c56ed4a5cbf7e7a62dfdbbb5d52fa72"}),
+              "09d4fa6671c8a0450a1c4a738a391e20ead3f8e9bfac7ba4c61e40944a7b9b05"}),
     ],
     "fig3.v3": [
         ([], {"out_m1e+06.csv":
@@ -49,16 +49,16 @@ SWEEP_DIGESTS = {
 # report command -> SHA-256 of its default stdout
 REPORT_DIGESTS = {
     "budget": "6688c35c9d692cca5b150cf4623f09e3150e7035e7eca4b904ccc0e404a2fd33",
-    "observables": "ce1e30e5b9ca7ceedf7eef81bf205a36eb4b05b6c6e17996f4eae6f541079f73",
+    "observables": "34fe6537279939ec09971d08714cde4f57a96c8ae699447f81c6a09e07050052",
 }
 
 # With README's `ini` block as the config file: options -> SHA-256 of the
 # report's stdout, or of out.csv for a sweep
 README_CONFIG_DIGESTS = [
     (["budget"], "4ec124c5b3e95f9a1f9a9506b0616d2f556325089d3139a2e01b29328e0c7709"),
-    (["observables"], "bd07180375bde38c7c7299dc45a4fd711102f9a2da9f9fbfb3a3f27d80363430"),
+    (["observables"], "a0767c66cc7716f77f8ac33d2ef28a5fcddc4edb35c55c072de10dab49cbb86c"),
     (["fig2", "--mass-range=5:8:9"],
-     "578b0dc198707544b3b4aec4f20b5098a8410b907730f2d161f72288397fbd5a"),
+     "ac0415c1c992f5d2868432eec1791fc34e3fb0dd76e2d7e435a7daec67a9393a"),
 ]
 
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from cslsim.errors import DomainError
 from cslsim.specfun import (
+    _jn_ratio_pass,
     bessel_I_scaled,
     log_bessel_I0,
     spherical_hankel_array,
     spherical_jn_array,
-    spherical_jn_ratios,
 )
 from oracles import bessel_I, spherical_bessel_j, spherical_hankel_h1, spherical_yn_array
 
@@ -167,19 +167,24 @@ def test_j_array_matches_mpmath_at_a_zero_of_j0_j1_or_j2(z):
 
 @pytest.mark.parametrize("z", [0.3 + 0.2j, 2.0, 5.0 + 3.0j])
 def test_ratios_match_mpmath(z):
+    # the Mie pass returns D_l = z j_(l-1)(z) / j_l(z) from w = z^2
     with mp.workdps(40):
         ref = [complex(mp.besselj(ell + mp.mpf(1) / 2, z)) for ell in range(18)]
-    for ell, r in enumerate(spherical_jn_ratios(17, z), 1):
+    for ell, d in enumerate(_jn_ratio_pass(17, complex(z) ** 2), 1):
+        r = d / z
         assert abs(r - ref[ell - 1] / ref[ell]) <= 1e-13 * abs(r), ell
-    for tiny in (0.0, 1e-301j):
-        with pytest.raises(DomainError):
-            spherical_jn_ratios(17, tiny)
+
+
+def test_the_ratio_pass_at_a_w_that_rounds_to_zero_is_the_small_z_limit():
+    # below |z| ~ 1e-154, z^2 underflows to 0: D_l = 2l + 1, no division by 0
+    assert (1e-200 + 0j) ** 2 == 0
+    assert _jn_ratio_pass(17, 0j) == [2 * ell + 1 for ell in range(1, 18)]
 
 
 @pytest.mark.parametrize("z", [1e6, 1e12, 1000j, -300.0])
 def test_j_rejects_an_argument_beyond_the_order_cap(z):
     # the downward pass takes O(|z|) steps; 1e12 would never return
-    for f in (spherical_jn_array, spherical_bessel_j, spherical_jn_ratios):
+    for f in (spherical_jn_array, spherical_bessel_j):
         with pytest.raises(DomainError):
             f(2, z)
     with pytest.raises(DomainError):
