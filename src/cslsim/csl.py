@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, finite
 from .params import ClusterSpecies, CslParams, GratingConfig
 
 
@@ -29,9 +29,7 @@ def csl_decay_rate(separation: float, csl: CslParams, mass: float) -> float:
     lambda0 (m/m0)^2 [1 - exp(-Dx^2 / 4 r_c^2)]: zero on the diagonal,
     saturating at the full effective rate for separations >> r_c.
     """
-    if separation < 0.0 or not math.isfinite(separation):
-        raise DomainError(f"separation must be >= 0, got {separation}")
-    x = separation / (2.0 * csl.r_c)
+    x = finite("separation", separation, True) / (2.0 * csl.r_c)
     return csl.effective_rate(mass) * (-math.expm1(-x * x))
 
 
@@ -102,8 +100,7 @@ def exclusion_boundary(grating: GratingConfig, csl_template: CslParams,
     """
     out = []
     for lam in lambda0_grid:
-        if not (lam > 0.0 and math.isfinite(lam)):
-            raise DomainError(f"lambda0 grid values must be > 0, got {lam}")
-        csl = CslParams(r_c=csl_template.r_c, lambda0=lam, m0=csl_template.m0)
+        csl = CslParams(r_c=csl_template.r_c, lambda0=finite("lambda0 grid value", lam),
+                        m0=csl_template.m0)
         out.append((lam, critical_mass(csl, grating, threshold)))
     return out

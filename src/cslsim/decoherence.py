@@ -12,7 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError
+from .errors import DomainError, finite
 from .params import (
     BOHR_RADIUS,
     BOLTZMANN_KB,
@@ -94,9 +94,7 @@ def dispersion_coefficient(species: ClusterSpecies, env: EnvironmentConfig) -> f
 
 def collision_cross_section(speed: float, c6: float) -> float:
     """Total London-van der Waals cross section at one relative speed."""
-    if speed <= 0.0:
-        raise DomainError(f"speed must be > 0, got {speed}")
-    return DEFAULT_MODEL.c6_prefactor * (c6 / (HBAR * speed)) ** 0.4
+    return DEFAULT_MODEL.c6_prefactor * (c6 / (HBAR * finite("speed", speed))) ** 0.4
 
 
 def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
@@ -169,17 +167,18 @@ def _photon_rates(temperature: float, nd: float, k_abs: float,
                           f"{temperature} K") from None
 
 
-def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
-                    grating: GratingConfig) -> tuple[float, float, float]:
-    """Fringe-weighted thermal photon rates (absorption, emission, scattering).
+def blackbody_rates(species: ClusterSpecies, grating: GratingConfig, temperature: float,
+                    cluster_temperature: float | None = None) -> tuple[float, float, float]:
+    """Fringe-weighted thermal photon rates (absorption, emission, scattering)
+    in radiation at `temperature`, in K.
 
     All three are spectral integrals of cross section x photon flux x
     effectiveness over the Planck distribution.  The absorptive response
     comes from the Drude low-frequency limit of bulk gold; Rayleigh
     scattering uses the conducting-sphere static polarizability R^3.
     Emission balances absorption at the cluster temperature (equilibrium
-    assumption), evaluated at its own temperature so an overridden cluster
-    temperature is honored; without an override it is the absorption rate.
+    assumption), evaluated at `cluster_temperature`; None puts the cluster
+    in equilibrium with the radiation, and emission is the absorption rate.
 
     Cross section times photon flux is a power of omega, so with
     x = hbar omega / kB T each rate is (kB T / hbar)^(power+1) times a
@@ -194,10 +193,9 @@ def blackbody_rates(species: ClusterSpecies, env: EnvironmentConfig,
     # Rayleigh scattering (8 pi / 3) (omega/c)^4 R^6.
     k_abs = 12.0 * VACUUM_PERMITTIVITY * r3 / (math.pi * DEFAULT_MODEL.dc_conductivity * c ** 3)
     k_sca = 8.0 * r3 * r3 / (3.0 * math.pi * c ** 6)
-    t_env, t_internal = env.radiation_temperature, env.internal_temperature
-    absorption, scattering = _photon_rates(t_env, nd, k_abs, k_sca)
-    emission = (absorption if t_internal == t_env
-                else _photon_rates(t_internal, nd, k_abs, k_sca)[0])
+    absorption, scattering = _photon_rates(finite("temperature", temperature), nd, k_abs, k_sca)
+    emission = (absorption if cluster_temperature in (None, temperature) else _photon_rates(
+        finite("cluster_temperature", cluster_temperature), nd, k_abs, k_sca)[0])
     return absorption, emission, scattering
 
 
@@ -206,7 +204,8 @@ def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
     """All channel rates plus the combined visibility factor."""
     t_total = total_interference_time(species, grating)
     rate_coll = collision_rate(species, env)
-    rate_abs, rate_em, rate_sca = blackbody_rates(species, env, grating)
+    rate_abs, rate_em, rate_sca = blackbody_rates(species, grating, env.radiation_temperature,
+                                                  env.cluster_temperature)
     total = rate_coll + rate_abs + rate_em + rate_sca
     # the rates are >= 0, so a finite total exposure bounds every channel's
     if not math.isfinite(total * t_total):
@@ -250,12 +249,10 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     temperature_K), one vertex per crossed grid line in increasing T; an
     empty list is a valid result (no crossing on the grid).
     """
-    pressures = [float(p) for p in pressure_grid]
-    temperatures = [float(t) for t in temperature_grid]
+    pressures = [finite("grid pressure", float(p)) for p in pressure_grid]
+    temperatures = [finite("grid temperature", float(t)) for t in temperature_grid]
     if len(pressures) < 2 or len(temperatures) < 2:
         raise DomainError("contour tracing needs at least a 2 x 2 grid")
-    if not all(v > 0.0 for v in pressures + temperatures):
-        raise DomainError("grid values must be positive")
     pressures, temperatures = sorted(set(pressures)), sorted(set(temperatures))
     base_env = env_template if env_template is not None else EnvironmentConfig()
 
@@ -269,19 +266,8 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
         raise DomainError(f"the collision rate per Pa underflows to 0 at mass {species.mass} kg "
                           f"and density {species.bulk_density} kg/m^3")
 
-    # the template, read once: each temperature sees it at zero pressure and that
-    # radiation temperature
-    gas_temperature, gas_mass = base_env.gas_temperature, base_env.gas_mass
-    gas_polarizability_volume = base_env.gas_polarizability_volume
-    cluster_temperature = base_env.cluster_temperature
-
     def bb_rate(temperature: float) -> float:
-        env = EnvironmentConfig(gas_pressure=0.0, gas_temperature=gas_temperature,
-                                gas_mass=gas_mass,
-                                gas_polarizability_volume=gas_polarizability_volume,
-                                environment_temperature=temperature,
-                                cluster_temperature=cluster_temperature)
-        return sum(blackbody_rates(species, env, grating))
+        return sum(blackbody_rates(species, grating, temperature, base_env.cluster_temperature))
 
     bb = [bb_rate(t) for t in temperatures]
     if not bb[-1] < math.inf:  # the rates rise with T, so the top one leaves float range first

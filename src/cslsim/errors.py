@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all cslsim modules."""
+"""Exception hierarchy shared by all cslsim modules, and the one range check."""
+
+import math
 
 
 class CslSimError(Exception):
@@ -27,3 +29,17 @@ class UnachievableTargetError(CslSimError, ValueError):
 
 class ConfigError(CslSimError, ValueError):
     """Malformed configuration file or command-line usage."""
+
+
+def finite(name: str, value, zero: bool = False):
+    """`value` if it is finite and > 0, or >= 0 with `zero`; else DomainError.
+
+    NaN fails both comparisons, so it is refused like inf.
+    """
+    if zero:
+        if 0.0 <= value < math.inf:
+            return value
+        raise DomainError(f"{name} must be >= 0 and finite, got {value}")
+    if 0.0 < value < math.inf:
+        return value
+    raise DomainError(f"{name} must be positive and finite, got {value}")

@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnachievableTargetError
+from .errors import DomainError, UnachievableTargetError, finite
 from .mie import AbsorptionProfile, absorption_profile
 from .params import ClusterSpecies, GratingConfig
 from .specfun import _iv012_scaled, bessel_I_scaled, log_bessel_I0
@@ -39,8 +39,7 @@ def visibility(n1: float) -> float:
     from exponentially scaled Bessels, so it stays finite for every n1 and
     tends to 2.
     """
-    if not (n1 >= 0.0 and math.isfinite(n1)):
-        raise DomainError(f"n1 must be >= 0, got {n1}")
+    finite("n1", n1, True)
     i0 = bessel_I_scaled(0, n1)
     i1 = bessel_I_scaled(1, n1)
     i2 = bessel_I_scaled(2, n1)
@@ -49,10 +48,8 @@ def visibility(n1: float) -> float:
 
 def transmissivity(n0: float, n1: float) -> float:
     """Neutral-cluster fraction exp(-3 n0) I_0^3(n1) after three pulses."""
-    if not (n0 >= 0.0 and math.isfinite(n0)):
-        raise DomainError(f"n0 must be >= 0, got {n0}")
-    if not (n1 >= 0.0 and math.isfinite(n1)):
-        raise DomainError(f"n1 must be >= 0, got {n1}")
+    finite("n0", n0, True)
+    finite("n1", n1, True)
     if n1 > n0 * (1.0 + 1e-12):
         raise DomainError(f"n1={n1} > n0={n0} violates n(x) >= 0")
     # log-space: ln T = -3 n0 + 3 ln I0(n1); finite up to n0 ~ 300.

@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
+from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError, finite
 from .params import PLANCK_H, ClusterSpecies, GratingConfig, cluster_radius
 from .specfun import MAX_ORDER, _jn_ratio_pass
 
@@ -20,8 +20,10 @@ _TAIL_RUN = 5            # consecutive terms that must satisfy the bound
 _LMAX = MAX_ORDER - 1    # sigma_H at order l reads D at l + 1
 _DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
 # First order budget of the multipole sums: absorption_profile admits only
-# rho = k R < pi, where the tail test stops by l = 15 and the size estimate
-# rho + 4 rho^(1/3) + 6 stays below 15.  A sum that needs more doubles it.
+# rho = k R < pi, where the size estimate rho + 4 rho^(1/3) + 6 stays below
+# 15 and gold's tail test stops by l = 15.  A low-loss sphere with Re(eps)
+# near -1, where the high-order surface modes resonate, can need up to l = 19
+# from rho ~ 2 on; a sum that needs more than the budget doubles it.
 _FIRST_BUDGET = 16
 
 
@@ -63,8 +65,10 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     and the sums start again; sums that still fail the test at _LMAX raise
     NonConvergenceError, so only converged sums are returned.
     """
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be positive, got {rho}")
+    # past rho = MAX_ORDER the order cap cannot reach l > rho, where the terms
+    # fall off, and rho^4 below may overflow
+    if finite("rho", rho) > MAX_ORDER:
+        raise DomainError(f"rho must be at most {MAX_ORDER}, got {rho}")
     eps = complex(eps)
     if eps.imag < 0.0:
         raise DomainError("Im(eps) must be >= 0")
@@ -133,10 +137,7 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
         raise GeometryError(
             f"cluster radius {radius:.3e} m >= grating period "
             f"{grating.period:.3e} m: sub-period sphere model does not apply")
-    if flux is None:
-        flux = grating.laser_flux
-    if flux < 0.0 or not math.isfinite(flux):
-        raise DomainError(f"flux must be >= 0, got {flux}")
+    flux = grating.laser_flux if flux is None else finite("flux", flux, True)
 
     k = grating.wavenumber
     rho = k * radius

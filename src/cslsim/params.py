@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, finite
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def pa_to_mbar(p_pa: float) -> float:
 def _cluster_kg(mass_amu: float, name: str = "mass") -> float:
     # checked in kg, where a tiny mass underflows to 0, but named as given
     mass = amu_to_kg(mass_amu)
-    if not (mass > 0.0 and math.isfinite(mass)):
+    if not 0.0 < mass < math.inf:
         raise DomainError(f"{name} must be positive and finite in kg, got {mass_amu} amu")
     return mass
 
@@ -86,10 +86,8 @@ class ClusterSpecies:
     label: str = "cluster"
 
     def __post_init__(self):
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise DomainError(f"mass must be positive and finite, got {self.mass}")
-        if not (self.bulk_density > 0.0 and math.isfinite(self.bulk_density)):
-            raise DomainError(f"bulk_density must be positive, got {self.bulk_density}")
+        finite("mass", self.mass)
+        finite("bulk_density", self.bulk_density)
         eps = complex(self.permittivity)
         if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
             raise DomainError("permittivity must be finite")
@@ -119,14 +117,12 @@ class GratingConfig:
     laser_flux: float = 1.0        # J/m^2 per pulse
 
     def __post_init__(self):
-        if not (self.laser_wavelength > 0.0 and math.isfinite(self.laser_wavelength)):
-            raise DomainError("laser_wavelength must be positive")
+        finite("laser_wavelength", self.laser_wavelength)
         # the Talbot time scales with the order, so it must have a double value
         order = self.talbot_order
         if not (isinstance(order, int) and 1 <= order <= sys.float_info.max):
             raise DomainError(f"talbot_order must be an integer from 1 to {sys.float_info.max:g}")
-        if not (self.laser_flux >= 0.0 and math.isfinite(self.laser_flux)):
-            raise DomainError(f"laser_flux must be >= 0 and finite, got {self.laser_flux}")
+        finite("laser_flux", self.laser_flux, True)
 
     @property
     def period(self) -> float:
@@ -168,12 +164,9 @@ class CslParams:
     m0: float = ATOMIC_MASS_UNIT   # kg
 
     def __post_init__(self):
-        if not (self.r_c > 0.0 and math.isfinite(self.r_c)):
-            raise DomainError("r_c must be positive")
-        if not (self.lambda0 >= 0.0 and math.isfinite(self.lambda0)):
-            raise DomainError(f"lambda0 must be >= 0 and finite, got {self.lambda0}")
-        if not (self.m0 > 0.0 and math.isfinite(self.m0)):
-            raise DomainError("m0 must be positive")
+        finite("r_c", self.r_c)
+        finite("lambda0", self.lambda0, True)
+        finite("m0", self.m0)
 
     def effective_rate(self, mass_kg: float) -> float:
         """Saturated localization rate lambda0 * (m/m0)^2."""
@@ -192,13 +185,11 @@ class EnvironmentConfig:
     cluster_temperature: float | None = None      # K; None -> environment
 
     def __post_init__(self):
-        if not (self.gas_pressure >= 0.0 and math.isfinite(self.gas_pressure)):
-            raise DomainError(f"gas_pressure must be >= 0 and finite, got {self.gas_pressure}")
+        finite("gas_pressure", self.gas_pressure, True)
         for name in ("gas_temperature", "environment_temperature", "cluster_temperature",
                      "gas_mass", "gas_polarizability_volume"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+            if getattr(self, name) is not None:
+                finite(name, getattr(self, name))
 
     @property
     def radiation_temperature(self) -> float:

@@ -28,7 +28,7 @@ import cmath
 import functools
 import math
 
-from .errors import DomainError
+from .errors import DomainError, finite
 
 MAX_ORDER = 256          # largest supported spherical-Bessel order and |z|
 _TINY_Z = 1e-300         # below this |z|, r_l overflows and j_l (l >= 2) underflows
@@ -98,9 +98,9 @@ def spherical_jn_array(lmax: int, z) -> list[complex]:
 def spherical_hankel_array(lmax: int, x: float) -> list[complex]:
     """h_0^(1)(x) .. h_lmax^(1)(x) = j_l(x) + i y_l(x), real x > 0, with
     y_l by stable upward recurrence."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
-        raise DomainError(f"spherical y_l requires real x > 0, got {x}")
-    js = spherical_jn_array(lmax, x)
+    if not isinstance(x, (int, float)):
+        raise DomainError(f"spherical y_l requires a real x, got {x}")
+    js = spherical_jn_array(lmax, finite("x", x))
     x = float(x)
     ys = [-math.cos(x) / x]
     if lmax:
@@ -158,9 +158,9 @@ def bessel_I_scaled(order: int, x: float) -> float:
     """Exponentially scaled modified Bessel exp(-x) I_order(x), x >= 0."""
     if order not in (0, 1, 2):
         raise DomainError(f"only orders 0, 1, 2 are supported, got {order}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0.0:
-        raise DomainError(f"modified Bessel requires x >= 0, got {x}")
-    x = abs(float(x))  # -0.0 shares 0.0's cache key, so both give I_1 = +0.0
+    if not isinstance(x, (int, float)):
+        raise DomainError(f"modified Bessel requires a real x, got {x}")
+    x = abs(float(finite("x", x, True)))  # -0.0 shares 0.0's cache key, so both give I_1 = +0.0
     if x < _IV_SERIES_MAX_X:
         return _iv012_scaled(x)[order]
     return _iv_asymptotic_scaled(order, x)

@@ -42,7 +42,7 @@ def env(pressure_mbar=0.0, gas_T=300.0, rad_T=300.0):
                              environment_temperature=rad_T)
 
 
-def blackbody_oracle(species, environment, grating):
+def blackbody_oracle(species, grating, temperature, cluster_temperature=None):
     """The three thermal photon rates by adaptive quadrature of cross
     section x photon flux x capped effectiveness over the Planck spectrum."""
     nd = grating.talbot_order * grating.period
@@ -68,9 +68,10 @@ def blackbody_oracle(species, environment, grating):
         assert abserr <= 1e-10 * value
         return value * w
 
-    t_env = environment.radiation_temperature
-    return (planck(absorption, t_env), planck(absorption, environment.internal_temperature),
-            planck(scattering, t_env))
+    if cluster_temperature is None:
+        cluster_temperature = temperature
+    return (planck(absorption, temperature), planck(absorption, cluster_temperature),
+            planck(scattering, temperature))
 
 
 def collision_oracle(species, environment):
@@ -89,13 +90,11 @@ def test_blackbody_rates_match_quadrature_oracle(mass):
     # above about 1000 K the effectiveness cap cuts into the spectrum
     grating = default_grating()
     for temperature in (4.0, 77.0, 300.0, 400.0, 1000.0, 3000.0, 10000.0):
-        e = env(0.0, rad_T=temperature)
-        got = blackbody_rates(gold_cluster(mass), e, grating)
-        expected = blackbody_oracle(gold_cluster(mass), e, grating)
+        got = blackbody_rates(gold_cluster(mass), grating, temperature)
+        expected = blackbody_oracle(gold_cluster(mass), grating, temperature)
         assert got == pytest.approx(expected, rel=1e-9)
-    hot_cluster = EnvironmentConfig(environment_temperature=77.0, cluster_temperature=3000.0)
-    assert blackbody_rates(gold_cluster(mass), hot_cluster, grating) == pytest.approx(
-        blackbody_oracle(gold_cluster(mass), hot_cluster, grating), rel=1e-9)
+    assert blackbody_rates(gold_cluster(mass), grating, 77.0, 3000.0) == pytest.approx(
+        blackbody_oracle(gold_cluster(mass), grating, 77.0, 3000.0), rel=1e-9)
 
 
 def test_bose_integral_literals_are_the_tail_sums_at_zero():
@@ -144,26 +143,21 @@ def test_blackbody_rates_take_one_bose_pass_per_temperature(monkeypatch):
 
     monkeypatch.setattr(decoherence, "_bose_tails", counted)
     species, grating = gold_cluster(1e7), default_grating()
-    for environment in (EnvironmentConfig(), env(0.0, rad_T=77.0),
-                        EnvironmentConfig(environment_temperature=77.0,
-                                          cluster_temperature=77.0)):
+    for temperatures in ((300.0,), (77.0,), (77.0, None), (77.0, 77.0)):
         calls.clear()
-        blackbody_rates(species, environment, grating)
+        blackbody_rates(species, grating, *temperatures)
         assert len(calls) == 1
     calls.clear()
-    blackbody_rates(species, EnvironmentConfig(environment_temperature=77.0,
-                                               cluster_temperature=3000.0), grating)
+    blackbody_rates(species, grating, 77.0, 3000.0)
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("temperature", [1e-320, 1e250])
 def test_blackbody_rates_past_float_range_are_domain_errors(temperature):
     grating = default_grating()
-    for environment in (env(0.0, rad_T=temperature),
-                        EnvironmentConfig(environment_temperature=300.0,
-                                          cluster_temperature=temperature)):
+    for temperatures in ((temperature,), (300.0, temperature)):
         with pytest.raises(DomainError, match=re.escape(f"at {temperature} K")):
-            blackbody_rates(gold_cluster(1e7), environment, grating)
+            blackbody_rates(gold_cluster(1e7), grating, *temperatures)
 
 
 def test_collision_rate_at_an_underflowing_temperature_is_a_domain_error():
@@ -211,11 +205,10 @@ def test_blackbody_radius_scaling():
     # doubling the radius (8x the mass): absorption and emission scale as
     # R^3, Rayleigh scattering as R^6
     grating = default_grating()
-    e = env(0.0, rad_T=300.0)
     s1 = gold_cluster(1e6)
     s2 = gold_cluster(8e6)
-    a1, m1, c1 = blackbody_rates(s1, e, grating)
-    a2, m2, c2 = blackbody_rates(s2, e, grating)
+    a1, m1, c1 = blackbody_rates(s1, grating, 300.0)
+    a2, m2, c2 = blackbody_rates(s2, grating, 300.0)
     assert a2 / a1 == pytest.approx(8.0, rel=1e-6)
     assert m2 / m1 == pytest.approx(8.0, rel=1e-6)
     assert c2 / c1 == pytest.approx(64.0, rel=1e-6)
@@ -224,24 +217,19 @@ def test_blackbody_radius_scaling():
 def test_blackbody_rates_increase_with_temperature():
     grating = default_grating()
     species = gold_cluster(1e7)
-    a1, _, c1 = blackbody_rates(species, env(0.0, rad_T=200.0), grating)
-    a2, _, c2 = blackbody_rates(species, env(0.0, rad_T=300.0), grating)
+    a1, _, c1 = blackbody_rates(species, grating, 200.0)
+    a2, _, c2 = blackbody_rates(species, grating, 300.0)
     assert a2 > a1 and c2 > c1
 
 
 def test_emission_follows_cluster_temperature():
-    grating = default_grating()
-    species = gold_cluster(1e7)
-    cold_env = EnvironmentConfig(gas_pressure=0.0, environment_temperature=100.0,
-                                 cluster_temperature=300.0)
-    a, m, _ = blackbody_rates(species, cold_env, grating)
+    a, m, _ = blackbody_rates(gold_cluster(1e7), default_grating(), 100.0, 300.0)
     assert m > a  # hot cluster in a cold chamber emits more than it absorbs
 
 
 @pytest.mark.parametrize("rad_T", [4.0, 77.0, 300.0, 1000.0])
 def test_emission_equals_absorption_without_cluster_override(rad_T):
-    absorption, emission, _ = blackbody_rates(gold_cluster(1e7), env(0.0, rad_T=rad_T),
-                                              default_grating())
+    absorption, emission, _ = blackbody_rates(gold_cluster(1e7), default_grating(), rad_T)
     assert emission == absorption
 
 
@@ -344,7 +332,7 @@ def test_contour_vertices_are_the_oracle_grid_crossings(mass):
     per_pa = collision_oracle(species, env(1.0 / MBAR))
 
     def bb(temperature):
-        return sum(blackbody_oracle(species, env(0.0, rad_T=temperature), grating))
+        return sum(blackbody_oracle(species, grating, temperature))
 
     for p, t in vertices:
         assert p in pressures or t in temperatures
@@ -406,8 +394,7 @@ def test_contour_on_random_grids(log10_mass, log10_pressures, temperatures):
     t_total = total_interference_time(species, grating)
     ps, ts = sorted(set(pressures)), sorted(set(temperatures))
     coll = [collision_rate(species, EnvironmentConfig(gas_pressure=p)) for p in ps]
-    bb = [sum(blackbody_rates(species, EnvironmentConfig(environment_temperature=t), grating))
-          for t in ts]
+    bb = [sum(blackbody_rates(species, grating, t)) for t in ts]
     above = [[(c + b) * t_total > level_exposure for b in bb] for c in coll]
     sign_changes = (sum(row[j] != row[j + 1] for row in above for j in range(len(ts) - 1))
                     + sum(a != b for row, nxt in zip(above, above[1:]) for a, b in zip(row, nxt)))
@@ -424,20 +411,58 @@ def test_contour_rates_see_the_template_at_each_temperature(monkeypatch):
                for f in dataclasses.fields(EnvironmentConfig))
     rates, seen = decoherence.blackbody_rates, []
 
-    def spy(species, environment, grating):
-        seen.append(environment)
-        return rates(species, environment, grating)
+    def spy(species, grating, temperature, cluster_temperature=None):
+        seen.append((temperature, cluster_temperature))
+        return rates(species, grating, temperature, cluster_temperature)
 
     monkeypatch.setattr(decoherence, "blackbody_rates", spy)
+    species, grating = gold_cluster(3e7), default_grating()
     pressures, temperatures = np.logspace(-14, -6, 25) * MBAR, list(np.linspace(4.0, 400.0, 25))
-    assert critical_contour(gold_cluster(3e7), default_grating(), pressures, temperatures,
-                            env_template=template)
+    lines = critical_contour(species, grating, pressures, temperatures, env_template=template)
+    assert lines
     assert len(seen) > len(temperatures)  # the temperature solves call it too
-    assert [e.environment_temperature for e in seen[:len(temperatures)]] == temperatures
-    for environment in seen:
-        assert environment == dataclasses.replace(
-            template, gas_pressure=0.0,
-            environment_temperature=environment.environment_temperature)
+    assert [t for t, _ in seen[:len(temperatures)]] == temperatures
+    assert {c for _, c in seen} == {template.cluster_temperature}
+    # each vertex is on the level set of the template at its pressure and temperature
+    monkeypatch.undo()
+    for p, t in lines[0]:
+        budget = decoherence_budget(species, grating, dataclasses.replace(
+            template, gas_pressure=p, environment_temperature=t))
+        assert math.log(budget.visibility_factor) == pytest.approx(math.log(0.5), abs=1e-9)
+
+
+def test_contour_builds_no_environment_per_temperature(monkeypatch):
+    # the template at 1 Pa, for the collision rate, is the only environment built,
+    # and each temperature the contour evaluates is one blackbody_rates call
+    built, seen, solved = [], [], []
+    check, rates, solve = (EnvironmentConfig.__post_init__, decoherence.blackbody_rates,
+                           decoherence._solve_temperature)
+
+    def counted_check(environment):
+        built.append(environment)
+        check(environment)
+
+    def spy(species, grating, temperature, cluster_temperature=None):
+        seen.append(temperature)
+        return rates(species, grating, temperature, cluster_temperature)
+
+    def counted_solve(bb_rate, *args):
+        def rate(temperature):
+            solved.append(temperature)
+            return bb_rate(temperature)
+        return solve(rate, *args)
+
+    template = EnvironmentConfig(gas_temperature=250.0, cluster_temperature=150.0)
+    at_one_pa = dataclasses.replace(template, gas_pressure=1.0)
+    monkeypatch.setattr(EnvironmentConfig, "__post_init__", counted_check)
+    monkeypatch.setattr(decoherence, "blackbody_rates", spy)
+    monkeypatch.setattr(decoherence, "_solve_temperature", counted_solve)
+    temperatures = [4.0 + 396.0 * i / 59 for i in range(60)]
+    assert critical_contour(gold_cluster(3e7), default_grating(),
+                            np.logspace(-14, -6, 60) * MBAR, temperatures,
+                            env_template=template)
+    assert built == [at_one_pa]
+    assert solved and seen == temperatures + solved
 
 
 def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
@@ -447,8 +472,8 @@ def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
     monkeypatch.setattr(decoherence, "collision_rate",
                         lambda species, environment: environment.gas_pressure)
     monkeypatch.setattr(decoherence, "blackbody_rates",
-                        lambda species, environment, grating:
-                        (environment.radiation_temperature, 0.0, 0.0))
+                        lambda species, grating, temperature, cluster_temperature:
+                        (temperature, 0.0, 0.0))
     species, grating = gold_cluster(1e6), default_grating()
     budget = math.log(2.0) / total_interference_time(species, grating)
     temperatures = [0.55 * budget, 0.7 * budget, 0.85 * budget]

@@ -255,12 +255,31 @@ def _record_budgets(monkeypatch):
 def test_a_short_first_budget_doubles_to_the_same_sums(monkeypatch, rho):
     budgets = _record_budgets(monkeypatch)
     expected = absorption_sums(rho, GOLD_EPS)
-    assert budgets == [16]  # the first budget suffices below the guard
+    assert budgets == [16]  # the first budget suffices for gold below the guard
     budgets.clear()
     monkeypatch.setattr(mie, "_FIRST_BUDGET", 2)
     assert absorption_sums(rho, GOLD_EPS) == expected
     assert budgets == [2 ** k for k in range(1, len(budgets) + 1)]
     assert budgets[-2] < expected[2] <= budgets[-1]
+
+
+def test_a_low_loss_sphere_near_the_guard_takes_the_second_budget(monkeypatch):
+    # Re(eps) near -1, where the surface modes of high order resonate
+    budgets = _record_budgets(monkeypatch)
+    rho, eps = 3.1415926532702474, -0.9865248639787698 + 2.3468932193529946e-06j
+    s0, s1, used = absorption_sums(rho, eps)
+    assert budgets == [16, 32] and used == 17
+    o0, o1 = standing_wave_sums_oracle(rho, eps)
+    assert s0 == pytest.approx(o0, rel=1e-12, abs=0.0)
+    assert s1 == pytest.approx(o1, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rho, eps", [(1e100, 1e-300), (1e200, 0.0), (256.5, 0.0)])
+def test_a_sphere_past_the_order_cap_is_refused_before_any_power(rho, eps):
+    # the order cap cannot reach l > rho, where the terms fall off
+    with pytest.raises(DomainError) as refused:
+        absorption_sums(rho, eps)
+    assert str(refused.value) == f"rho must be at most 256, got {rho}"
 
 
 def test_a_sum_that_never_meets_its_tail_test_stops_at_the_cap(monkeypatch, tmp_path):
