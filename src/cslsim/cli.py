@@ -9,7 +9,6 @@ byte-for-byte from the manifest alone.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -114,8 +113,8 @@ def _manifest(command: str, args_dict: dict, argv: list[str]) -> dict:
         "command": command,
         "command_line": argv,
         "args": args_dict,
-        "constants": dataclasses.asdict(CONSTANTS),
-        "decoherence_model": dataclasses.asdict(DEFAULT_MODEL),
+        "constants": CONSTANTS.asdict(),
+        "decoherence_model": DEFAULT_MODEL.asdict(),
     }
 
 

@@ -8,19 +8,20 @@ exclusion boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, finite
-from .params import ClusterSpecies, CslParams, GratingConfig
+from .params import ClusterSpecies, CslParams, GratingConfig, _Frozen, _set
 
 
-@dataclass(frozen=True)
-class CslReduction:
+class CslReduction(_Frozen):
     """Visibility ratio V_CSL / V = exp(-exponent) and its pieces."""
 
-    ratio: float
-    exponent: float
-    geometry_factor: float
+    __slots__ = ("ratio", "exponent", "geometry_factor")
+
+    def __init__(self, ratio: float, exponent: float, geometry_factor: float):
+        _set(self, "ratio", ratio)
+        _set(self, "exponent", exponent)
+        _set(self, "geometry_factor", geometry_factor)
 
 
 def csl_decay_rate(separation: float, csl: CslParams, mass: float) -> float:
@@ -100,7 +101,6 @@ def exclusion_boundary(grating: GratingConfig, csl_template: CslParams,
     """
     out = []
     for lam in lambda0_grid:
-        csl = CslParams(r_c=csl_template.r_c, lambda0=finite("lambda0 grid value", lam),
-                        m0=csl_template.m0)
+        csl = csl_template.replace(lambda0=finite("lambda0 grid value", lam))
         out.append((lam, critical_mass(csl, grating, threshold)))
     return out

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, UnachievableTargetError, finite
 from .mie import AbsorptionProfile, absorption_profile
-from .params import ClusterSpecies, GratingConfig
+from .params import ClusterSpecies, GratingConfig, _Frozen, _set
 from .specfun import _iv012_scaled, bessel_I_scaled, log_bessel_I0
 
 # The visibility is inverted only on its first monotone branch; the
@@ -22,14 +21,16 @@ _N1_BRACKET_MAX = 20.0
 _V_BRACKET_MAX = 1.714781193459301  # visibility(_N1_BRACKET_MAX)
 
 
-@dataclass(frozen=True)
-class FringeObservables:
+class FringeObservables(_Frozen):
     """Visibility, transmissivity, and the absorption parameters behind them."""
 
-    visibility: float
-    transmissivity: float
-    n0: float
-    n1: float
+    __slots__ = ("visibility", "transmissivity", "n0", "n1")
+
+    def __init__(self, visibility: float, transmissivity: float, n0: float, n1: float):
+        _set(self, "visibility", visibility)
+        _set(self, "transmissivity", transmissivity)
+        _set(self, "n0", n0)
+        _set(self, "n1", n1)
 
 
 def visibility(n1: float) -> float:

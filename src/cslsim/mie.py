@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError, finite
-from .params import PLANCK_H, ClusterSpecies, GratingConfig, cluster_radius
+from .params import PLANCK_H, ClusterSpecies, GratingConfig, _Frozen, _set, cluster_radius
 from .specfun import MAX_ORDER, _jn_ratio_pass
 
 _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
@@ -27,20 +26,19 @@ _DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
 _FIRST_BUDGET = 16
 
 
-@dataclass(frozen=True)
-class AbsorptionProfile:
+class AbsorptionProfile(_Frozen):
     """n(x) = n0 + n1 cos(2 pi x / d) for one species, grating, and flux,
     from multipole sums that converged at `truncation_order`."""
 
-    n0: float
-    n1: float
-    flux: float
-    truncation_order: int
+    __slots__ = ("n0", "n1", "flux", "truncation_order")
 
-    def __post_init__(self):
-        if self.n0 < abs(self.n1) * (1.0 - 1e-12):
-            raise DomainError(
-                f"n(x) would go negative: n0={self.n0}, n1={self.n1}")
+    def __init__(self, n0: float, n1: float, flux: float, truncation_order: int):
+        if n0 < abs(n1) * (1.0 - 1e-12):
+            raise DomainError(f"n(x) would go negative: n0={n0}, n1={n1}")
+        _set(self, "n0", n0)
+        _set(self, "n1", n1)
+        _set(self, "flux", flux)
+        _set(self, "truncation_order", truncation_order)
 
 
 def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:

@@ -26,6 +26,7 @@ from cslsim.cli import (
     REPORTS,
     SWEEPS,
     _FLAG_KEYS,
+    _manifest,
     build_parser,
     main,
 )
@@ -254,6 +255,20 @@ def test_rerun_refuses_other_constants(tmp_path, key, field):
     assert not (tmp_path / "replay.csv").exists()
 
 
+def test_manifest_constants_and_model_keep_their_bytes():
+    # rerun compares these blocks with the manifest's, so a manifest written
+    # by an earlier build reruns only while they stay exactly these values
+    manifest = _manifest("fig2", {}, [])
+    assert manifest["constants"] == {
+        "planck_h": 6.62607015e-34, "boltzmann_kB": 1.380649e-23,
+        "speed_of_light_c": 299792458.0, "atomic_mass_unit": 1.6605390666e-27,
+        "vacuum_permittivity": 8.8541878128e-12}
+    assert manifest["decoherence_model"] == {
+        "c6_prefactor": 7.57, "gas_electron_count": 10.0,
+        "cluster_electrons_per_amu": 0.055847040439400454, "collision_effectiveness": 1.0,
+        "dc_conductivity": 41000000.0, "photon_effectiveness_cap": 1.0}
+
+
 def test_failed_fig3_leaves_no_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     # a bad mass, and masses whose six-digit file names coincide
@@ -450,6 +465,8 @@ def test_cli_import_loads_no_scipy():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     for package in ("scipy", "numpy"):
         assert [m for m in loaded if m.split(".")[0] == package] == []
+    # the value types are plain classes: the import pays for neither module
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_bad_range_is_usage_error(tmp_path, capsys):
