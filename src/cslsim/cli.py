@@ -113,8 +113,8 @@ def _manifest(command: str, args_dict: dict, argv: list[str]) -> dict:
         "command": command,
         "command_line": argv,
         "args": args_dict,
-        "constants": CONSTANTS.asdict(),
-        "decoherence_model": DEFAULT_MODEL.asdict(),
+        "constants": CONSTANTS._asdict(),
+        "decoherence_model": DEFAULT_MODEL._asdict(),
     }
 
 

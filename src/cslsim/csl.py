@@ -10,18 +10,13 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, finite
-from .params import ClusterSpecies, CslParams, GratingConfig, _Frozen, _set
+from .params import ClusterSpecies, CslParams, GratingConfig, _value_type
 
 
-class CslReduction(_Frozen):
+class CslReduction(_value_type("CslReduction", "ratio exponent geometry_factor")):
     """Visibility ratio V_CSL / V = exp(-exponent) and its pieces."""
 
-    __slots__ = ("ratio", "exponent", "geometry_factor")
-
-    def __init__(self, ratio: float, exponent: float, geometry_factor: float):
-        _set(self, "ratio", ratio)
-        _set(self, "exponent", exponent)
-        _set(self, "geometry_factor", geometry_factor)
+    __slots__ = ()
 
 
 def csl_decay_rate(separation: float, csl: CslParams, mass: float) -> float:
@@ -101,6 +96,7 @@ def exclusion_boundary(grating: GratingConfig, csl_template: CslParams,
     """
     out = []
     for lam in lambda0_grid:
-        csl = csl_template.replace(lambda0=finite("lambda0 grid value", lam))
+        csl = CslParams(r_c=csl_template.r_c, lambda0=finite("lambda0 grid value", lam),
+                        m0=csl_template.m0)
         out.append((lam, critical_mass(csl, grating, threshold)))
     return out

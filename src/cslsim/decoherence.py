@@ -23,14 +23,16 @@ from .params import (
     ClusterSpecies,
     EnvironmentConfig,
     GratingConfig,
-    _Frozen,
-    _set,
+    _new,
+    _value_type,
     cluster_radius,
     total_interference_time,
 )
 
 
-class DecoherenceModel(_Frozen):
+class DecoherenceModel(_value_type("DecoherenceModel", (
+        "c6_prefactor gas_electron_count cluster_electrons_per_amu collision_effectiveness "
+        "dc_conductivity photon_effectiveness_cap"))):
     """All model constants behind the environmental channels.
 
     Every number here is recorded in output manifests.  Defaults are
@@ -38,52 +40,38 @@ class DecoherenceModel(_Frozen):
     particular figure.
     """
 
-    __slots__ = ("c6_prefactor", "gas_electron_count", "cluster_electrons_per_amu",
-                 "collision_effectiveness", "dc_conductivity", "photon_effectiveness_cap")
+    __slots__ = ()
 
-    def __init__(self,
-                 # Total cross section sigma(v) = c6_prefactor * (C6 / hbar v)^(2/5)
-                 # for a London-van der Waals 1/r^6 potential.
-                 c6_prefactor: float = 7.57,
-                 # Slater-Kirkwood effective electron numbers entering C6.
-                 gas_electron_count: float = 10.0,          # N2
-                 cluster_electrons_per_amu: float = 11.0 / GOLD_ATOM_MASS_AMU,  # gold valence
-                 # Every gas collision fully resolves the paths (thermal de Broglie
-                 # wavelength << N d at all relevant temperatures).
-                 collision_effectiveness: float = 1.0,
-                 # Drude low-frequency absorptive response: Im[(eps-1)/(eps+2)] ~
-                 # 3 eps0 omega / dc_conductivity.  Bulk gold conductivity.
-                 dc_conductivity: float = 4.1e7,            # S/m
-                 # Fringe-resolving effectiveness of a photon event at wavelength
-                 # lambda: (2 pi N d / lambda)^2, capped at 1.
-                 photon_effectiveness_cap: float = 1.0):
-        _set(self, "c6_prefactor", c6_prefactor)
-        _set(self, "gas_electron_count", gas_electron_count)
-        _set(self, "cluster_electrons_per_amu", cluster_electrons_per_amu)
-        _set(self, "collision_effectiveness", collision_effectiveness)
-        _set(self, "dc_conductivity", dc_conductivity)
-        _set(self, "photon_effectiveness_cap", photon_effectiveness_cap)
+    def __new__(cls,
+                # Total cross section sigma(v) = c6_prefactor * (C6 / hbar v)^(2/5)
+                # for a London-van der Waals 1/r^6 potential.
+                c6_prefactor: float = 7.57,
+                # Slater-Kirkwood effective electron numbers entering C6.
+                gas_electron_count: float = 10.0,          # N2
+                cluster_electrons_per_amu: float = 11.0 / GOLD_ATOM_MASS_AMU,  # gold valence
+                # Every gas collision fully resolves the paths (thermal de Broglie
+                # wavelength << N d at all relevant temperatures).
+                collision_effectiveness: float = 1.0,
+                # Drude low-frequency absorptive response: Im[(eps-1)/(eps+2)] ~
+                # 3 eps0 omega / dc_conductivity.  Bulk gold conductivity.
+                dc_conductivity: float = 4.1e7,            # S/m
+                # Fringe-resolving effectiveness of a photon event at wavelength
+                # lambda: (2 pi N d / lambda)^2, capped at 1.
+                photon_effectiveness_cap: float = 1.0):
+        return _new(cls, (c6_prefactor, gas_electron_count, cluster_electrons_per_amu,
+                          collision_effectiveness, dc_conductivity, photon_effectiveness_cap))
 
 
 # The one set of constants that every rate below reads, like CONSTANTS.
 DEFAULT_MODEL = DecoherenceModel()
 
 
-class DecoherenceBudget(_Frozen):
+class DecoherenceBudget(_value_type("DecoherenceBudget", (
+        "rate_collision rate_bb_absorption rate_bb_emission rate_bb_scattering "
+        "exposure_time visibility_factor"))):
     """Effective (fringe-weighted) rates and the combined visibility factor."""
 
-    __slots__ = ("rate_collision", "rate_bb_absorption", "rate_bb_emission",
-                 "rate_bb_scattering", "exposure_time", "visibility_factor")
-
-    def __init__(self, rate_collision: float, rate_bb_absorption: float,
-                 rate_bb_emission: float, rate_bb_scattering: float, exposure_time: float,
-                 visibility_factor: float):
-        _set(self, "rate_collision", rate_collision)
-        _set(self, "rate_bb_absorption", rate_bb_absorption)
-        _set(self, "rate_bb_emission", rate_bb_emission)
-        _set(self, "rate_bb_scattering", rate_bb_scattering)
-        _set(self, "exposure_time", exposure_time)
-        _set(self, "visibility_factor", visibility_factor)
+    __slots__ = ()
 
     @property
     def total_rate(self) -> float:
@@ -276,7 +264,7 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
         raise DomainError(f"the interference time underflows to 0 at mass {species.mass} kg "
                           f"and grating period {grating.period} m")
     budget = -math.log(level) / t_total
-    coll_coeff = collision_rate(species, base_env.replace(gas_pressure=1.0))
+    coll_coeff = collision_rate(species, base_env._replace(gas_pressure=1.0))
     if coll_coeff == 0.0:
         raise DomainError(f"the collision rate per Pa underflows to 0 at mass {species.mass} kg "
                           f"and density {species.bulk_density} kg/m^3")

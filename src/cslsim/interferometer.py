@@ -12,7 +12,7 @@ import math
 
 from .errors import DomainError, UnachievableTargetError, finite
 from .mie import AbsorptionProfile, absorption_profile
-from .params import ClusterSpecies, GratingConfig, _Frozen, _set
+from .params import ClusterSpecies, GratingConfig, _value_type
 from .specfun import _iv012_scaled, bessel_I_scaled, log_bessel_I0
 
 # The visibility is inverted only on its first monotone branch; the
@@ -21,16 +21,10 @@ _N1_BRACKET_MAX = 20.0
 _V_BRACKET_MAX = 1.714781193459301  # visibility(_N1_BRACKET_MAX)
 
 
-class FringeObservables(_Frozen):
+class FringeObservables(_value_type("FringeObservables", "visibility transmissivity n0 n1")):
     """Visibility, transmissivity, and the absorption parameters behind them."""
 
-    __slots__ = ("visibility", "transmissivity", "n0", "n1")
-
-    def __init__(self, visibility: float, transmissivity: float, n0: float, n1: float):
-        _set(self, "visibility", visibility)
-        _set(self, "transmissivity", transmissivity)
-        _set(self, "n0", n0)
-        _set(self, "n1", n1)
+    __slots__ = ()
 
 
 def visibility(n1: float) -> float:

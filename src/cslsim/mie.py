@@ -11,7 +11,7 @@ import functools
 import math
 
 from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError, finite
-from .params import PLANCK_H, ClusterSpecies, GratingConfig, _Frozen, _set, cluster_radius
+from .params import PLANCK_H, ClusterSpecies, GratingConfig, _new, _value_type, cluster_radius
 from .specfun import MAX_ORDER, _jn_ratio_pass
 
 _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
@@ -26,19 +26,16 @@ _DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
 _FIRST_BUDGET = 16
 
 
-class AbsorptionProfile(_Frozen):
+class AbsorptionProfile(_value_type("AbsorptionProfile", "n0 n1 flux truncation_order")):
     """n(x) = n0 + n1 cos(2 pi x / d) for one species, grating, and flux,
     from multipole sums that converged at `truncation_order`."""
 
-    __slots__ = ("n0", "n1", "flux", "truncation_order")
+    __slots__ = ()
 
-    def __init__(self, n0: float, n1: float, flux: float, truncation_order: int):
+    def __new__(cls, n0: float, n1: float, flux: float, truncation_order: int):
         if n0 < abs(n1) * (1.0 - 1e-12):
             raise DomainError(f"n(x) would go negative: n0={n0}, n1={n1}")
-        _set(self, "n0", n0)
-        _set(self, "n1", n1)
-        _set(self, "flux", flux)
-        _set(self, "truncation_order", truncation_order)
+        return _new(cls, (n0, n1, flux, truncation_order))
 
 
 def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:

@@ -8,67 +8,33 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 
 from .errors import ConfigError, DomainError, finite
 
-# Assigns a field of a _Frozen value; only its type's __init__ calls it.
-_set = object.__setattr__
+# Builds a value from its fields; a type's __new__ returns tuple.__new__(cls, fields).
+_new = tuple.__new__
 
 
-class _Frozen:
-    """Base of the immutable value types.  Each type lists its fields in
-    __slots__, in the order its __init__ takes them, and sets them with
-    _set; equality, hashing, repr, pickling and copying read them in that
-    order."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign or delete field {name!r} of {type(self).__name__}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def asdict(self) -> dict:
-        """{field name: value}, in field order."""
-        return dict(zip(self.__slots__, self._values()))
-
-    def replace(self, **changes):
-        """A copy with the named fields changed, checked as any new value is."""
-        return type(self)(**{**self.asdict(), **changes})
+def _value_type(name: str, fields: str, defaults=()):
+    """The named-tuple base of an immutable value type: its fields compare,
+    hash, print, copy and pickle in order, and _replace builds through the
+    type's own __new__, so a changed field is checked as a new value is."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
-class PhysicalConstants(_Frozen):
+class PhysicalConstants(_value_type("PhysicalConstants", (
+        "planck_h boltzmann_kB speed_of_light_c atomic_mass_unit vacuum_permittivity"),
+        (6.62607015e-34,      # planck_h: J s (exact)
+         1.380649e-23,        # boltzmann_kB: J/K (exact)
+         299792458.0,         # speed_of_light_c: m/s (exact)
+         1.66053906660e-27,   # atomic_mass_unit: kg
+         8.8541878128e-12))):  # vacuum_permittivity: F/m
     """SI defining constants (2019 redefinition) plus CODATA-2018 values."""
 
-    __slots__ = ("planck_h", "boltzmann_kB", "speed_of_light_c", "atomic_mass_unit",
-                 "vacuum_permittivity")
-
-    def __init__(self, planck_h: float = 6.62607015e-34,   # J s (exact)
-                 boltzmann_kB: float = 1.380649e-23,         # J/K (exact)
-                 speed_of_light_c: float = 299792458.0,      # m/s (exact)
-                 atomic_mass_unit: float = 1.66053906660e-27,  # kg
-                 vacuum_permittivity: float = 8.8541878128e-12):  # F/m
-        _set(self, "planck_h", planck_h)
-        _set(self, "boltzmann_kB", boltzmann_kB)
-        _set(self, "speed_of_light_c", speed_of_light_c)
-        _set(self, "atomic_mass_unit", atomic_mass_unit)
-        _set(self, "vacuum_permittivity", vacuum_permittivity)
+    __slots__ = ()
 
     @property
     def hbar(self) -> float:
@@ -122,22 +88,22 @@ def _cluster_kg(mass_amu: float, name: str = "mass") -> float:
     return mass
 
 
-class ClusterSpecies(_Frozen):
+class ClusterSpecies(_value_type("ClusterSpecies", "mass bulk_density permittivity label")):
     """A spherical dielectric cluster: mass, bulk density, permittivity."""
 
-    __slots__ = ("mass", "bulk_density", "permittivity", "label")
+    __slots__ = ()
 
-    def __init__(self, mass: float, bulk_density: float, permittivity: complex,
-                 label: str = "cluster"):
-        _set(self, "mass", finite("mass", mass))  # kg
-        _set(self, "bulk_density", finite("bulk_density", bulk_density))  # kg/m^3
+    def __new__(cls, mass: float,         # kg
+                bulk_density: float,      # kg/m^3
+                permittivity: complex,    # relative epsilon at the grating wavelength
+                label: str = "cluster"):
+        fields = finite("mass", mass), finite("bulk_density", bulk_density), permittivity, label
         eps = complex(permittivity)
         if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
             raise DomainError("permittivity must be finite")
         if eps.imag < 0.0:
             raise DomainError("Im(eps) must be >= 0 for a passive medium")
-        _set(self, "permittivity", permittivity)  # relative epsilon at the grating wavelength
-        _set(self, "label", label)
+        return _new(cls, fields)
 
     @classmethod
     def from_amu(cls, mass_amu: float, bulk_density: float,
@@ -153,18 +119,19 @@ def gold_cluster(mass_amu: float) -> ClusterSpecies:
     return ClusterSpecies.from_amu(mass_amu, GOLD_DENSITY, GOLD_PERMITTIVITY_157NM, "gold")
 
 
-class GratingConfig(_Frozen):
+class GratingConfig(_value_type("GratingConfig", "laser_wavelength talbot_order laser_flux")):
     """Pulsed standing-wave grating: wavelength, Talbot order, pulse flux."""
 
-    __slots__ = ("laser_wavelength", "talbot_order", "laser_flux")
+    __slots__ = ()
 
-    def __init__(self, laser_wavelength: float, talbot_order: int = 2, laser_flux: float = 1.0):
-        _set(self, "laser_wavelength", finite("laser_wavelength", laser_wavelength))  # m
+    def __new__(cls, laser_wavelength: float,  # m
+                talbot_order: int = 2,
+                laser_flux: float = 1.0):      # J/m^2 per pulse
+        finite("laser_wavelength", laser_wavelength)
         # the Talbot time scales with the order, so it must have a double value
         if not (isinstance(talbot_order, int) and 1 <= talbot_order <= sys.float_info.max):
             raise DomainError(f"talbot_order must be an integer from 1 to {sys.float_info.max:g}")
-        _set(self, "talbot_order", talbot_order)
-        _set(self, "laser_flux", finite("laser_flux", laser_flux, True))  # J/m^2 per pulse
+        return _new(cls, (laser_wavelength, talbot_order, finite("laser_flux", laser_flux, True)))
 
     @property
     def period(self) -> float:
@@ -197,43 +164,43 @@ def default_grating() -> GratingConfig:
     return GratingConfig(157e-9)
 
 
-class CslParams(_Frozen):
+class CslParams(_value_type("CslParams", "r_c lambda0 m0")):
     """Localization length, rate at the reference mass, and reference mass."""
 
-    __slots__ = ("r_c", "lambda0", "m0")
+    __slots__ = ()
 
-    def __init__(self, r_c: float = 100e-9, lambda0: float = 0.0, m0: float = ATOMIC_MASS_UNIT):
-        _set(self, "r_c", finite("r_c", r_c))  # m
-        _set(self, "lambda0", finite("lambda0", lambda0, True))  # Hz
-        _set(self, "m0", finite("m0", m0))  # kg
+    def __new__(cls, r_c: float = 100e-9,      # m
+                lambda0: float = 0.0,          # Hz
+                m0: float = ATOMIC_MASS_UNIT):  # kg
+        return _new(cls, (finite("r_c", r_c), finite("lambda0", lambda0, True),
+                          finite("m0", m0)))
 
     def effective_rate(self, mass_kg: float) -> float:
         """Saturated localization rate lambda0 * (m/m0)^2."""
         return self.lambda0 * (mass_kg / self.m0) ** 2
 
 
-class EnvironmentConfig(_Frozen):
+class EnvironmentConfig(_value_type("EnvironmentConfig", (
+        "gas_pressure gas_temperature gas_mass gas_polarizability_volume "
+        "environment_temperature cluster_temperature"))):
     """Residual gas plus thermal radiation field around the interferometer."""
 
-    __slots__ = ("gas_pressure", "gas_temperature", "gas_mass", "gas_polarizability_volume",
-                 "environment_temperature", "cluster_temperature")
+    __slots__ = ()
 
-    def __init__(self, gas_pressure: float = 0.0,                # Pa
-                 gas_temperature: float = 300.0,                   # K
-                 gas_mass: float = 28.0 * ATOMIC_MASS_UNIT,        # kg, N2 default
-                 gas_polarizability_volume: float = 1.74e-30,      # m^3 (alpha/4 pi eps0), N2
-                 environment_temperature: float | None = None,     # K; None -> gas temperature
-                 cluster_temperature: float | None = None):        # K; None -> environment
-        _set(self, "gas_pressure", finite("gas_pressure", gas_pressure, True))
-        _set(self, "gas_temperature", gas_temperature)
-        _set(self, "gas_mass", gas_mass)
-        _set(self, "gas_polarizability_volume", gas_polarizability_volume)
-        _set(self, "environment_temperature", environment_temperature)
-        _set(self, "cluster_temperature", cluster_temperature)
+    def __new__(cls, gas_pressure: float = 0.0,                 # Pa
+                gas_temperature: float = 300.0,                    # K
+                gas_mass: float = 28.0 * ATOMIC_MASS_UNIT,         # kg, N2 default
+                gas_polarizability_volume: float = 1.74e-30,       # m^3 (alpha/4 pi eps0), N2
+                environment_temperature: float | None = None,      # K; None -> gas temperature
+                cluster_temperature: float | None = None):         # K; None -> environment
+        self = _new(cls, (finite("gas_pressure", gas_pressure, True), gas_temperature,
+                          gas_mass, gas_polarizability_volume, environment_temperature,
+                          cluster_temperature))
         for name in ("gas_temperature", "environment_temperature", "cluster_temperature",
                      "gas_mass", "gas_polarizability_volume"):
             if getattr(self, name) is not None:
                 finite(name, getattr(self, name))
+        return self
 
     @property
     def radiation_temperature(self) -> float:
@@ -266,19 +233,12 @@ def total_interference_time(species: ClusterSpecies, grating: GratingConfig) -> 
 
 # -- config files -----------------------------------------------------------
 
-class RunConfig(_Frozen):
+class RunConfig(_value_type("RunConfig", "species grating csl environment", (
+        gold_cluster(1.9697e5), default_grating(), CslParams(), EnvironmentConfig()))):
     """Everything a CLI run can take from a config file; a section the file
     leaves out takes these defaults."""
 
-    __slots__ = ("species", "grating", "csl", "environment")
-
-    def __init__(self, species: ClusterSpecies = gold_cluster(1.9697e5),
-                 grating: GratingConfig = default_grating(), csl: CslParams = CslParams(),
-                 environment: EnvironmentConfig = EnvironmentConfig()):
-        _set(self, "species", species)
-        _set(self, "grating", grating)
-        _set(self, "csl", csl)
-        _set(self, "environment", environment)
+    __slots__ = ()
 
 
 # Config section -> key -> (field, conversion to SI from the unit
@@ -322,7 +282,7 @@ def _fields(section: str, values: dict) -> dict:
 def _with_keys(config: RunConfig, rows) -> RunConfig:
     """`config` with the key of each (section, key, value) row set to the value."""
     for section, key, value in rows:
-        config = config.replace(**{section: getattr(config, section).replace(
+        config = config._replace(**{section: getattr(config, section)._replace(
             **_fields(section, {key: value}))})
     return config
 

@@ -465,7 +465,7 @@ def test_cli_import_loads_no_scipy():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     for package in ("scipy", "numpy"):
         assert [m for m in loaded if m.split(".")[0] == package] == []
-    # the value types are plain classes: the import pays for neither module
+    # the value types are named tuples: the import pays for neither module
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
@@ -894,7 +894,7 @@ def test_budget_takes_lambda0_from_the_config(tmp_path):
 
     assert lambda0("--config", str(cfg), "budget") == 1e-10
     assert lambda0("--config", str(cfg), "budget", "--lambda0", "3e-12") == 3e-12
-    # without a config the rate is the dataclass default 0.0, as it was
+    # without a config the rate is the CslParams default 0.0, as it was
     # when the flag itself defaulted to 0.0
     assert budget("budget") == budget("budget", "--lambda0", "0.0")
 

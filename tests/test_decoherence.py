@@ -408,7 +408,7 @@ def test_contour_rates_see_the_template_at_each_temperature(monkeypatch):
                                  environment_temperature=123.0, cluster_temperature=150.0)
     default = EnvironmentConfig()
     assert all(getattr(template, name) != getattr(default, name)
-               for name in EnvironmentConfig.__slots__)
+               for name in EnvironmentConfig._fields)
     rates, seen = decoherence.blackbody_rates, []
 
     def spy(species, grating, temperature, cluster_temperature=None):
@@ -426,7 +426,7 @@ def test_contour_rates_see_the_template_at_each_temperature(monkeypatch):
     # each vertex is on the level set of the template at its pressure and temperature
     monkeypatch.undo()
     for p, t in lines[0]:
-        budget = decoherence_budget(species, grating, template.replace(
+        budget = decoherence_budget(species, grating, template._replace(
             gas_pressure=p, environment_temperature=t))
         assert math.log(budget.visibility_factor) == pytest.approx(math.log(0.5), abs=1e-9)
 
@@ -435,12 +435,12 @@ def test_contour_builds_no_environment_per_temperature(monkeypatch):
     # the template at 1 Pa, for the collision rate, is the only environment built,
     # and each temperature the contour evaluates is one blackbody_rates call
     built, seen, solved = [], [], []
-    init, rates, solve = (EnvironmentConfig.__init__, decoherence.blackbody_rates,
-                          decoherence._solve_temperature)
+    new, rates, solve = (EnvironmentConfig.__new__, decoherence.blackbody_rates,
+                         decoherence._solve_temperature)
 
-    def counted_init(environment, *args, **kwargs):
-        init(environment, *args, **kwargs)
-        built.append(environment)
+    def counted_new(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
     def spy(species, grating, temperature, cluster_temperature=None):
         seen.append(temperature)
@@ -453,8 +453,8 @@ def test_contour_builds_no_environment_per_temperature(monkeypatch):
         return solve(rate, *args)
 
     template = EnvironmentConfig(gas_temperature=250.0, cluster_temperature=150.0)
-    at_one_pa = template.replace(gas_pressure=1.0)
-    monkeypatch.setattr(EnvironmentConfig, "__init__", counted_init)
+    at_one_pa = template._replace(gas_pressure=1.0)
+    monkeypatch.setattr(EnvironmentConfig, "__new__", staticmethod(counted_new))
     monkeypatch.setattr(decoherence, "blackbody_rates", spy)
     monkeypatch.setattr(decoherence, "_solve_temperature", counted_solve)
     temperatures = [4.0 + 396.0 * i / 59 for i in range(60)]

@@ -1,5 +1,6 @@
-"""The frozen value types: immutability, equality, hashing, repr, copying
-and pickling, field by field in the order each type's __init__ takes them."""
+"""The immutable value types, each a named tuple: immutability, equality,
+hashing, repr, copying and pickling, field by field in the order each
+type's constructor takes them."""
 
 import copy
 import pickle
@@ -24,7 +25,7 @@ from cslsim import (
 from cslsim.errors import DomainError
 from cslsim.params import RunConfig
 
-# type -> (its fields in __init__ order, positional values for a non-default instance)
+# type -> (its fields in constructor order, positional values for a non-default instance)
 FIELDS = {
     PhysicalConstants: (("planck_h", "boltzmann_kB", "speed_of_light_c", "atomic_mass_unit",
                          "vacuum_permittivity"), (1.0, 2.0, 3.0, 4.0, 5.0)),
@@ -88,19 +89,22 @@ def test_equal_fields_mean_equal_values_and_hashes(cls):
     names, values = FIELDS[cls]
     a, b = cls(*values), cls(**dict(zip(names, values)))
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
-    assert a.asdict() == dict(zip(names, values))
+    assert cls._fields == names and a._asdict() == dict(zip(names, values))
     # a change to one field makes the values unequal
     changed = {ClusterSpecies: "cluster", EnvironmentConfig: 100.0,
                RunConfig: EnvironmentConfig()}.get(cls, 0.25)
-    assert a.replace(**{names[-1]: changed}) != a and a.replace() == a
-    assert a != tuple(values) and a != a.asdict()
+    assert a._replace(**{names[-1]: changed}) != a and a._replace() == a
+    # a value is the tuple of its fields, and equals that tuple
+    assert a == tuple(values) and a != a._asdict()
 
 
 def test_replace_checks_the_new_value():
     with pytest.raises(DomainError, match="gas_pressure must be >= 0"):
-        EnvironmentConfig().replace(gas_pressure=-1.0)
-    with pytest.raises(TypeError):
-        EnvironmentConfig().replace(no_such_field=1.0)
+        EnvironmentConfig()._replace(gas_pressure=-1.0)
+    with pytest.raises(DomainError, match="talbot_order must be an integer"):
+        default_grating()._replace(talbot_order=0)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        EnvironmentConfig()._replace(no_such_field=1.0)
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
