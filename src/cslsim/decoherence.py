@@ -23,7 +23,6 @@ from .params import (
     ClusterSpecies,
     EnvironmentConfig,
     GratingConfig,
-    _new,
     _value_type,
     cluster_radius,
     total_interference_time,
@@ -32,34 +31,28 @@ from .params import (
 
 class DecoherenceModel(_value_type("DecoherenceModel", (
         "c6_prefactor gas_electron_count cluster_electrons_per_amu collision_effectiveness "
-        "dc_conductivity photon_effectiveness_cap"))):
+        "dc_conductivity photon_effectiveness_cap"),
+        (7.57,  # c6_prefactor: sigma(v) = c6_prefactor (C6 / hbar v)^(2/5) for London 1/r^6
+         10.0,  # gas_electron_count: Slater-Kirkwood effective electron number of N2
+         11.0 / GOLD_ATOM_MASS_AMU,  # cluster_electrons_per_amu: the same, gold valence
+         # collision_effectiveness: every gas collision fully resolves the paths
+         # (thermal de Broglie wavelength << N d at all relevant temperatures)
+         1.0,
+         # dc_conductivity: S/m, bulk gold; Drude low-frequency absorptive response
+         # Im[(eps-1)/(eps+2)] ~ 3 eps0 omega / dc_conductivity
+         4.1e7,
+         # photon_effectiveness_cap: a photon at wavelength lambda resolves the
+         # paths with effectiveness (2 pi N d / lambda)^2, capped at this value
+         1.0))):
     """All model constants behind the environmental channels.
 
     Every number here is recorded in output manifests.  Defaults are
     standard literature values; they are never tuned to reproduce any
-    particular figure.
+    particular figure.  The rates read `DEFAULT_MODEL`, so building
+    another instance changes no rate.
     """
 
     __slots__ = ()
-
-    def __new__(cls,
-                # Total cross section sigma(v) = c6_prefactor * (C6 / hbar v)^(2/5)
-                # for a London-van der Waals 1/r^6 potential.
-                c6_prefactor: float = 7.57,
-                # Slater-Kirkwood effective electron numbers entering C6.
-                gas_electron_count: float = 10.0,          # N2
-                cluster_electrons_per_amu: float = 11.0 / GOLD_ATOM_MASS_AMU,  # gold valence
-                # Every gas collision fully resolves the paths (thermal de Broglie
-                # wavelength << N d at all relevant temperatures).
-                collision_effectiveness: float = 1.0,
-                # Drude low-frequency absorptive response: Im[(eps-1)/(eps+2)] ~
-                # 3 eps0 omega / dc_conductivity.  Bulk gold conductivity.
-                dc_conductivity: float = 4.1e7,            # S/m
-                # Fringe-resolving effectiveness of a photon event at wavelength
-                # lambda: (2 pi N d / lambda)^2, capped at 1.
-                photon_effectiveness_cap: float = 1.0):
-        return _new(cls, (c6_prefactor, gas_electron_count, cluster_electrons_per_amu,
-                          collision_effectiveness, dc_conductivity, photon_effectiveness_cap))
 
 
 # The one set of constants that every rate below reads, like CONSTANTS.

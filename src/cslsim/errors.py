@@ -34,12 +34,12 @@ class ConfigError(CslSimError, ValueError):
 def finite(name: str, value, zero: bool = False):
     """`value` if it is finite and > 0, or >= 0 with `zero`; else DomainError.
 
-    NaN fails both comparisons, so it is refused like inf.
+    NaN fails both comparisons, so it is refused like inf, and a value that
+    does not compare with a float, such as None, is refused too.
     """
-    if zero:
-        if 0.0 <= value < math.inf:
+    try:
+        if 0.0 <= value < math.inf if zero else 0.0 < value < math.inf:
             return value
-        raise DomainError(f"{name} must be >= 0 and finite, got {value}")
-    if 0.0 < value < math.inf:
-        return value
-    raise DomainError(f"{name} must be positive and finite, got {value}")
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value}")

@@ -11,7 +11,7 @@ import functools
 import math
 
 from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError, finite
-from .params import PLANCK_H, ClusterSpecies, GratingConfig, _new, _value_type, cluster_radius
+from .params import PLANCK_H, ClusterSpecies, GratingConfig, _value_type, cluster_radius
 from .specfun import MAX_ORDER, _jn_ratio_pass
 
 _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
@@ -35,7 +35,7 @@ class AbsorptionProfile(_value_type("AbsorptionProfile", "n0 n1 flux truncation_
     def __new__(cls, n0: float, n1: float, flux: float, truncation_order: int):
         if n0 < abs(n1) * (1.0 - 1e-12):
             raise DomainError(f"n(x) would go negative: n0={n0}, n1={n1}")
-        return _new(cls, (n0, n1, flux, truncation_order))
+        return tuple.__new__(cls, (n0, n1, flux, truncation_order))
 
 
 def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:

@@ -12,10 +12,6 @@ from collections import namedtuple
 
 from .errors import ConfigError, DomainError, finite
 
-# Builds a value from its fields; a type's __new__ returns tuple.__new__(cls, fields).
-_new = tuple.__new__
-
-
 def _value_type(name: str, fields: str, defaults=()):
     """The named-tuple base of an immutable value type: its fields compare,
     hash, print, copy and pickle in order, and _replace builds through the
@@ -103,7 +99,7 @@ class ClusterSpecies(_value_type("ClusterSpecies", "mass bulk_density permittivi
             raise DomainError("permittivity must be finite")
         if eps.imag < 0.0:
             raise DomainError("Im(eps) must be >= 0 for a passive medium")
-        return _new(cls, fields)
+        return tuple.__new__(cls, fields)
 
     @classmethod
     def from_amu(cls, mass_amu: float, bulk_density: float,
@@ -128,10 +124,12 @@ class GratingConfig(_value_type("GratingConfig", "laser_wavelength talbot_order 
                 talbot_order: int = 2,
                 laser_flux: float = 1.0):      # J/m^2 per pulse
         finite("laser_wavelength", laser_wavelength)
-        # the Talbot time scales with the order, so it must have a double value
-        if not (isinstance(talbot_order, int) and 1 <= talbot_order <= sys.float_info.max):
+        # the Talbot time scales with the order, so it must have a double value; a bool is no order
+        if not (isinstance(talbot_order, int) and not isinstance(talbot_order, bool)
+                and 1 <= talbot_order <= sys.float_info.max):
             raise DomainError(f"talbot_order must be an integer from 1 to {sys.float_info.max:g}")
-        return _new(cls, (laser_wavelength, talbot_order, finite("laser_flux", laser_flux, True)))
+        return tuple.__new__(cls, (laser_wavelength, talbot_order,
+                                   finite("laser_flux", laser_flux, True)))
 
     @property
     def period(self) -> float:
@@ -172,8 +170,8 @@ class CslParams(_value_type("CslParams", "r_c lambda0 m0")):
     def __new__(cls, r_c: float = 100e-9,      # m
                 lambda0: float = 0.0,          # Hz
                 m0: float = ATOMIC_MASS_UNIT):  # kg
-        return _new(cls, (finite("r_c", r_c), finite("lambda0", lambda0, True),
-                          finite("m0", m0)))
+        return tuple.__new__(cls, (finite("r_c", r_c), finite("lambda0", lambda0, True),
+                                   finite("m0", m0)))
 
     def effective_rate(self, mass_kg: float) -> float:
         """Saturated localization rate lambda0 * (m/m0)^2."""
@@ -193,14 +191,16 @@ class EnvironmentConfig(_value_type("EnvironmentConfig", (
                 gas_polarizability_volume: float = 1.74e-30,       # m^3 (alpha/4 pi eps0), N2
                 environment_temperature: float | None = None,      # K; None -> gas temperature
                 cluster_temperature: float | None = None):         # K; None -> environment
-        self = _new(cls, (finite("gas_pressure", gas_pressure, True), gas_temperature,
-                          gas_mass, gas_polarizability_volume, environment_temperature,
-                          cluster_temperature))
-        for name in ("gas_temperature", "environment_temperature", "cluster_temperature",
-                     "gas_mass", "gas_polarizability_volume"):
-            if getattr(self, name) is not None:
-                finite(name, getattr(self, name))
-        return self
+        fields = (finite("gas_pressure", gas_pressure, True),
+                  finite("gas_temperature", gas_temperature), finite("gas_mass", gas_mass),
+                  finite("gas_polarizability_volume", gas_polarizability_volume),
+                  environment_temperature, cluster_temperature)
+        # only these two may be None: see the properties below
+        for name, value in (("environment_temperature", environment_temperature),
+                            ("cluster_temperature", cluster_temperature)):
+            if value is not None:
+                finite(name, value)
+        return tuple.__new__(cls, fields)
 
     @property
     def radiation_temperature(self) -> float:

@@ -35,17 +35,6 @@ _TINY_Z = 1e-300         # below this |z|, r_l overflows and j_l (l >= 2) underf
 _IV_SERIES_MAX_X = 30.0  # series/asymptotic crossover for I_k
 
 
-def _checked(lmax: int, z) -> complex:
-    if lmax < 0 or lmax > MAX_ORDER:
-        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must be finite, got {z}")
-    if abs(z) > MAX_ORDER:
-        raise DomainError(f"|z| must be at most {MAX_ORDER}, got {z}")
-    return z
-
-
 def _jn_ratio_pass(lmax: int, w: complex) -> list:
     """[D_1, .., D_lmax], D_l = z j_(l-1)(z) / j_l(z) with z^2 = w, from one
     downward pass D_l = (2l+1) - w / D_(l+1).
@@ -68,20 +57,23 @@ def _jn_ratio_pass(lmax: int, w: complex) -> list:
     # A D_l that rounds to 0 (j_(l-1) at a zero) is kept tiny instead, so
     # w / D stays finite and j_(l-1) / r_l still gives j_l.
     t = 0.0  # w / D_(l+1)
-    for n in range(2 * lstart + 1, 2 * lmax + 1, -2):  # n = 2l + 1
-        t = w / (n - t or 1e-300)
-    out = []
-    for n in range(2 * lmax + 1, 1, -2):
+    out = []  # D_lstart .. D_1
+    for n in range(2 * lstart + 1, 1, -2):  # n = 2l + 1
         d = n - t or 1e-300
         out.append(d)
         t = w / d
-    out.reverse()
-    return out
+    return out[:-lmax - 1:-1]
 
 
 def spherical_jn_array(lmax: int, z) -> list[complex]:
     """j_0(z) .. j_lmax(z) from the ratio pass and one upward product."""
-    z = _checked(lmax, z)
+    if lmax < 0 or lmax > MAX_ORDER:
+        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"argument must be finite, got {z}")
+    if abs(z) > MAX_ORDER:
+        raise DomainError(f"|z| must be at most {MAX_ORDER}, got {z}")
     if abs(z) < _TINY_Z:  # j_0 = 1 and j_1 = z / 3 to rounding
         return ([1.0 + 0.0j, z / 3.0] + [0.0j] * lmax)[:lmax + 1]
     rs = [d / z for d in _jn_ratio_pass(max(lmax, 1), z * z)]

@@ -54,9 +54,15 @@ CHECKS = {
 }
 
 
+# None may stand only for the two unset temperatures of an environment
+UNSET_REFUSED = {f"environment-{name}"
+                 for name in ("gas_temperature", "gas_mass", "gas_polarizability_volume")}
+
+
 @pytest.mark.parametrize("check, value", [
     (check, value) for check, (_, zero, _) in CHECKS.items()
-    for value in ((-1.0, math.inf, math.nan) if zero else (0.0, -1.0, math.inf, math.nan))])
+    for value in ((-1.0, math.inf, math.nan) if zero else (0.0, -1.0, math.inf, math.nan))
+    + ((None,) if check in UNSET_REFUSED else ())])
 def test_each_range_check_refuses_in_one_wording(check, value):
     name, zero, call = CHECKS[check]
     with pytest.raises(DomainError) as refused:

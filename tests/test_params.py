@@ -108,6 +108,8 @@ def test_grating_invariants():
         GratingConfig(laser_wavelength=-157e-9)
     with pytest.raises(DomainError):
         GratingConfig(laser_wavelength=157e-9, talbot_order=0)
+    with pytest.raises(DomainError, match="talbot_order must be an integer from 1 to"):
+        GratingConfig(laser_wavelength=157e-9, talbot_order=True)
     grating = GratingConfig(laser_wavelength=157e-9)
     assert grating.period * 2.0 == grating.laser_wavelength
 
