@@ -63,10 +63,6 @@ FIG2_HEADER = "mass_amu,radius_nm,flux_J_m2,n0,n1,transmissivity,status"
 FIG3_HEADER = "segment,pressure_mbar,temperature_K"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _csv(rows: list[str]) -> str:
     return "\n".join(rows) + "\n"
 
@@ -209,10 +205,10 @@ def _fig1_files(args: dict, out: str | None) -> dict:
     grid = _log_grid(args, "lo_log10", "hi_log10", "steps")
     # a grid value that rounds differently from a marker is the same point
     markers = [m for m in args["markers"] if not any(math.isclose(m, g) for g in grid)]
-    g = _fmt(geometry_factor(grating, csl))
+    g = geometry_factor(grating, csl)
     boundary = exclusion_boundary(grating, csl, sorted(grid + markers, reverse=True),
                                   args["threshold"])
-    return {out: _csv([FIG1_HEADER] + [",".join([_fmt(lam), _fmt(mc / amu_to_kg(1.0)), g])
+    return {out: _csv([FIG1_HEADER] + ["%.17g,%.17g,%.17g" % (lam, mc / amu_to_kg(1.0), g)
                                        for lam, mc in boundary])}
 
 
@@ -236,18 +232,18 @@ def _fig2_files(args: dict, out: str | None) -> dict:
     rows = [FIG2_HEADER]
     for mass_amu in masses:
         sp = _species_from(args, mass_amu)
-        cells = [_fmt(mass_amu), _fmt(cluster_radius(sp) * 1e9)]
         try:
             flux = flux_for_target_visibility(sp, grating, target_v)
         except GeometryError:
-            cells += ["nan"] * 4 + ["geometry_error"]
+            cells = math.nan, math.nan, math.nan, math.nan, "geometry_error"
         except UnachievableTargetError:
-            cells += ["nan"] * 4 + ["unreachable"]
+            cells = math.nan, math.nan, math.nan, math.nan, "unreachable"
         else:
             unit = absorption_profile(sp, grating, 1.0)  # the flux solve's, from the cache
             n0, n1 = unit.n0 * flux, unit.n1 * flux
-            cells += [_fmt(flux), _fmt(n0), _fmt(n1), _fmt(transmissivity(n0, n1)), "ok"]
-        rows.append(",".join(cells))
+            cells = flux, n0, n1, transmissivity(n0, n1), "ok"
+        rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+                    % (mass_amu, cluster_radius(sp) * 1e9, *cells))
     return {out: _csv(rows)}
 
 
@@ -314,7 +310,7 @@ def _fig3_files(args: dict, out: str | None) -> dict:
         contours = critical_contour(_species_from(args, mass_amu), grating, pressures,
                                     temperatures, env_template=env, level=args["level"])
         files[path] = _csv([FIG3_HEADER] + [
-            ",".join([str(seg_idx), _fmt(pa_to_mbar(p_pa)), _fmt(t_k)])
+            "%d,%.17g,%.17g" % (seg_idx, pa_to_mbar(p_pa), t_k)
             for seg_idx, line in enumerate(contours) for p_pa, t_k in line])
     return files
 
@@ -322,7 +318,7 @@ def _fig3_files(args: dict, out: str | None) -> dict:
 # command -> (schema, args from the parsed options and config, files from args)
 SWEEPS = {
     "fig1": ("fig1.v3", _fig1_args, _fig1_files),
-    "fig2": ("fig2.v9", _fig2_args, _fig2_files),
+    "fig2": ("fig2.v10", _fig2_args, _fig2_files),
     "fig3": ("fig3.v3", _fig3_args, _fig3_files),
 }
 

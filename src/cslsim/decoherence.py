@@ -245,11 +245,11 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     temperature_K), one vertex per crossed grid line in increasing T; an
     empty list is a valid result (no crossing on the grid).
     """
-    pressures = [finite("grid pressure", float(p)) for p in pressure_grid]
-    temperatures = [finite("grid temperature", float(t)) for t in temperature_grid]
+    # a repeated grid value is one grid line, so the size is checked after the set
+    pressures = sorted({finite("grid pressure", float(p)) for p in pressure_grid})
+    temperatures = sorted({finite("grid temperature", float(t)) for t in temperature_grid})
     if len(pressures) < 2 or len(temperatures) < 2:
         raise DomainError("contour tracing needs at least a 2 x 2 grid")
-    pressures, temperatures = sorted(set(pressures)), sorted(set(temperatures))
     base_env = env_template if env_template is not None else EnvironmentConfig()
 
     t_total = total_interference_time(species, grating)

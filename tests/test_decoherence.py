@@ -377,6 +377,10 @@ def test_contour_on_random_grids(log10_mass, log10_pressures, temperatures):
     grating = default_grating()
     species = gold_cluster(10.0 ** log10_mass)
     pressures = [10.0 ** x for x in log10_pressures]
+    if len(set(pressures)) < 2 or len(set(temperatures)) < 2:  # repeats of one grid line
+        with pytest.raises(DomainError, match="2 x 2 grid"):
+            critical_contour(species, grating, pressures, temperatures)
+        return
     lines = critical_contour(species, grating, pressures, temperatures)
     assert len(lines) <= 1
     vertices = lines[0] if lines else []
@@ -511,3 +515,8 @@ def test_contour_grid_validation():
         critical_contour(gold_cluster(1e6), grating, [1e-9, -1e-8], [100.0, 200.0])
     with pytest.raises(DomainError):
         critical_contour(gold_cluster(1e6), grating, [1e-9, math.nan], [100.0, 200.0])
+    # a repeated value is one grid line, so [300.0, 300.0] is a one-line axis
+    with pytest.raises(DomainError, match="2 x 2 grid"):
+        critical_contour(gold_cluster(1e7), grating, [1e-8, 1e-3], [300.0, 300.0])
+    with pytest.raises(DomainError, match="2 x 2 grid"):
+        critical_contour(gold_cluster(1e7), grating, [1e-8, 1e-8], [100.0, 300.0])

@@ -3,6 +3,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cslsim.mie as mie
 from cslsim.cli import EXIT_NONCONVERGENCE, main
@@ -225,6 +226,23 @@ def test_multipole_components_domain_errors():
     (0.5, 1e5 + 1j),
 ])
 def test_both_sums_match_the_mpmath_standing_wave_oracle(rho, eps):
+    s0, s1, _ = absorption_sums(rho, eps)
+    o0, o1 = standing_wave_sums_oracle(rho, eps)
+    assert s0 == pytest.approx(o0, rel=1e-12, abs=0.0)
+    assert s1 == pytest.approx(o1, rel=1e-12, abs=0.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# the order loop's squares and tail bound, over the sub-period range of gold
+# and over the large permittivity whose magnetic term is a small imaginary part
+@given(st.one_of(st.tuples(_log_uniform(1e-6, math.pi), st.just(GOLD_EPS)),
+                 st.tuples(_log_uniform(1e-6, 1e-3), st.just(1e5 + 1j))))
+@settings(max_examples=12, deadline=None)
+def test_the_sums_match_the_oracle_at_any_sub_period_rho(case):
+    rho, eps = case
     s0, s1, _ = absorption_sums(rho, eps)
     o0, o1 = standing_wave_sums_oracle(rho, eps)
     assert s0 == pytest.approx(o0, rel=1e-12, abs=0.0)

@@ -28,13 +28,13 @@ SWEEP_DIGESTS = {
         ([], {"out.csv":
               "37f0996fa46701354ec79823a0525e1d4d175e11d71442b1b19f96a03fea1178"}),
     ],
-    "fig2.v9": [
+    "fig2.v10": [
         ([], {"out.csv":
               "61f447714e43cc1b3aac4f9cf3de78051db2cb0702f0cff41b63760f7aa0ef17"}),
         (["--mass-range=5:10.5:600", "--target-V=0.85"], {"out.csv":
-              "e26dd5c06a8968bb75370653cd7f5ddb7317daa66ef854ee41bcec37c69c13d8"}),
+              "43cab3efa952f9890d835f411256afe8646e82654b38ee99494f0d95a377077d"}),
         (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
-              "09d4fa6671c8a0450a1c4a738a391e20ead3f8e9bfac7ba4c61e40944a7b9b05"}),
+              "99c1d0b23d6c54499734a4e46103102004ccfa78143a01cff9293bb192753983"}),
     ],
     "fig3.v3": [
         ([], {"out_m1e+06.csv":
