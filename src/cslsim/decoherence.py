@@ -118,26 +118,44 @@ def _bose_tails(x: float) -> tuple[float, float, float]:
 
     Expanding 1/(e^t - 1) = sum_k e^(-k t) gives sum_k Gamma(m+1, k x) / k^(m+1),
     Gamma(m+1, y) = m! e^(-y) sum_{j<=m} y^j / j!, so the m share the partial sums.
+    Each k is straight-line code: the Poisson weights e^(-y) y^j / j!, each the
+    last times y / j, added left to right, the sums at j = 4, 6 and 8 kept.
     The terms fall like e^(-k x) and at least like k^-(m+1); stopping at k x >= 50,
     k = 1000 or e^(-y) = 0 leaves out less than 1e-12 of m! zeta(m+1), the sum at 0.
     """
     t4 = t6 = t8 = 0.0
-    sums = [0.0] * 9
     for k in range(1, math.ceil(50.0 / max(x, 0.05)) + 1):
         y = k * x
         # e^(-y) y^j / j! is a Poisson weight: it never overflows
-        term = poisson = math.exp(-y)
-        if poisson == 0.0:
+        p0 = math.exp(-y)
+        if p0 == 0.0:
             break
-        for j in (1, 2, 3, 4, 5, 6, 7, 8):
-            term *= y / j
-            sums[j] = poisson = poisson + term
-        t4, t6, t8 = t4 + sums[4] / k ** 5, t6 + sums[6] / k ** 7, t8 + sums[8] / k ** 9
+        p1 = p0 * y
+        p2 = p1 * (y / 2)
+        p3 = p2 * (y / 3)
+        p4 = p3 * (y / 4)
+        p5 = p4 * (y / 5)
+        p6 = p5 * (y / 6)
+        p7 = p6 * (y / 7)
+        p8 = p7 * (y / 8)
+        s4 = p0 + p1 + p2 + p3 + p4
+        s6 = s4 + p5 + p6
+        t4, t6, t8 = t4 + s4 / k ** 5, t6 + s6 / k ** 7, t8 + (s6 + p7 + p8) / k ** 9
     return 24 * t4, 720 * t6, 40320 * t8
 
 
 # The complete integrals m! zeta(m+1), as _bose_tails(0.0) rounds them.
 _BOSE_INTEGRAL = {6: 726.0114797149829, 8: 40400.97839874761}
+
+# What every thermal-photon rate evaluation shares: the Bose integrals, the
+# effectiveness cap and its square root, and the temperature-free parts of
+# the absorption and scattering prefactors (see blackbody_rates).
+_BOSE_6, _BOSE_8 = _BOSE_INTEGRAL[6], _BOSE_INTEGRAL[8]
+_CAP = DEFAULT_MODEL.photon_effectiveness_cap
+_SQRT_CAP = math.sqrt(_CAP)
+_ABS_FACTOR = 12.0 * VACUUM_PERMITTIVITY
+_ABS_DIVISOR = math.pi * DEFAULT_MODEL.dc_conductivity * SPEED_OF_LIGHT ** 3
+_SCA_DIVISOR = 3.0 * math.pi * SPEED_OF_LIGHT ** 6
 
 
 def _photon_rates(temperature: float, nd: float, k_abs: float,
@@ -152,11 +170,10 @@ def _photon_rates(temperature: float, nd: float, k_abs: float,
     """
     w = BOLTZMANN_KB * temperature / HBAR
     a = nd * w / SPEED_OF_LIGHT
-    cap = DEFAULT_MODEL.photon_effectiveness_cap
     try:
-        t4, t6, t8 = _bose_tails(math.sqrt(cap) / a)
-        i4 = a * a * (_BOSE_INTEGRAL[6] - t6) + cap * t4
-        i6 = a * a * (_BOSE_INTEGRAL[8] - t8) + cap * t6
+        t4, t6, t8 = _bose_tails(_SQRT_CAP / a)
+        i4 = a * a * (_BOSE_6 - t6) + _CAP * t4
+        i6 = a * a * (_BOSE_8 - t8) + _CAP * t6
         return k_abs * (w ** 5 * i4), k_sca * (w ** 7 * i6)
     except (ZeroDivisionError, OverflowError):  # kB T underflows, or w^7 overflows
         raise DomainError(f"thermal photon rates are out of float range at "
@@ -181,14 +198,13 @@ def blackbody_rates(species: ClusterSpecies, grating: GratingConfig, temperature
     Bose integral, cut where the effectiveness (N d omega / c)^2 reaches
     its cap.
     """
-    nd = grating.talbot_order * grating.period
+    nd = grating.talbot_order * (grating.laser_wavelength / 2.0)  # N times the period
     r3 = cluster_radius(species) ** 3
-    c = SPEED_OF_LIGHT
     # sigma(omega) times the photon flux omega^2 / (pi^2 c^2), per omega^power:
     # Drude absorption 4 pi (omega/c) R^3 * 3 eps0 omega / sigma_dc, and
     # Rayleigh scattering (8 pi / 3) (omega/c)^4 R^6.
-    k_abs = 12.0 * VACUUM_PERMITTIVITY * r3 / (math.pi * DEFAULT_MODEL.dc_conductivity * c ** 3)
-    k_sca = 8.0 * r3 * r3 / (3.0 * math.pi * c ** 6)
+    k_abs = _ABS_FACTOR * r3 / _ABS_DIVISOR
+    k_sca = 8.0 * r3 * r3 / _SCA_DIVISOR
     absorption, scattering = _photon_rates(finite("temperature", temperature), nd, k_abs, k_sca)
     emission = (absorption if cluster_temperature in (None, temperature) else _photon_rates(
         finite("cluster_temperature", cluster_temperature), nd, k_abs, k_sca)[0])
@@ -262,8 +278,14 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
         raise DomainError(f"the collision rate per Pa underflows to 0 at mass {species.mass} kg "
                           f"and density {species.bulk_density} kg/m^3")
 
+    cluster_temperature = base_env.cluster_temperature
+
     def bb_rate(temperature: float) -> float:
-        return sum(blackbody_rates(species, grating, temperature, base_env.cluster_temperature))
+        # left to right, not sum(): from CPython 3.12 on sum() compensates,
+        # which would make the contour's bytes depend on the Python version
+        absorption, emission, scattering = blackbody_rates(
+            species, grating, temperature, cluster_temperature)
+        return absorption + emission + scattering
 
     bb = [bb_rate(t) for t in temperatures]
     if not bb[-1] < math.inf:  # the rates rise with T, so the top one leaves float range first

@@ -132,6 +132,59 @@ def test_bose_tails_match_quadrature_oracle():
                 assert abs(got - expected) <= tol * expected, (m, x)
 
 
+# float.hex of the three tails: reordering any float operation of the kernel
+# moves at least one of these bits (9.4 is there for two reorderings that the
+# other x miss).  At 36.5 the pass takes two k terms and at 72.7 one; from 708
+# on e^(-x) is subnormal, and from about 745.13 it underflows to 0.
+BOSE_TAIL_BITS = {
+    0.0: ("0x1.8e2e2562fb4abp+4", "0x1.6b01782ad435ap+9", "0x1.3ba1f4f0ae3eep+15"),
+    1e-3: ("0x1.8e2e2562fb486p+4", "0x1.6b01782ad435ap+9", "0x1.3ba1f4f0ae3eep+15"),
+    0.049: ("0x1.8e2e23e7a51e2p+4", "0x1.6b01782acf5c6p+9", "0x1.3ba1f4f0ae3eep+15"),
+    0.05: ("0x1.8e2e23c7e216dp+4", "0x1.6b01782acebccp+9", "0x1.3ba1f4f0ae3eep+15"),
+    2.5: ("0x1.5bb7f8db6c50dp+4", "0x1.6519faf78eac3p+9", "0x1.3b39a529308cep+15"),
+    9.4: ("0x1.0773149bfc405p+0", "0x1.f17c02326184ep+6", "0x1.fd58edb79332cp+13"),
+    36.5: ("0x1.33402fd27e14ep-32", "0x1.a8ea9ba85c63fp-22", "0x1.26e8adef2132ep-11"),
+    49.9: ("0x1.9d60da4159504p-50", "0x1.0672075060e6fp-38", "0x1.4dde17fd580edp-27"),
+    50.0: ("0x1.78fc1662e742dp-50", "0x1.e08e21cd54964p-39", "0x1.32dcb2a253088p-27"),
+    72.7: ("0x1.e872e14190daap-81", "0x1.446da632797b0p-68", "0x1.af55af08507e0p-56"),
+    708.0: ("0x1.5dd3925b45ec9p-984", "0x1.4f6a585f6a587p-965", "0x1.4199c29b86147p-946"),
+    740.0: ("0x0.0174ebbcf70c8p-1022", "0x1.868ff2db245c1p-1011", "0x1.990a93ad2a3b7p-992"),
+    745.0: ("0x0.000481c52fa00p-1022", "0x1.322d98d391da3p-1017", "0x1.4501ac9c02964p-998"),
+    745.2: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    760.0: ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("x", sorted(BOSE_TAIL_BITS))
+def test_bose_tails_keep_their_bits(x):
+    assert tuple(t.hex() for t in decoherence._bose_tails(x)) == BOSE_TAIL_BITS[x]
+
+
+# float.hex of (absorption, scattering, emission of a 150 K cluster) for a
+# 1e7 amu gold cluster, pinned like BOSE_TAIL_BITS; order 1 at 400 K puts
+# the effectiveness kink at x = 73, one k term, and order 2 at 400 K at 36.5
+BLACKBODY_BITS = {
+    (1, 4.0): ("0x1.e741d729140a7p-49", "0x1.e95259c3d3e77p-72", "0x1.71b7167863de7p-12"),
+    (1, 77.0): ("0x1.bc8075e164db4p-19", "0x1.4312cbe2349b3p-33", "0x1.71b7167863de7p-12"),
+    (1, 300.0): ("0x1.71b7167863de7p-5", "0x1.fde0b534afc5ep-16", "0x1.71b7167863de7p-12"),
+    (1, 400.0): ("0x1.5a379100f35aap-2", "0x1.a86b3d56d7609p-12", "0x1.71b7167863de7p-12"),
+    (2, 4.0): ("0x1.e741d729140a7p-47", "0x1.e95259c3d3e77p-70", "0x1.71b7167863de7p-10"),
+    (2, 77.0): ("0x1.bc8075e164db4p-17", "0x1.4312cbe2349b3p-31", "0x1.71b7167863de7p-10"),
+    (2, 300.0): ("0x1.71b7167863de3p-3", "0x1.fde0b534afb3cp-14", "0x1.71b7167863de7p-10"),
+    (2, 400.0): ("0x1.5a379100c1c44p+0", "0x1.a86b3d506ee93p-10", "0x1.71b7167863de7p-10"),
+}
+
+
+@pytest.mark.parametrize("order,temperature", sorted(BLACKBODY_BITS))
+def test_blackbody_rates_keep_their_bits(order, temperature):
+    absorption, scattering, hot_emission = BLACKBODY_BITS[order, temperature]
+    species, grating = gold_cluster(1e7), default_grating()._replace(talbot_order=order)
+    for cluster_temperature, emission in ((None, absorption), (temperature, absorption),
+                                          (150.0, hot_emission)):
+        rates = blackbody_rates(species, grating, temperature, cluster_temperature)
+        assert tuple(r.hex() for r in rates) == (absorption, emission, scattering)
+
+
 def test_blackbody_rates_take_one_bose_pass_per_temperature(monkeypatch):
     calls = []
     kernel = decoherence._bose_tails
@@ -487,6 +540,25 @@ def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
                       (0.4 * budget, pytest.approx(0.6 * budget, rel=1e-12)),
                       (budget - temperatures[1], temperatures[1]),
                       (budget - temperatures[2], temperatures[2])]]
+
+
+def test_contour_adds_the_three_rates_left_to_right(monkeypatch):
+    # Stub rates (b, b 2^-53, b 2^-53) with b = T a power of two: added left to
+    # right, each addition is a tie that rounds back to b, while a compensated
+    # sum (sum() from CPython 3.12 on) gives b (1 + 2^-52).  With a = 1 per Pa
+    # the level set is p + b(T) = B, and B - T[0] is exact, so the grid
+    # pressure B - T[0] meets T[0] on a grid node only for the left-to-right sum.
+    monkeypatch.setattr(decoherence, "collision_rate",
+                        lambda species, environment: environment.gas_pressure)
+    monkeypatch.setattr(decoherence, "blackbody_rates",
+                        lambda species, grating, temperature, cluster_temperature:
+                        (temperature, temperature * 2.0 ** -53, temperature * 2.0 ** -53))
+    species, grating = gold_cluster(1e6), default_grating()
+    budget = math.log(2.0) / total_interference_time(species, grating)
+    t0 = 2.0 ** math.floor(math.log2(budget))
+    assert budget / 2.0 < t0 < budget
+    lines = critical_contour(species, grating, [budget - t0, budget], [t0, 2.0 * t0])
+    assert lines == [[(budget - t0, t0)]]
 
 
 def test_contour_accepts_unsorted_grids():

@@ -3,7 +3,8 @@
 Each sweep schema in `cli.SWEEPS` pins the CSV bytes of a few runs, and the
 scalar reports pin their default stdout, so an output that moves without a
 schema bump fails here.  Three runs with README's config file pin the path
-from a config file to the numerics.  Digests, not files, are pinned: the
+from a config file to the numerics, and a fig3 run with the cluster held at
+150 K pins the emission path.  Digests, not files, are pinned: the
 default outputs alone are about 22 KB.
 
 The digests hold for the libm they were taken with (glibc 2.36, x86-64).
@@ -43,6 +44,14 @@ SWEEP_DIGESTS = {
               "981adb116b16da3ab79e2e948924a60a681ff02deb8299c2c7ba462775d6efd7",
               "out_m1e+08.csv":
               "26a837b093cc6e80f202522e250ec42c7923897fab7530cd7396d7c3e29b934c"}),
+        # the benchmark's grid, where the Bose tails take one k term at every temperature
+        (["--talbot-order", "1", "--masses", "3e6,1.5e7,5e7", "--p-range=-14:-6:240",
+          "--T-range=4:400:240"], {"out_m3e+06.csv":
+              "5bbffe584a52c2eae8829773c04f2127bbcf2bc0de12c4dfdbb91dabfc69509e",
+              "out_m1.5e+07.csv":
+              "78f32fb16560ff7fa2a550d09c69609006f27be4af63ee5f6ea15e8c78b1e128",
+              "out_m5e+07.csv":
+              "fe182a66ebfdc9e9b60e27c399efbb797e14e325f5f494bc985691441055fcea"}),
     ],
 }
 
@@ -60,6 +69,17 @@ README_CONFIG_DIGESTS = [
     (["fig2", "--mass-range=5:8:9"],
      "ac0415c1c992f5d2868432eec1791fc34e3fb0dd76e2d7e435a7daec67a9393a"),
 ]
+
+
+# fig3 from a config file that holds the cluster at 150 K: emission takes a
+# second thermal-photon pass per temperature, and the contour adds the three
+# rates left to right (sum() rounds differently from CPython 3.12 on)
+CLUSTER_AT_150K_INI = "[environment]\ncluster_temperature_K = 150\n"
+CLUSTER_AT_150K_DIGESTS = {
+    "out_m1e+06.csv": "d1bf2823c6888ea3d3ed0226e93893310293b7d539a0f6b9324b00d8bacd0c72",
+    "out_m1e+07.csv": "8d7f443e11db130ddbe2792340e590859bb580c40dcb8a577927af39a974fbc1",
+    "out_m1e+08.csv": "80f31be05a87b7bc8a8d77ef5a740f603e1570785003ecc9c060e915ab659470",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -103,3 +123,12 @@ def test_readme_config_outputs_match_their_digests(tmp_path, capsys, options, di
     assert _sha256(data) == digest, (
         f"{' '.join(options)} with README's config moved; say so in CHANGES.md "
         f"and pin the new digest")
+
+
+def test_fig3_with_a_cluster_temperature_matches_its_digests(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CLUSTER_AT_150K_INI, encoding="utf-8")
+    assert main(["--config", str(cfg), "fig3", "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    written = {p.name: _sha256(p.read_bytes()) for p in tmp_path.glob("*.csv")}
+    assert written == CLUSTER_AT_150K_DIGESTS, (
+        "fig3 with a 150 K cluster moved; bump fig3 in cli.SWEEPS and pin the new digests")
