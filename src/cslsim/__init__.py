@@ -14,7 +14,6 @@ from .params import (
     default_grating,
     gold_cluster,
     load_config,
-    talbot_time,
     total_interference_time,
 )
 from .mie import AbsorptionProfile, absorption_profile
@@ -28,7 +27,6 @@ from .interferometer import (
 from .csl import (
     CslReduction,
     critical_mass,
-    csl_decay_rate,
     csl_visibility_ratio,
     exclusion_boundary,
 )
@@ -39,7 +37,6 @@ from .decoherence import (
     blackbody_rates,
     critical_contour,
     decoherence_budget,
-    visibility_factor_env,
 )
 
 __all__ = [
@@ -60,7 +57,6 @@ __all__ = [
     "collision_rate",
     "critical_contour",
     "critical_mass",
-    "csl_decay_rate",
     "csl_visibility_ratio",
     "decoherence_budget",
     "default_grating",
@@ -69,9 +65,7 @@ __all__ = [
     "gold_cluster",
     "load_config",
     "observables",
-    "talbot_time",
     "total_interference_time",
     "transmissivity",
     "visibility",
-    "visibility_factor_env",
 ]

@@ -37,6 +37,7 @@ from .interferometer import (
 )
 from .mie import absorption_profile
 from .params import (
+    ATOMIC_MASS_UNIT,
     CONSTANTS,
     ClusterSpecies,
     CslParams,
@@ -94,7 +95,7 @@ def _grating_dict(grating: GratingConfig) -> dict:
         "period_m": grating.period,
         "talbot_order": grating.talbot_order,
         "laser_flux_J_m2": grating.laser_flux,
-        "talbot_time_per_amu_s": grating.talbot_time_per_amu,
+        "talbot_time_per_amu_s": grating.talbot_time_for_mass(ATOMIC_MASS_UNIT),
     }
 
 
@@ -280,8 +281,6 @@ def _fig3_files(args: dict, out: str | None) -> dict:
         raise ConfigError("fig3 writes one file per mass: --out must name a file, not -")
     if not args["masses_amu"]:
         raise ConfigError("'masses_amu' must list at least one mass in amu")
-    if not 0.0 < args["level"] < 1.0:
-        raise ConfigError(f"'level' must be in (0, 1), got {args['level']}")
     for key in ("p_steps", "t_steps"):
         if args[key] < 2:
             raise ConfigError(f"{key!r} must be >= 2: a contour needs a 2 x 2 grid, "

@@ -1,8 +1,8 @@
 """Continuous-spontaneous-localization effect on the interferometer.
 
-Off-diagonal decay rate of the center-of-mass master equation, the
-closed-form visibility reduction, and the critical-mass solver for the
-exclusion boundary.
+The closed-form visibility reduction, whose exponent integrates the
+center-of-mass decay rate along the two paths' separation, and the
+critical-mass solver for the exclusion boundary.
 """
 
 from __future__ import annotations
@@ -17,16 +17,6 @@ class CslReduction(_value_type("CslReduction", "ratio exponent geometry_factor")
     """Visibility ratio V_CSL / V = exp(-exponent) and its pieces."""
 
     __slots__ = ()
-
-
-def csl_decay_rate(separation: float, csl: CslParams, mass: float) -> float:
-    """Off-diagonal decay rate at path separation Delta x.
-
-    lambda0 (m/m0)^2 [1 - exp(-Dx^2 / 4 r_c^2)]: zero on the diagonal,
-    saturating at the full effective rate for separations >> r_c.
-    """
-    x = finite("separation", separation, True) / (2.0 * csl.r_c)
-    return csl.effective_rate(mass) * (-math.expm1(-x * x))
 
 
 def geometry_factor(grating: GratingConfig, csl: CslParams) -> float:

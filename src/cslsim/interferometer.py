@@ -13,7 +13,7 @@ import math
 from .errors import DomainError, UnachievableTargetError, finite
 from .mie import AbsorptionProfile, absorption_profile
 from .params import ClusterSpecies, GratingConfig, _value_type
-from .specfun import _iv012_scaled, bessel_I_scaled, log_bessel_I0
+from .specfun import _iv012_scaled, bessel_I_scaled
 
 # The visibility is inverted only on its first monotone branch; the
 # experiment operates far below the upper end of this bracket.
@@ -47,8 +47,9 @@ def transmissivity(n0: float, n1: float) -> float:
     finite("n1", n1, True)
     if n1 > n0 * (1.0 + 1e-12):
         raise DomainError(f"n1={n1} > n0={n0} violates n(x) >= 0")
-    # log-space: ln T = -3 n0 + 3 ln I0(n1); finite up to n0 ~ 300.
-    return math.exp(-3.0 * n0 + 3.0 * log_bessel_I0(min(n1, n0)))
+    # log-space, finite up to n0 ~ 300: ln T = -3 n0 + 3 ln I0(x), ln I0 = x + ln(e^-x I0)
+    x = min(n1, n0)
+    return math.exp(-3.0 * n0 + 3.0 * (x + math.log(bessel_I_scaled(0, x))))
 
 
 def observables(species: ClusterSpecies, grating: GratingConfig,

@@ -32,10 +32,6 @@ class PhysicalConstants(_value_type("PhysicalConstants", (
 
     __slots__ = ()
 
-    @property
-    def hbar(self) -> float:
-        return self.planck_h / (2.0 * math.pi)
-
 
 CONSTANTS = PhysicalConstants()
 
@@ -45,7 +41,7 @@ BOLTZMANN_KB = CONSTANTS.boltzmann_kB
 SPEED_OF_LIGHT = CONSTANTS.speed_of_light_c
 ATOMIC_MASS_UNIT = CONSTANTS.atomic_mass_unit
 VACUUM_PERMITTIVITY = CONSTANTS.vacuum_permittivity
-HBAR = CONSTANTS.hbar
+HBAR = PLANCK_H / (2.0 * math.pi)
 
 # CODATA-2018, needed for the Slater-Kirkwood dispersion coefficient.
 BOHR_RADIUS = 5.29177210903e-11    # m
@@ -94,7 +90,11 @@ class ClusterSpecies(_value_type("ClusterSpecies", "mass bulk_density permittivi
                 permittivity: complex,    # relative epsilon at the grating wavelength
                 label: str = "cluster"):
         fields = finite("mass", mass), finite("bulk_density", bulk_density), permittivity, label
-        eps = complex(permittivity)
+        try:
+            eps = complex(permittivity)
+        except (TypeError, ValueError):
+            raise DomainError(f"permittivity must be a complex number, "
+                              f"got {permittivity!r}") from None
         if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
             raise DomainError("permittivity must be finite")
         if eps.imag < 0.0:
@@ -144,11 +144,6 @@ class GratingConfig(_value_type("GratingConfig", "laser_wavelength talbot_order 
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.laser_wavelength
 
-    @property
-    def talbot_time_per_amu(self) -> float:
-        """T0 = d^2 * (1 amu) / h."""
-        return self.talbot_time_for_mass(ATOMIC_MASS_UNIT)
-
     def talbot_time_for_mass(self, mass_kg: float) -> float:
         try:
             return mass_kg * self.period ** 2 / PLANCK_H
@@ -172,10 +167,6 @@ class CslParams(_value_type("CslParams", "r_c lambda0 m0")):
                 m0: float = ATOMIC_MASS_UNIT):  # kg
         return tuple.__new__(cls, (finite("r_c", r_c), finite("lambda0", lambda0, True),
                                    finite("m0", m0)))
-
-    def effective_rate(self, mass_kg: float) -> float:
-        """Saturated localization rate lambda0 * (m/m0)^2."""
-        return self.lambda0 * (mass_kg / self.m0) ** 2
 
 
 class EnvironmentConfig(_value_type("EnvironmentConfig", (
@@ -208,7 +199,7 @@ class EnvironmentConfig(_value_type("EnvironmentConfig", (
             else self.gas_temperature
 
     @property
-    def internal_temperature(self) -> float:
+    def internal_temperature(self) -> float:  # the benchmark's output checks read it
         # Cluster in equilibrium with the radiation field unless overridden.
         return self.cluster_temperature if self.cluster_temperature is not None \
             else self.radiation_temperature
@@ -221,14 +212,9 @@ def cluster_radius(species: ClusterSpecies) -> float:
     return (3.0 * species.mass / (4.0 * math.pi * species.bulk_density)) ** (1.0 / 3.0)
 
 
-def talbot_time(species: ClusterSpecies, grating: GratingConfig) -> float:
-    """Near-field self-imaging time m d^2 / h."""
-    return grating.talbot_time_for_mass(species.mass)
-
-
 def total_interference_time(species: ClusterSpecies, grating: GratingConfig) -> float:
-    """Total two-arm evolution time 2 N T_T."""
-    return 2.0 * grating.talbot_order * talbot_time(species, grating)
+    """Total two-arm evolution time 2 N T_T, T_T = m d^2 / h the Talbot time."""
+    return 2.0 * grating.talbot_order * grating.talbot_time_for_mass(species.mass)
 
 
 # -- config files -----------------------------------------------------------

@@ -7,8 +7,8 @@ Provides what the physics layers consume:
   started at the order where its error at lmax reaches rounding: the first
   order above lmax at which the dominant solution, recurred upward from
   lmax on |z| = sqrt|w|, reaches 1e9,
-* modified Bessel I_0, I_1, I_2, exponentially scaled, and ln I_0: below
-  x = 30 all three come from one fused ascending series, above it from the
+* modified Bessel I_0, I_1, I_2, exponentially scaled: below x = 30 all
+  three come from one fused ascending series, above it from the
   asymptotic expansion;
 
 and, for the tests and the benchmark's tracer, spherical Bessel j_l (the
@@ -156,8 +156,3 @@ def bessel_I_scaled(order: int, x: float) -> float:
     if x < _IV_SERIES_MAX_X:
         return _iv012_scaled(x)[order]
     return _iv_asymptotic_scaled(order, x)
-
-
-def log_bessel_I0(x: float) -> float:
-    """ln I_0(x), finite for any x >= 0 representable as a double."""
-    return x + math.log(bessel_I_scaled(0, x))

@@ -15,6 +15,12 @@ from cslsim.params import ClusterSpecies, CslParams, GratingConfig, cluster_radi
 from cslsim.specfun import bessel_I_scaled, spherical_hankel_array, spherical_jn_array
 
 
+def csl_decay_rate_oracle(separation, csl: CslParams, mass: float):
+    """Off-diagonal decay rate lambda0 (m/m0)^2 [1 - exp(-Dx^2 / 4 r_c^2)]
+    at path separation Dx, a number or an array."""
+    return csl.lambda0 * (mass / csl.m0) ** 2 * (-np.expm1(-(separation / (2.0 * csl.r_c)) ** 2))
+
+
 def csl_exponent_oracle(species: ClusterSpecies, grating: GratingConfig,
                         csl: CslParams, time_steps: int = 100_000) -> float:
     """Quadrature re-derivation of the visibility-reduction exponent.
@@ -31,7 +37,7 @@ def csl_exponent_oracle(species: ClusterSpecies, grating: GratingConfig,
     nd = n * grating.period
     # Simpson on the opening half; the closing half is its mirror image.
     sep = np.linspace(0.0, nd, time_steps + 1)
-    rate = csl.effective_rate(species.mass) * (-np.expm1(-(sep / (2.0 * csl.r_c)) ** 2))
+    rate = csl_decay_rate_oracle(sep, csl, species.mass)
     return 2.0 * _simpson(rate, t_half / time_steps)
 
 

@@ -18,7 +18,7 @@ from cslsim.csl import (
     csl_exponent,
     exclusion_boundary,
 )
-from cslsim.decoherence import critical_contour, visibility_factor_env
+from cslsim.decoherence import critical_contour, decoherence_budget
 from cslsim.cli import main as cli_main
 from cslsim.errors import DomainError
 from cslsim.interferometer import (
@@ -174,14 +174,14 @@ def test_08_visibility_operating_point():
 
 def test_09_decoherence_anchors_and_contours():
     grating = default_grating()
-    f_b = visibility_factor_env(
+    f_b = decoherence_budget(
         gold_cluster(1e6), grating,
         EnvironmentConfig(gas_pressure=1e-9 * MBAR, gas_temperature=300.0,
-                          environment_temperature=300.0))
-    f_c = visibility_factor_env(
+                          environment_temperature=300.0)).visibility_factor
+    f_c = decoherence_budget(
         gold_cluster(1e8), grating,
         EnvironmentConfig(gas_pressure=1e-12 * MBAR, gas_temperature=200.0,
-                          environment_temperature=200.0))
+                          environment_temperature=200.0)).visibility_factor
     pressures = np.logspace(-13, -5, 33) * MBAR
     temperatures = np.linspace(80.0, 320.0, 25)
     contours = {m: critical_contour(gold_cluster(m), grating,

@@ -8,7 +8,6 @@ from scipy.integrate import quad, simpson
 
 from cslsim.csl import (
     critical_mass,
-    csl_decay_rate,
     csl_exponent,
     csl_visibility_ratio,
     exclusion_boundary,
@@ -23,7 +22,12 @@ from cslsim.params import (
     default_grating,
     gold_cluster,
 )
-from oracles import _simpson, csl_exponent_oracle, csl_visibility_ratio_oracle
+from oracles import (
+    _simpson,
+    csl_decay_rate_oracle,
+    csl_exponent_oracle,
+    csl_visibility_ratio_oracle,
+)
 
 AMU = ATOMIC_MASS_UNIT
 
@@ -51,28 +55,24 @@ def critical_mass_bisect(csl, grating, threshold=0.5):
     return math.sqrt(lo * hi)
 
 
+# the rate the exponent oracle integrates, checked in its limits
 def test_decay_rate_limits():
     csl = make_csl(1e-10)
     mass = 1e6 * AMU
-    assert csl_decay_rate(0.0, csl, mass) == 0.0
-    saturated = csl_decay_rate(1.0, csl, mass)  # 1 m >> r_c
-    assert saturated == pytest.approx(csl.effective_rate(mass), rel=1e-12)
+    assert csl_decay_rate_oracle(0.0, csl, mass) == 0.0
+    saturated = csl_decay_rate_oracle(1.0, csl, mass)  # 1 m >> r_c
+    assert saturated == pytest.approx(1e-10 * 1e12, rel=1e-12)  # lambda0 (m/m0)^2
     # quadratic in separation for Dx << r_c
-    small = csl_decay_rate(1e-12, csl, mass)
-    smaller = csl_decay_rate(0.5e-12, csl, mass)
+    small = csl_decay_rate_oracle(1e-12, csl, mass)
+    smaller = csl_decay_rate_oracle(0.5e-12, csl, mass)
     assert small / smaller == pytest.approx(4.0, rel=1e-6)
 
 
 def test_decay_rate_quadratic_in_mass():
     csl = make_csl(1e-10)
-    r1 = csl_decay_rate(1.0, csl, 1e6 * AMU)
-    r2 = csl_decay_rate(1.0, csl, 3e6 * AMU)
+    r1 = csl_decay_rate_oracle(1.0, csl, 1e6 * AMU)
+    r2 = csl_decay_rate_oracle(1.0, csl, 3e6 * AMU)
     assert r2 / r1 == pytest.approx(9.0, rel=1e-12)
-
-
-def test_decay_rate_rejects_negative_separation():
-    with pytest.raises(DomainError):
-        csl_decay_rate(-1.0, make_csl(1e-10), 1e6 * AMU)
 
 
 def test_geometry_factor_against_quadrature_oracle():

@@ -16,7 +16,6 @@ from cslsim.decoherence import (
     critical_contour,
     decoherence_budget,
     dispersion_coefficient,
-    visibility_factor_env,
 )
 from cslsim.errors import DomainError
 from cslsim.params import (
@@ -301,21 +300,22 @@ def test_budget_channel_separation():
 
 def test_benign_conditions_keep_most_visibility():
     # 1e6 amu at 1e-9 mbar and 300 K
-    factor = visibility_factor_env(gold_cluster(1e6), default_grating(), env(1e-9))
+    factor = decoherence_budget(gold_cluster(1e6), default_grating(),
+                                env(1e-9)).visibility_factor
     assert factor >= 0.5
 
 
 def test_demanding_conditions_partially_decohere():
     # 1e8 amu at 1e-12 mbar and 200 K sits strictly between 0.2 and 0.8
-    factor = visibility_factor_env(gold_cluster(1e8), default_grating(),
-                                   env(1e-12, gas_T=200.0, rad_T=200.0))
+    factor = decoherence_budget(gold_cluster(1e8), default_grating(),
+                                env(1e-12, gas_T=200.0, rad_T=200.0)).visibility_factor
     assert 0.2 < factor < 0.8
 
 
 def test_visibility_factor_decreases_with_mass():
     grating = default_grating()
     e = env(1e-11, rad_T=250.0)
-    factors = [visibility_factor_env(gold_cluster(m), grating, e)
+    factors = [decoherence_budget(gold_cluster(m), grating, e).visibility_factor
                for m in (1e6, 1e7, 1e8)]
     assert all(a > b for a, b in zip(factors, factors[1:]))
     assert all(0.0 < f <= 1.0 for f in factors)
@@ -592,3 +592,12 @@ def test_contour_grid_validation():
         critical_contour(gold_cluster(1e7), grating, [1e-8, 1e-3], [300.0, 300.0])
     with pytest.raises(DomainError, match="2 x 2 grid"):
         critical_contour(gold_cluster(1e7), grating, [1e-8, 1e-8], [100.0, 300.0])
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0, 1.0, 2.0, math.nan])
+def test_contour_refuses_a_level_outside_0_1(level):
+    # -ln(level) is the exposure traced: 0 and below have no log, and at 1
+    # and above (or NaN) no grid point could reach it
+    with pytest.raises(DomainError, match=re.escape(f"'level' must be in (0, 1), got {level}")):
+        critical_contour(gold_cluster(1e7), default_grating(), [1e-8, 1e-3], [100.0, 300.0],
+                         level=level)

@@ -33,8 +33,6 @@ CHECKS = {
     "visibility-n1": ("n1", True, interferometer.visibility),
     "transmissivity-n0": ("n0", True, lambda v: interferometer.transmissivity(v, 0.0)),
     "transmissivity-n1": ("n1", True, lambda v: interferometer.transmissivity(1.0, v)),
-    "csl_decay_rate-separation": ("separation", True,
-                                  lambda v: csl.csl_decay_rate(v, params.CslParams(), 1e-20)),
     "exclusion_boundary-grid": ("lambda0 grid value", False, lambda v: csl.exclusion_boundary(
         GRATING, params.CslParams(), [1e-10, v])),
     "collision_cross_section-speed": ("speed", False,

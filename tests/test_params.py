@@ -18,9 +18,9 @@ from cslsim.params import (
     load_config,
     mbar_to_pa,
     pa_to_mbar,
-    talbot_time,
     total_interference_time,
 )
+from oracles import csl_decay_rate_oracle
 
 
 def test_constants_positive_and_exact():
@@ -67,8 +67,9 @@ def test_talbot_time_per_amu():
     grating = default_grating()
     assert grating.period == pytest.approx(78.5e-9, rel=1e-14)
     expected = ATOMIC_MASS_UNIT * (78.5e-9) ** 2 / PLANCK_H
-    assert grating.talbot_time_per_amu == pytest.approx(expected, rel=1e-15)
-    assert grating.talbot_time_per_amu == pytest.approx(1.544e-8, rel=1e-3)
+    per_amu = grating.talbot_time_for_mass(ATOMIC_MASS_UNIT)
+    assert per_amu == pytest.approx(expected, rel=1e-15)
+    assert per_amu == pytest.approx(1.544e-8, rel=1e-3)
 
 
 def test_total_interference_time_near_60ms():
@@ -82,15 +83,15 @@ def test_total_interference_time_near_60ms():
 def test_talbot_time_linear_in_mass():
     grating = default_grating()
     for mass_amu in (1.0, 137.0, 1e6, 3.7e8):
-        t1 = talbot_time(gold_cluster(mass_amu), grating)
-        t2 = talbot_time(gold_cluster(2.0 * mass_amu), grating)
+        t1 = grating.talbot_time_for_mass(gold_cluster(mass_amu).mass)
+        t2 = grating.talbot_time_for_mass(gold_cluster(2.0 * mass_amu).mass)
         assert abs(t2 - 2.0 * t1) <= 4.0 * math.ulp(t2)
 
 
 def test_pure_functions_bit_identical():
     species = gold_cluster(1e6)
     grating = default_grating()
-    assert talbot_time(species, grating) == talbot_time(species, grating)
+    assert grating.talbot_time_for_mass(species.mass) == grating.talbot_time_for_mass(species.mass)
     assert cluster_radius(species) == cluster_radius(species)
 
 
@@ -101,6 +102,9 @@ def test_species_invariants():
         ClusterSpecies(mass=1.0, bulk_density=0.0, permittivity=1.0)
     with pytest.raises(DomainError):
         ClusterSpecies(mass=1.0, bulk_density=1.0, permittivity=1.0 - 0.5j)
+    for permittivity in (None, "abc", [1]):  # complex() raises TypeError or ValueError
+        with pytest.raises(DomainError, match="permittivity must be a complex number"):
+            ClusterSpecies(1e-21, 19300.0, permittivity)
 
 
 def test_grating_invariants():
@@ -117,8 +121,8 @@ def test_grating_invariants():
 def test_csl_params_rate_quadratic():
     csl = CslParams(lambda0=1e-10)
     m = 1e-21
-    assert csl.effective_rate(2.0 * m) == pytest.approx(
-        4.0 * csl.effective_rate(m), rel=1e-14)
+    assert csl_decay_rate_oracle(1.0, csl, 2.0 * m) == pytest.approx(
+        4.0 * csl_decay_rate_oracle(1.0, csl, m), rel=1e-14)
     assert csl.r_c == 100e-9
     assert csl.m0 == ATOMIC_MASS_UNIT
     with pytest.raises(DomainError):

@@ -62,10 +62,9 @@ def test_public_names_are_unchanged():
         "DecoherenceBudget", "DecoherenceModel", "EnvironmentConfig", "FringeObservables",
         "GratingConfig", "PhysicalConstants", "absorption_profile", "blackbody_rates",
         "cluster_radius", "collision_rate", "critical_contour", "critical_mass",
-        "csl_decay_rate", "csl_visibility_ratio", "decoherence_budget", "default_grating",
+        "csl_visibility_ratio", "decoherence_budget", "default_grating",
         "exclusion_boundary", "flux_for_target_visibility", "gold_cluster", "load_config",
-        "observables", "talbot_time", "total_interference_time", "transmissivity",
-        "visibility", "visibility_factor_env"]
+        "observables", "total_interference_time", "transmissivity", "visibility"]
     # every public value type is covered below
     assert {name for name in cslsim.__all__ if isinstance(getattr(cslsim, name), type)} == {
         cls.__name__ for cls in TYPES if cls is not RunConfig}
