@@ -63,7 +63,11 @@ def critical_mass(csl: CslParams, grating: GratingConfig,
 
     Closed-form cube-root inversion of the exponent.
     """
-    if not (0.0 < threshold < 1.0):
+    try:
+        in_range = 0.0 < threshold < 1.0
+    except TypeError:  # None or a str does not compare with a float
+        in_range = False
+    if not in_range:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
     if csl.lambda0 <= 0.0:
         raise DomainError("critical mass requires lambda0 > 0")

@@ -93,6 +93,10 @@ def collision_cross_section(speed: float, c6: float) -> float:
     return DEFAULT_MODEL.c6_prefactor * (c6 / (HBAR * finite("speed", speed))) ** 0.4
 
 
+# (2/sqrt(pi)) Gamma(9/5), the Maxwell-Boltzmann mean of v^(3/5) over v_p^(3/5)
+_MAXWELL_FACTOR = 2.0 / math.sqrt(math.pi) * math.gamma(1.8)
+
+
 def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     """Residual-gas collision rate n_gas <sigma_tot v>, linear in pressure.
 
@@ -108,8 +112,7 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
         raise DomainError(f"kB T is 0 at gas temperature {env.gas_temperature} K") from None
     c6 = dispersion_coefficient(species, env)
     v_p = math.sqrt(2.0 * BOLTZMANN_KB * env.gas_temperature / env.gas_mass)
-    mean_sigma_v = (2.0 / math.sqrt(math.pi) * math.gamma(1.8)
-                    * v_p * collision_cross_section(v_p, c6))
+    mean_sigma_v = _MAXWELL_FACTOR * v_p * collision_cross_section(v_p, c6)
     return n_gas * mean_sigma_v * DEFAULT_MODEL.collision_effectiveness
 
 
@@ -156,6 +159,13 @@ _SQRT_CAP = math.sqrt(_CAP)
 _ABS_FACTOR = 12.0 * VACUUM_PERMITTIVITY
 _ABS_DIVISOR = math.pi * DEFAULT_MODEL.dc_conductivity * SPEED_OF_LIGHT ** 3
 _SCA_DIVISOR = 3.0 * math.pi * SPEED_OF_LIGHT ** 6
+# Past this kink x the tails are below the rounding of the rates, so they are
+# not summed.  t_m ~ x^m e^(-x): at x = 64, t6 and t8 round away from the
+# complete integrals, and cap t4 and cap t6 are below half an ulp of
+# a^2 6! zeta(7) and a^2 8! zeta(9), by about 3000x and 45x (a^2 = cap / x^2,
+# so the ratios do not depend on the cap).  The largest x at which a tail
+# still moves a bit of the rates is about 59.
+_TAIL_FREE_X = 64.0
 
 
 def _photon_rates(temperature: float, nd: float, k_abs: float,
@@ -166,14 +176,19 @@ def _photon_rates(temperature: float, nd: float, k_abs: float,
     times int_0^inf x^p min(a^2 x^2, cap) / (e^x - 1) dx for p = 4 and 6:
     below the kink x = sqrt(cap) / a, where the effectiveness a^2 x^2
     saturates, the integrand is a^2 x^(p+2) / (e^x - 1), above it
-    cap x^p / (e^x - 1).
+    cap x^p / (e^x - 1).  Past _TAIL_FREE_X the tails above the kink
+    cannot change a bit, and only the complete integrals are read.
     """
     w = BOLTZMANN_KB * temperature / HBAR
     a = nd * w / SPEED_OF_LIGHT
     try:
-        t4, t6, t8 = _bose_tails(_SQRT_CAP / a)
-        i4 = a * a * (_BOSE_6 - t6) + _CAP * t4
-        i6 = a * a * (_BOSE_8 - t8) + _CAP * t6
+        x = _SQRT_CAP / a
+        if x > _TAIL_FREE_X:
+            i4, i6 = a * a * _BOSE_6, a * a * _BOSE_8
+        else:
+            t4, t6, t8 = _bose_tails(x)
+            i4 = a * a * (_BOSE_6 - t6) + _CAP * t4
+            i6 = a * a * (_BOSE_8 - t8) + _CAP * t6
         return k_abs * (w ** 5 * i4), k_sca * (w ** 7 * i6)
     except (ZeroDivisionError, OverflowError):  # kB T underflows, or w^7 overflows
         raise DomainError(f"thermal photon rates are out of float range at "
@@ -254,8 +269,18 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     whose b values bracket it.  Returns one polyline of (pressure_Pa,
     temperature_K), one vertex per crossed grid line in increasing T; an
     empty list is a valid result (no crossing on the grid).
+
+    The rates are evaluated up the temperature grid only until b(T) is past
+    the largest pressure-line target, b at the lowest grid pressure, and the
+    T line lies below the lowest grid pressure: from there on the contour
+    has left the grid.  The top grid temperature is still evaluated, so a
+    grid whose rates leave float range is refused, naming that temperature.
     """
-    if not 0.0 < level < 1.0:  # NaN too: -ln(level) is the exposure the contour traces
+    try:
+        in_range = 0.0 < level < 1.0  # NaN fails it: -ln(level) is the exposure traced
+    except TypeError:  # None or a str does not compare with a float
+        in_range = False
+    if not in_range:
         raise DomainError(f"'level' must be in (0, 1), got {level}")
     # a repeated grid value is one grid line, so the size is checked after the set
     pressures = sorted({finite("grid pressure", float(p)) for p in pressure_grid})
@@ -283,8 +308,19 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
             species, grating, temperature, cluster_temperature)
         return absorption + emission + scattering
 
-    bb = [bb_rate(t) for t in temperatures]
-    if not bb[-1] < math.inf:  # the rates rise with T, so the top one leaves float range first
+    # b rises with T.  Once it is past the largest pressure-line target and
+    # its temperature line lies below the lowest grid pressure, no higher grid
+    # temperature adds a vertex or moves a bisection, so the walk stops there.
+    top = budget - coll_coeff * pressures[0]
+    bb = []
+    for t in temperatures:
+        b = bb_rate(t)
+        bb.append(b)
+        if b > top and (budget - b) / coll_coeff < pressures[0]:
+            break
+    if len(bb) < len(temperatures):
+        b = bb_rate(temperatures[-1])
+    if not b < math.inf:  # the rates rise with T, so the top one leaves float range first
         raise DomainError(f"thermal photon rates are not finite at {temperatures[-1]} K")
     vertices = [(p, t) for p, t in zip([(budget - b) / coll_coeff for b in bb], temperatures)
                 if pressures[0] <= p <= pressures[-1]]

@@ -89,7 +89,7 @@ class ClusterSpecies(_value_type("ClusterSpecies", "mass bulk_density permittivi
                 bulk_density: float,      # kg/m^3
                 permittivity: complex,    # relative epsilon at the grating wavelength
                 label: str = "cluster"):
-        fields = finite("mass", mass), finite("bulk_density", bulk_density), permittivity, label
+        mass, bulk_density = finite("mass", mass), finite("bulk_density", bulk_density)
         try:
             eps = complex(permittivity)
         except (TypeError, ValueError):
@@ -99,7 +99,8 @@ class ClusterSpecies(_value_type("ClusterSpecies", "mass bulk_density permittivi
             raise DomainError("permittivity must be finite")
         if eps.imag < 0.0:
             raise DomainError("Im(eps) must be >= 0 for a passive medium")
-        return tuple.__new__(cls, fields)
+        # the checked complex, so "1+2j" is stored as 1+2j; 2.0 == 2+0j, hashes alike
+        return tuple.__new__(cls, (mass, bulk_density, eps, label))
 
     @classmethod
     def from_amu(cls, mass_amu: float, bulk_density: float,

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -175,8 +176,9 @@ def test_bisection_agrees_with_closed_form():
 
 def test_threshold_validation():
     grating = default_grating()
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(DomainError):
+    for bad in (0.0, 1.0, -0.5, 2.0, None, "0.5"):  # None and a str do not compare
+        message = f"threshold must lie in (0, 1), got {bad}"
+        with pytest.raises(DomainError, match=re.escape(message)):
             critical_mass(make_csl(1e-10), grating, threshold=bad)
     with pytest.raises(DomainError):
         critical_mass(make_csl(0.0), grating)

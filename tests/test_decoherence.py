@@ -161,7 +161,8 @@ def test_bose_tails_keep_their_bits(x):
 
 # float.hex of (absorption, scattering, emission of a 150 K cluster) for a
 # 1e7 amu gold cluster, pinned like BOSE_TAIL_BITS; order 1 at 400 K puts
-# the effectiveness kink at x = 73, one k term, and order 2 at 400 K at 36.5
+# the effectiveness kink at x = 73, past _TAIL_FREE_X (no tail pass), and
+# order 2 at 400 K at 36.5 (two k terms)
 BLACKBODY_BITS = {
     (1, 4.0): ("0x1.e741d729140a7p-49", "0x1.e95259c3d3e77p-72", "0x1.71b7167863de7p-12"),
     (1, 77.0): ("0x1.bc8075e164db4p-19", "0x1.4312cbe2349b3p-33", "0x1.71b7167863de7p-12"),
@@ -193,14 +194,47 @@ def test_blackbody_rates_take_one_bose_pass_per_temperature(monkeypatch):
         return kernel(x)
 
     monkeypatch.setattr(decoherence, "_bose_tails", counted)
+    # at most one pass per temperature, and none where the kink x is past
+    # _TAIL_FREE_X: at order 2, x is 48.6 at 300 K, 189 at 77 K and 4.9 at 3000 K
     species, grating = gold_cluster(1e7), default_grating()
-    for temperatures in ((300.0,), (77.0,), (77.0, None), (77.0, 77.0)):
+    for temperatures, kinks in (((300.0,), [48.6]), ((77.0,), []), ((77.0, None), []),
+                                ((77.0, 77.0), []), ((77.0, 3000.0), [4.86]),
+                                ((300.0, 3000.0), [48.6, 4.86])):
         calls.clear()
         blackbody_rates(species, grating, *temperatures)
-        assert len(calls) == 1
-    calls.clear()
-    blackbody_rates(species, grating, 77.0, 3000.0)
-    assert len(calls) == 2
+        assert calls == pytest.approx(kinks, rel=1e-3)
+
+
+def full_photon_rates(temperature, nd, k_abs, k_sca):
+    """_photon_rates with the Bose-tail pass at every kink x."""
+    w = BOLTZMANN_KB * temperature / HBAR
+    a = nd * w / SPEED_OF_LIGHT
+    t4, t6, t8 = decoherence._bose_tails(decoherence._SQRT_CAP / a)
+    i4 = a * a * (decoherence._BOSE_6 - t6) + decoherence._CAP * t4
+    i6 = a * a * (decoherence._BOSE_8 - t8) + decoherence._CAP * t6
+    return k_abs * (w ** 5 * i4), k_sca * (w ** 7 * i6)
+
+
+def test_rates_without_the_tail_pass_are_the_full_formula_bit_for_bit():
+    # Past about 745.2 every tail underflows to 0, so (_TAIL_FREE_X, 746] is
+    # every kink x at which leaving the tails out could move a bit.  The
+    # largest x at which they still do is about 59.
+    species, grating = gold_cluster(1e7), default_grating()
+    nd = grating.talbot_order * grating.period
+    r3 = cluster_radius(species) ** 3
+    k_abs = decoherence._ABS_FACTOR * r3 / decoherence._ABS_DIVISOR
+    k_sca = 8.0 * r3 * r3 / decoherence._SCA_DIVISOR
+    kink_temperature = decoherence._SQRT_CAP * SPEED_OF_LIGHT * HBAR / (nd * BOLTZMANN_KB)
+    scanned = 0
+    for x in np.linspace(decoherence._TAIL_FREE_X, 746.0, 5001)[1:]:
+        temperature = kink_temperature / x
+        for t in (math.nextafter(temperature, 0.0), temperature,
+                  math.nextafter(temperature, math.inf)):
+            if SPEED_OF_LIGHT / (nd * (BOLTZMANN_KB * t / HBAR)) > decoherence._TAIL_FREE_X:
+                scanned += 1
+                assert decoherence._photon_rates(t, nd, k_abs, k_sca) == full_photon_rates(
+                    t, nd, k_abs, k_sca), t
+    assert scanned > 14000
 
 
 @pytest.mark.parametrize("temperature", [1e-320, 1e250])
@@ -457,6 +491,22 @@ def test_contour_on_random_grids(log10_mass, log10_pressures, temperatures):
     assert len(vertices) == sign_changes
 
 
+def split_walk(seen, temperatures):
+    """(walked, solved) from the temperatures a contour evaluated, in order.
+
+    They must be the grid's first `walked` temperatures, then the top one if
+    the walk stopped below it, then the temperature solves (`solved`).
+    """
+    walked = 0
+    while walked < min(len(seen), len(temperatures)) and seen[walked] == temperatures[walked]:
+        walked += 1
+    rest = seen[walked:]
+    if walked < len(temperatures):
+        assert rest[:1] == [temperatures[-1]]
+        rest = rest[1:]
+    return walked, rest
+
+
 def test_contour_rates_see_the_template_at_each_temperature(monkeypatch):
     # every field away from its default, so a field the contour drops shows
     template = EnvironmentConfig(gas_pressure=3e-7, gas_temperature=250.0,
@@ -477,8 +527,9 @@ def test_contour_rates_see_the_template_at_each_temperature(monkeypatch):
     pressures, temperatures = np.logspace(-14, -6, 25) * MBAR, list(np.linspace(4.0, 400.0, 25))
     lines = critical_contour(species, grating, pressures, temperatures, env_template=template)
     assert lines
-    assert len(seen) > len(temperatures)  # the temperature solves call it too
-    assert [t for t, _ in seen[:len(temperatures)]] == temperatures
+    walked, solved = split_walk([t for t, _ in seen], temperatures)
+    assert solved  # the temperature solves call it too
+    assert walked < len(temperatures)  # the contour leaves the grid below 400 K
     assert {c for _, c in seen} == {template.cluster_temperature}
     # each vertex is on the level set of the template at its pressure and temperature
     monkeypatch.undo()
@@ -519,7 +570,80 @@ def test_contour_builds_no_environment_per_temperature(monkeypatch):
                             np.logspace(-14, -6, 60) * MBAR, temperatures,
                             env_template=template)
     assert built == [at_one_pa]
-    assert solved and seen == temperatures + solved
+    walked, rest = split_walk(seen, temperatures)
+    assert solved and rest == solved
+    assert walked < len(temperatures)
+
+
+def test_a_heavy_contour_walks_no_grid_temperature_past_its_stop(monkeypatch):
+    # At 1e8 amu the contour drops below the lowest grid pressure near 180 K.
+    # The walk stops at the first grid temperature where b(T) is past every
+    # pressure line's target and the T line is below the lowest pressure.
+    seen, rates = [], decoherence.blackbody_rates
+
+    def spy(species, grating, temperature, cluster_temperature=None):
+        seen.append(temperature)
+        return rates(species, grating, temperature, cluster_temperature)
+
+    species, grating = gold_cluster(1e8), default_grating()
+    pressures = list(np.logspace(-14, -6, 60) * MBAR)
+    temperatures = list(np.linspace(4.0, 400.0, 60))
+    monkeypatch.setattr(decoherence, "blackbody_rates", spy)
+    lines = critical_contour(species, grating, pressures, temperatures)
+    monkeypatch.undo()
+    walked, solved = split_walk(seen, temperatures)
+    assert 2 < walked < len(temperatures) // 2
+    assert all(t < temperatures[walked - 1] for t in solved)
+    assert all(t < temperatures[walked - 1] for _, t in lines[0])
+
+    budget = -math.log(0.5) / total_interference_time(species, grating)
+    per_pa = collision_rate(species, EnvironmentConfig(gas_pressure=1.0))
+    top = budget - per_pa * pressures[0]
+
+    def left_the_grid(temperature):
+        absorption, emission, scattering = rates(species, grating, temperature)
+        b = absorption + emission + scattering
+        return b > top and (budget - b) / per_pa < pressures[0]
+
+    # it stops at the first such temperature, and every one it skips is one
+    assert [left_the_grid(t) for t in temperatures[:walked]] == [False] * (walked - 1) + [True]
+    assert all(left_the_grid(t) for t in temperatures[walked:])
+
+
+@pytest.mark.parametrize("per_pa, pressures, temperatures, crossings", [
+    # 1 - 7 * 0.11 rounds to just below 0.23, yet at b = 0.23 and the next
+    # float up (1 - b) / 7 still rounds to the lowest pressure 0.11: b past
+    # every pressure line's target alone must not stop the walk at 0.23
+    (7.0, [0.11, 0.5], [0.1, 0.23, 0.23000000000000004], 4),
+    # 1 - 2.5 * 0.235 rounds to just above 0.41250000000000003, yet there
+    # (1 - b) / 2.5 rounds below the lowest pressure 0.235: its T line alone
+    # must not stop the walk, or the 0.235 line loses its crossing below 0.5
+    (2.5, [0.235, 0.3], [0.1, 0.41250000000000003, 0.5], 2),
+])
+def test_contour_walk_stops_only_where_both_of_its_tests_hold(monkeypatch, per_pa, pressures,
+                                                              temperatures, crossings):
+    # Stub rates: a per Pa, b(T) = T and an exposure budget of exactly 1,
+    # so the level set is a p + T = 1
+    monkeypatch.setattr(decoherence, "total_interference_time",
+                        lambda species, grating: math.log(2.0))
+    monkeypatch.setattr(decoherence, "collision_rate",
+                        lambda species, environment: per_pa * environment.gas_pressure)
+    monkeypatch.setattr(decoherence, "blackbody_rates",
+                        lambda species, grating, temperature, cluster_temperature:
+                        (temperature, 0.0, 0.0))
+    assert -math.log(0.5) / math.log(2.0) == 1.0
+    lines = critical_contour(gold_cluster(1e6), default_grating(), pressures, temperatures)
+    assert len(lines[0]) == crossings
+    for p, t in lines[0]:
+        assert per_pa * p + t == pytest.approx(1.0, rel=1e-12)
+
+
+def test_contour_names_the_top_temperature_when_it_leaves_float_range():
+    # the walk stops near 180 K, so 1e249 K, where the rates first overflow,
+    # is never evaluated; the top grid temperature is, and the error names it
+    with pytest.raises(DomainError, match=re.escape("at 1e+250 K")):
+        critical_contour(gold_cluster(1e8), default_grating(), [1e-12, 1e-4],
+                         [4.0, 100.0, 400.0, 1e249, 1e250])
 
 
 def test_contour_through_a_grid_node_has_one_vertex(monkeypatch):
@@ -594,10 +718,11 @@ def test_contour_grid_validation():
         critical_contour(gold_cluster(1e7), grating, [1e-8, 1e-8], [100.0, 300.0])
 
 
-@pytest.mark.parametrize("level", [0.0, -1.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize("level", [0.0, -1.0, 1.0, 2.0, math.nan, None, "0.5"])
 def test_contour_refuses_a_level_outside_0_1(level):
     # -ln(level) is the exposure traced: 0 and below have no log, and at 1
-    # and above (or NaN) no grid point could reach it
+    # and above (or NaN) no grid point could reach it; None and a str do not
+    # compare with a float
     with pytest.raises(DomainError, match=re.escape(f"'level' must be in (0, 1), got {level}")):
         critical_contour(gold_cluster(1e7), default_grating(), [1e-8, 1e-3], [100.0, 300.0],
                          level=level)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cslsim.cli import _species_dict
 from cslsim.errors import ConfigError, DomainError
 from cslsim.params import (
     ATOMIC_MASS_UNIT,
@@ -105,6 +106,17 @@ def test_species_invariants():
     for permittivity in (None, "abc", [1]):  # complex() raises TypeError or ValueError
         with pytest.raises(DomainError, match="permittivity must be a complex number"):
             ClusterSpecies(1e-21, 19300.0, permittivity)
+
+
+def test_species_store_the_checked_complex_permittivity():
+    species = ClusterSpecies(1e-21, 19300.0, "1+2j")
+    assert type(species.permittivity) is complex and species.permittivity == 1 + 2j
+    assert (_species_dict(species)["eps_re"], _species_dict(species)["eps_im"]) == (1.0, 2.0)
+    # a real permittivity equals, and hashes like, the complex it is stored as
+    real = ClusterSpecies(1e-21, 19300.0, 2.0)
+    assert type(real.permittivity) is complex
+    assert real == ClusterSpecies(1e-21, 19300.0, 2 + 0j) == (1e-21, 19300.0, 2.0, "cluster")
+    assert hash(real) == hash((1e-21, 19300.0, 2.0, "cluster"))
 
 
 def test_grating_invariants():
