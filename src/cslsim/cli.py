@@ -45,12 +45,8 @@ from .params import (
     GratingConfig,
     RunConfig,
     _with_keys,
-    amu_to_kg,
     cluster_radius,
-    kg_to_amu,
     load_config,
-    mbar_to_pa,
-    pa_to_mbar,
 )
 
 EXIT_OK = 0
@@ -62,6 +58,9 @@ EXIT_GEOMETRY = 4
 FIG1_HEADER = "lambda0_Hz,m_c_amu,geometry_factor"
 FIG2_HEADER = "mass_amu,radius_nm,flux_J_m2,n0,n1,transmissivity,status"
 FIG3_HEADER = "segment,pressure_mbar,temperature_K"
+
+# the rates (Hz) that fig1 adds to its grid: the paper's marks on the boundary
+FIG1_MARKERS = (1e-10, 1e-16)
 
 
 def _csv(rows: list[str]) -> str:
@@ -193,23 +192,22 @@ def _fig1_args(ns, config: RunConfig) -> dict:
         "wavelength_m": config.grating.laser_wavelength,
         "talbot_order": config.grating.talbot_order,
         "rc_m": config.csl.r_c,
-        "m0_amu": kg_to_amu(config.csl.m0),
+        "m0_amu": config.csl.m0 / ATOMIC_MASS_UNIT,
         "lo_log10": lo, "hi_log10": hi, "steps": steps,
         "threshold": ns.threshold,
-        "markers": [1e-10, 1e-16],
     }
 
 
 def _fig1_files(args: dict, out: str | None) -> dict:
     grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
-    csl = CslParams(r_c=args["rc_m"], lambda0=1.0, m0=amu_to_kg(args["m0_amu"]))
+    csl = CslParams(r_c=args["rc_m"], m0=args["m0_amu"] * ATOMIC_MASS_UNIT)
     grid = _log_grid(args, "lo_log10", "hi_log10", "steps")
     # a grid value that rounds differently from a marker is the same point
-    markers = [m for m in args["markers"] if not any(math.isclose(m, g) for g in grid)]
+    markers = [m for m in FIG1_MARKERS if not any(math.isclose(m, g) for g in grid)]
     g = geometry_factor(grating, csl)
     boundary = exclusion_boundary(grating, csl, sorted(grid + markers, reverse=True),
                                   args["threshold"])
-    return {out: _csv([FIG1_HEADER] + ["%.17g,%.17g,%.17g" % (lam, mc / amu_to_kg(1.0), g)
+    return {out: _csv([FIG1_HEADER] + ["%.17g,%.17g,%.17g" % (lam, mc / ATOMIC_MASS_UNIT, g)
                                        for lam, mc in boundary])}
 
 
@@ -261,7 +259,7 @@ def _fig3_args(ns, config: RunConfig) -> dict:
     return {
         **_sweep_args(config),
         "gas_temperature_K": env.gas_temperature,
-        "gas_mass_amu": env.gas_mass / amu_to_kg(1.0),
+        "gas_mass_amu": env.gas_mass / ATOMIC_MASS_UNIT,
         "gas_polarizability_A3": env.gas_polarizability_volume * 1e30,
         "cluster_temperature_K": env.cluster_temperature,
         "p_lo_log10": p_lo, "p_hi_log10": p_hi, "p_steps": p_steps,
@@ -297,26 +295,25 @@ def _fig3_files(args: dict, out: str | None) -> dict:
     env = EnvironmentConfig(
         gas_pressure=0.0,
         gas_temperature=args["gas_temperature_K"],
-        gas_mass=amu_to_kg(args["gas_mass_amu"]),
+        gas_mass=args["gas_mass_amu"] * ATOMIC_MASS_UNIT,
         gas_polarizability_volume=args["gas_polarizability_A3"] * 1e-30,
         cluster_temperature=args["cluster_temperature_K"],
     )
-    pressures = [mbar_to_pa(p)
-                 for p in _log_grid(args, "p_lo_log10", "p_hi_log10", "p_steps")]
+    pressures = [p * 100.0 for p in _log_grid(args, "p_lo_log10", "p_hi_log10", "p_steps")]
     temperatures = _grid(args, "t_lo", "t_hi", "t_steps")
     files = {}
     for path, mass_amu in masses.items():
         contours = critical_contour(_species_from(args, mass_amu), grating, pressures,
                                     temperatures, env_template=env, level=args["level"])
         files[path] = _csv([FIG3_HEADER] + [
-            "%d,%.17g,%.17g" % (seg_idx, pa_to_mbar(p_pa), t_k)
+            "%d,%.17g,%.17g" % (seg_idx, p_pa / 100.0, t_k)
             for seg_idx, line in enumerate(contours) for p_pa, t_k in line])
     return files
 
 
 # command -> (schema, args from the parsed options and config, files from args)
 SWEEPS = {
-    "fig1": ("fig1.v3", _fig1_args, _fig1_files),
+    "fig1": ("fig1.v4", _fig1_args, _fig1_files),
     "fig2": ("fig2.v10", _fig2_args, _fig2_files),
     "fig3": ("fig3.v3", _fig3_args, _fig3_files),
 }
@@ -334,7 +331,7 @@ def _budget(ns, config: RunConfig) -> dict:
         "csl": {"r_c_m": csl.r_c, "lambda0_Hz": csl.lambda0,
                 "m0_kg": csl.m0},
         "environment": {
-            "pressure_mbar": pa_to_mbar(env.gas_pressure),
+            "pressure_mbar": env.gas_pressure / 100.0,
             "gas_temperature_K": env.gas_temperature,
             "radiation_temperature_K": env.radiation_temperature,
         },
@@ -399,6 +396,8 @@ def _manifest_args(path: str, argv: list[str]) -> tuple[str, dict]:
     # the command's default args fix the key set and each value's type; the
     # files function checks the ranges
     defaults = SWEEPS[command][1](build_parser().parse_args([command]), RunConfig())
+    for key in sorted(args.keys() - defaults.keys()):  # as load_config refuses an unknown key
+        raise ConfigError(f"{path}: unknown args key {key!r}")
     for key, like in defaults.items():
         if key not in args:
             raise ConfigError(f"manifest args lack {key!r}")

@@ -1,8 +1,8 @@
 """Continuous-spontaneous-localization effect on the interferometer.
 
 The closed-form visibility reduction, whose exponent integrates the
-center-of-mass decay rate along the two paths' separation, and the
-critical-mass solver for the exclusion boundary.
+center-of-mass decay rate along the two paths' separation, and its
+inversion, the critical-mass line of the exclusion boundary.
 """
 
 from __future__ import annotations
@@ -59,9 +59,22 @@ def csl_visibility_ratio(species: ClusterSpecies, grating: GratingConfig,
 
 def critical_mass(csl: CslParams, grating: GratingConfig,
                   threshold: float = 0.5) -> float:
-    """Mass at which the CSL visibility ratio drops to the threshold.
+    """Mass at which the CSL visibility ratio drops to the threshold: the
+    one-point case of the exclusion boundary at csl.lambda0."""
+    return exclusion_boundary(grating, csl, [csl.lambda0], threshold)[0][1]
 
-    Closed-form cube-root inversion of the exponent.
+
+def exclusion_boundary(grating: GratingConfig, csl: CslParams,
+                       lambda0_grid, threshold: float = 0.5
+                       ) -> list[tuple[float, float]]:
+    """Critical mass along a grid of localization rates (csl.lambda0 unread).
+
+    Returns (lambda0, m_c) pairs in grid order.  Inverting the exponent
+    2 lambda0 T0 N (m/m0)^3 g = -ln threshold gives the straight line of
+    slope -1/3 in log-log, m_c = C / lambda0^(1/3) with
+    C = m0 (-ln threshold / (2 T0 N g))^(1/3), computed once per call.
+    For any finite lambda0 > 0 the cube root lies within about 1e-108 to
+    6e102, so m_c leaves the float range only if C is near its edge.
     """
     try:
         in_range = 0.0 < threshold < 1.0
@@ -69,28 +82,21 @@ def critical_mass(csl: CslParams, grating: GratingConfig,
         in_range = False
     if not in_range:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    if csl.lambda0 <= 0.0:
-        raise DomainError("critical mass requires lambda0 > 0")
     g = geometry_factor(grating, csl)
     if g <= 0.0:
         raise DomainError("degenerate geometry: separation N d vanishes on the "
                           "localization scale")
-    t0 = grating.talbot_time_for_mass(csl.m0)
-    denom = 2.0 * csl.lambda0 * t0 * grating.talbot_order * g
-    return csl.m0 * (math.log(1.0 / threshold) / denom) ** (1.0 / 3.0)
-
-
-def exclusion_boundary(grating: GratingConfig, csl_template: CslParams,
-                       lambda0_grid, threshold: float = 0.5
-                       ) -> list[tuple[float, float]]:
-    """Critical mass along a grid of localization rates.
-
-    Returns (lambda0, m_c) pairs in grid order; in log-log coordinates the
-    boundary is a straight line of slope -1/3.
-    """
+    denom = 2.0 * grating.talbot_time_for_mass(csl.m0) * grating.talbot_order * g
+    # -ln threshold stays finite for a subnormal threshold, where ln(1 / threshold) does not
+    c = csl.m0 * (-math.log(threshold) / denom) ** (1.0 / 3.0) if denom else math.inf
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"the critical-mass coefficient is out of float range at "
+                          f"r_c = {csl.r_c} m and m0 = {csl.m0} kg")
     out = []
     for lam in lambda0_grid:
-        csl = CslParams(r_c=csl_template.r_c, lambda0=finite("lambda0 grid value", lam),
-                        m0=csl_template.m0)
-        out.append((lam, critical_mass(csl, grating, threshold)))
+        m_c = c / finite("lambda0 grid value", lam) ** (1.0 / 3.0)
+        if not 0.0 < m_c < math.inf:
+            raise DomainError(f"the critical mass is out of float range at "
+                              f"lambda0 grid value {lam}")
+        out.append((lam, m_c))
     return out

@@ -49,7 +49,11 @@ def transmissivity(n0: float, n1: float) -> float:
         raise DomainError(f"n1={n1} > n0={n0} violates n(x) >= 0")
     # log-space, finite up to n0 ~ 300: ln T = -3 n0 + 3 ln I0(x), ln I0 = x + ln(e^-x I0)
     x = min(n1, n0)
-    return math.exp(-3.0 * n0 + 3.0 * (x + math.log(bessel_I_scaled(0, x))))
+    ln_i0 = math.log(bessel_I_scaled(0, x))
+    ln_t = -3.0 * n0 + 3.0 * (x + ln_i0)
+    if ln_t != ln_t:  # 3 n0 and 3 (x + ln_i0) both overflow, above n0 ~ 6e307
+        ln_t = 3.0 * (x - n0 + ln_i0)
+    return math.exp(ln_t)
 
 
 def observables(species: ClusterSpecies, grating: GratingConfig,

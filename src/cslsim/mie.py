@@ -155,7 +155,7 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
         prefactor = math.inf
     if prefactor == math.inf:  # or h nu k^2 is small enough that the quotient overflows
         raise DomainError(f"the absorption prefactor is out of float range at laser "
-                          f"wavelength {grating.laser_wavelength} m")
+                          f"wavelength {grating.laser_wavelength} m and flux {flux} J/m^2")
     return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, flux=flux,
                              truncation_order=used)
 

@@ -53,28 +53,10 @@ GOLD_DENSITY = 19300.0             # kg/m^3
 GOLD_PERMITTIVITY_157NM = 0.9 + 3.2j
 GOLD_ATOM_MASS_AMU = 196.96657
 
-MBAR_TO_PA = 100.0
-
-
-def amu_to_kg(mass_amu: float) -> float:
-    return mass_amu * ATOMIC_MASS_UNIT
-
-
-def kg_to_amu(mass_kg: float) -> float:
-    return mass_kg / ATOMIC_MASS_UNIT
-
-
-def mbar_to_pa(p_mbar: float) -> float:
-    return p_mbar * MBAR_TO_PA
-
-
-def pa_to_mbar(p_pa: float) -> float:
-    return p_pa / MBAR_TO_PA
-
 
 def _cluster_kg(mass_amu: float, name: str = "mass") -> float:
     # checked in kg, where a tiny mass underflows to 0, but named as given
-    mass = amu_to_kg(mass_amu)
+    mass = mass_amu * ATOMIC_MASS_UNIT
     if not 0.0 < mass < math.inf:
         raise DomainError(f"{name} must be positive and finite in kg, got {mass_amu} amu")
     return mass
@@ -109,7 +91,7 @@ class ClusterSpecies(_value_type("ClusterSpecies", "mass bulk_density permittivi
 
     @property
     def mass_amu(self) -> float:
-        return kg_to_amu(self.mass)
+        return self.mass / ATOMIC_MASS_UNIT
 
 
 def gold_cluster(mass_amu: float) -> ClusterSpecies:
@@ -238,7 +220,7 @@ _CONFIG_KEYS = {
                 "talbot_order": ("talbot_order", int), "flux_J_m2": ("laser_flux", float)},
     "csl": {"rc_nm": ("r_c", lambda nm: nm * 1e-9), "lambda0_hz": ("lambda0", float),
             "m0_amu": ("m0", lambda amu: _cluster_kg(amu, "m0"))},
-    "environment": {"pressure_mbar": ("gas_pressure", mbar_to_pa),
+    "environment": {"pressure_mbar": ("gas_pressure", lambda mbar: mbar * 100.0),
                     "gas_temperature_K": ("gas_temperature", float),
                     "gas_mass_amu": ("gas_mass", lambda amu: _cluster_kg(amu, "gas_mass")),
                     "gas_polarizability_A3": ("gas_polarizability_volume", lambda a: a * 1e-30),

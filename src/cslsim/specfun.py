@@ -143,7 +143,9 @@ def _iv_asymptotic_scaled(order: int, x: float) -> float:
         total += term
         if abs(term) < 1e-18:
             break
-    return total / math.sqrt(2.0 * math.pi * x)
+    if x < 2.8e307:
+        return total / math.sqrt(2.0 * math.pi * x)
+    return total / (math.sqrt(2.0 * math.pi) * math.sqrt(x))  # 2 pi x overflows
 
 
 def bessel_I_scaled(order: int, x: float) -> float:

@@ -171,7 +171,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
         assert (tmp_path / f"replay_m{mass}.csv").read_bytes() == original
 
 
-@pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig2.v1", "fig2.v2",
+@pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig1.v3", "fig2.v1", "fig2.v2",
                                     "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
                                     "fig2.v8", "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
@@ -223,7 +223,10 @@ def test_rerun_names_a_missing_argument(tmp_path, capsys):
                                                # -ln(level) is the contour's exposure
                                                ("fig3", "level", -1.0),
                                                ("fig3", "level", 0.0),
-                                               ("fig1", "version", "9.9")])
+                                               ("fig1", "version", "9.9"),
+                                               # a key this build does not write
+                                               ("fig1", "treshold", 0.1),
+                                               ("fig2", "treshold", 0.1)])
 def test_rerun_refuses_a_mistyped_argument(tmp_path, capsys, command, key, value):
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
              "fig2": ["--mass-range=5:6:3"],
@@ -540,6 +543,29 @@ def test_observables_at_a_saturating_flux_reports_v_two(capsys):
     assert run(["observables", "--flux", "1e300"]) == EXIT_OK
     data = _strict_json(capsys.readouterr().out)
     assert data["V"] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("flux, code", [("2e304", EXIT_OK), ("3e304", EXIT_USAGE)])
+def test_observables_at_a_modulation_near_the_float_range(tmp_path, capsys, flux, code):
+    # at 1e9 amu, flux 2e304 gives n1 = 4.6e307, past where 2 pi n1 overflows;
+    # at 3e304, n0 overflows and is refused
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEXT.replace("mass_amu = 1e6", "mass_amu = 1e9"))
+    assert run(["--config", str(cfg), "observables", "--flux", flux]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        data = _strict_json(captured.out)
+        assert data["n1"] > 2.87e307 and data["V"] == 2.0 and data["T"] == 0.0
+    else:
+        assert captured.out == "" and "n0 must be >= 0 and finite, got inf" in captured.err
+
+
+def test_an_absorption_prefactor_past_the_float_range_names_the_flux(capsys):
+    assert run(["observables", "--flux", "1e305"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("the absorption prefactor is out of float range at laser wavelength 1.57e-07 m "
+            "and flux 1e+305 J/m^2") in captured.err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -926,7 +952,8 @@ MANIFEST_FLOATS = [(command, key) for command, (_, args_from, _) in SWEEPS.items
 def _assert_documented_exit(argv, work, keep):
     """Run argv with its outputs in `work`: the exit code is documented, a
     failure leaves no file there but `keep`, no .tmp file is left, every JSON
-    output is strict JSON, and every fig2 ok row has finite cells."""
+    output is strict JSON, every fig1 critical mass is finite and positive,
+    and every fig2 ok row has finite cells."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
@@ -940,6 +967,9 @@ def _assert_documented_exit(argv, work, keep):
         text = (Path(work) / name).read_text(encoding="utf-8")
         if name.endswith(".json"):
             _strict_json(text)
+        elif text.startswith(FIG1_HEADER):
+            for row in text.splitlines()[1:]:
+                assert 0.0 < float(row.split(",")[1]) < math.inf
         elif text.startswith(FIG2_HEADER):
             for row in text.splitlines()[1:]:
                 *cells, status = row.split(",")
@@ -966,6 +996,12 @@ def test_config_floats_end_in_a_documented_exit_code(command, section_key, value
 
 
 @given(st.tuples(*[st.none() | st.sampled_from(EXTREME_VALUES)] * 8))
+# rates whose cube root is near the edge of the float range, a subnormal
+# threshold, and a localization length whose geometry factor underflows
+@example(("-320", "-300", None, None, None, None, None, None))
+@example(("300", "308", None, None, None, None, None, None))
+@example((None, None, None, "1e-320", None, None, None, None))
+@example((None, None, "1e159", None, None, None, None, None))
 @settings(max_examples=150, deadline=None)
 def test_fig1_fig2_and_observables_options_end_in_a_documented_exit_code(values):
     # None keeps an option at its small-run value; drawn values are non-empty strings

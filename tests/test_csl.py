@@ -213,6 +213,81 @@ def test_exclusion_boundary_rejects_bad_grid():
         exclusion_boundary(grating, make_csl(1e-10), [1e-10, 0.0])
 
 
+def closed_form_mass(csl, grating, lam, threshold):
+    """m0 (-ln threshold / (2 lambda0 T0 N g))^(1/3), with lambda0 inside the root."""
+    t0 = grating.talbot_time_for_mass(csl.m0)
+    g = geometry_factor(grating, csl)
+    return csl.m0 * (-math.log(threshold) / (2.0 * lam * t0 * grating.talbot_order * g)) \
+        ** (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("csl, threshold", [(CslParams(), 0.5),
+                                            (CslParams(r_c=50e-9, m0=2.0 * AMU), 0.3)])
+def test_exclusion_boundary_is_the_closed_form(csl, threshold):
+    # the grid of the default fig1 run, and its markers
+    grating = default_grating()
+    lams = [10.0 ** (-18.0 + 0.5 * i) for i in range(25)] + [1e-10, 1e-16]
+    for lam, m_c in exclusion_boundary(grating, csl, lams, threshold):
+        assert m_c == pytest.approx(closed_form_mass(csl, grating, lam, threshold), rel=1e-15)
+        assert critical_mass(csl._replace(lambda0=lam), grating, threshold) == m_c
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-300, 1e300, 1.7e308])
+def test_exclusion_boundary_is_finite_for_every_finite_rate(lam):
+    [(_, m_c)] = exclusion_boundary(default_grating(), CslParams(), [lam])
+    assert 0.0 < m_c < math.inf
+
+
+def test_exclusion_boundary_at_a_subnormal_threshold():
+    # -ln(1e-320) = 736.8, where ln(1 / 1e-320) is inf
+    [(_, m_c)] = exclusion_boundary(default_grating(), CslParams(), [1e-10], 1e-320)
+    assert m_c / AMU == pytest.approx(8.84e6, rel=1e-3)
+    assert m_c == pytest.approx(closed_form_mass(CslParams(), default_grating(), 1e-10,
+                                                 1e-320), rel=1e-15)
+
+
+@pytest.mark.parametrize("grating, csl, lams, message", [
+    # 2 T0 N g underflows to 0 at r_c = 1e150 m, where g = a^2 / 3 is 2e-315
+    (default_grating(), CslParams(r_c=1e150), [1e-10],
+     "coefficient is out of float range at r_c = 1e+150 m and m0 = 1.6605390666e-27 kg"),
+    # C is about 1e-240 kg at order 1e100 and m0 = 1e-300 kg, so m_c underflows
+    # at the top rate; and about 1e222 kg at d = 5e-151 m and m0 = 1e200 kg, so
+    # it overflows at a subnormal rate
+    (GratingConfig(157e-9, 10 ** 100), CslParams(m0=1e-300), [1.0, 1.7e308],
+     "critical mass is out of float range at lambda0 grid value 1.7e+308"),
+    (GratingConfig(1e-150), CslParams(r_c=1e-160, m0=1e200), [1.0, 1e-320],
+     "critical mass is out of float range at lambda0 grid value 1e-320"),
+])
+def test_exclusion_boundary_refuses_a_mass_past_the_float_range(grating, csl, lams, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        exclusion_boundary(grating, csl, lams)
+
+
+@pytest.mark.parametrize("size", [1, 5, 50])
+def test_exclusion_boundary_computes_its_coefficient_once(monkeypatch, size):
+    import cslsim.csl as csl_module
+
+    calls = {"geometry_factor": 0, "talbot_time_for_mass": 0, "CslParams": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(csl_module, "geometry_factor",
+                        counted("geometry_factor", geometry_factor))
+    monkeypatch.setattr(GratingConfig, "talbot_time_for_mass",
+                        counted("talbot_time_for_mass", GratingConfig.talbot_time_for_mass))
+    monkeypatch.setattr(CslParams, "__new__", counted("CslParams", CslParams.__new__))
+    csl, grating = make_csl(1e-10), default_grating()
+    assert calls["CslParams"] == 1  # the counter sees a construction
+    calls["CslParams"] = 0
+    boundary = exclusion_boundary(grating, csl, [10.0 ** -(i % 12) for i in range(size)])
+    assert len(boundary) == size
+    assert calls == {"geometry_factor": 1, "talbot_time_for_mass": 1, "CslParams": 0}
+
+
 def test_oracle_rejects_coarse_grid():
     with pytest.raises(DomainError):
         csl_exponent_oracle(gold_cluster(1e6), default_grating(),

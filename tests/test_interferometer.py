@@ -159,6 +159,16 @@ def test_transmissivity_finite_at_high_mean_absorption():
     assert 0.0 < t < 1.0 and math.isfinite(t)
 
 
+@pytest.mark.parametrize("n0, n1", [(2.9e307, 2.9e307), (1e308, 1e308),
+                                     (1.7e308, 1e308), (1.7976931348623157e308, 6e307)])
+def test_observables_stay_defined_at_a_modulation_near_the_float_range(n0, n1):
+    # above x = 2.87e307, 2 pi x overflows, and above n0 = 6e307 so does 3 n0;
+    # this checks that a value comes back, not its digits: at n0 = n1 the
+    # two terms of ln T cancel
+    assert visibility(n1) == 2.0
+    assert 0.0 <= transmissivity(n0, n1) <= 1.0
+
+
 def test_observables_struct():
     grating = default_grating()
     species = gold_cluster(1.9697e5)

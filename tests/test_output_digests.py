@@ -22,12 +22,18 @@ from cslsim.cli import EXIT_OK, REPORTS, SWEEPS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# schema -> [(options after the command, {file name: SHA-256})]; every run
-# writes to --out out.csv, and fig3 names one file per mass after it.
+# config files that a run below reads with --config=<name>
+CONFIG_FILES = {"csl.ini": "[csl]\nrc_nm = 50\nm0_amu = 2\n"}
+
+# schema -> [(options, {file name: SHA-256})]; the options follow the
+# command, except a leading --config=<name>; every run writes to --out
+# out.csv, and fig3 names one file per mass after it.
 SWEEP_DIGESTS = {
-    "fig1.v3": [
+    "fig1.v4": [
         ([], {"out.csv":
-              "37f0996fa46701354ec79823a0525e1d4d175e11d71442b1b19f96a03fea1178"}),
+              "e9369c67ca56f8b7a80bb9dfb82cb3eb93c5c6a1604b786d9da9e3eb50308c88"}),
+        (["--config=csl.ini", "--threshold", "0.3"], {"out.csv":
+              "35109bb9db679952a95cf12a79e9bca4c9a88a983fb88b4fd09ea67ae3f6b1e4"}),
     ],
     "fig2.v10": [
         ([], {"out.csv":
@@ -86,12 +92,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("schema,options,digests", [
+def _config_name(options):
+    """The CONFIG_FILES name of a run's leading --config=<name>, or None."""
+    if options and options[0].startswith("--config="):
+        return options[0].removeprefix("--config=")
+    return None
+
+
+# the runs from a config file come last, so that adding one moves no other run's id
+@pytest.mark.parametrize("schema,options,digests", sorted([
     (schema, options, digests)
-    for schema, runs in SWEEP_DIGESTS.items() for options, digests in runs])
+    for schema, runs in SWEEP_DIGESTS.items() for options, digests in runs],
+    key=lambda run: _config_name(run[1]) is not None))
 def test_sweep_bytes_match_their_schema(tmp_path, schema, options, digests):
-    command = schema.split(".")[0]
-    assert main([command, *options, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    argv = [schema.split(".")[0], *options]
+    ini = _config_name(options)
+    if ini is not None:  # a global option, so it goes before the command
+        (tmp_path / ini).write_text(CONFIG_FILES[ini], encoding="utf-8")
+        argv = [f"--config={tmp_path / ini}", argv[0], *options[1:]]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
     written = {p.name: _sha256(p.read_bytes()) for p in tmp_path.glob("*.csv")}
     assert written.keys() == digests.keys()
     for name, digest in digests.items():

@@ -17,8 +17,6 @@ from cslsim.params import (
     default_grating,
     gold_cluster,
     load_config,
-    mbar_to_pa,
-    pa_to_mbar,
     total_interference_time,
 )
 from oracles import csl_decay_rate_oracle
@@ -141,11 +139,6 @@ def test_csl_params_rate_quadratic():
         CslParams(r_c=-1.0)
 
 
-def test_pressure_unit_roundtrip():
-    for p in (1e-14, 1e-9, 2.7e-6):
-        assert pa_to_mbar(mbar_to_pa(p)) == pytest.approx(p, rel=1e-15)
-
-
 CONFIG_TEXT = """\
 [species]
 label = gold
@@ -190,7 +183,7 @@ def test_load_config_takes_defaults_for_what_a_file_leaves_out(tmp_path):
     assert load_config(str(path)) == RunConfig(csl=CslParams(lambda0=1e-10))
     path.write_text("[environment]\npressure_mbar = 1e-9\n")
     assert load_config(str(path)).environment == EnvironmentConfig(
-        gas_pressure=mbar_to_pa(1e-9))
+        gas_pressure=1e-9 * 100.0)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

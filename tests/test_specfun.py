@@ -268,6 +268,14 @@ def test_bessel_I_scaled_large_argument_finite():
     assert 0.0 < transmissivity(500.0, 500.0) < math.inf
 
 
+@pytest.mark.parametrize("x", [2.7e307, 2.9e307, 1e308, 1.7976931348623157e308])
+def test_bessel_I_scaled_where_2_pi_x_overflows(x):
+    # the asymptotic prefactor (2 pi x)^(-1/2), taken in two roots above x = 2.8e307
+    for order in (0, 1, 2):
+        expected = mp.besseli(order, mp.mpf(x)) * mp.exp(-mp.mpf(x))
+        assert bessel_I_scaled(order, x) == pytest.approx(float(expected), rel=1e-15, abs=0.0)
+
+
 @given(st.tuples(st.floats(min_value=0.0, max_value=60.0),
                  st.floats(min_value=1e-6, max_value=5.0)),
        st.sampled_from([0, 1, 2]))
