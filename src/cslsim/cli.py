@@ -239,7 +239,7 @@ def _fig2_files(args: dict, out: str | None) -> dict:
             cells = math.nan, math.nan, math.nan, math.nan, "unreachable"
         else:
             unit = absorption_profile(sp, grating, 1.0)  # the flux solve's, from the cache
-            n0, n1 = unit.n0 * flux, unit.n1 * flux
+            n0, n1 = unit.n0 * flux, abs(unit.n1) * flux  # the amplitude: V and T are even in n1
             cells = flux, n0, n1, transmissivity(n0, n1), "ok"
         rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
                     % (mass_amu, cluster_radius(sp) * 1e9, *cells))
@@ -314,7 +314,7 @@ def _fig3_files(args: dict, out: str | None) -> dict:
 # command -> (schema, args from the parsed options and config, files from args)
 SWEEPS = {
     "fig1": ("fig1.v4", _fig1_args, _fig1_files),
-    "fig2": ("fig2.v10", _fig2_args, _fig2_files),
+    "fig2": ("fig2.v11", _fig2_args, _fig2_files),
     "fig3": ("fig3.v3", _fig3_args, _fig3_files),
 }
 

@@ -47,13 +47,10 @@ def transmissivity(n0: float, n1: float) -> float:
     finite("n1", n1, True)
     if n1 > n0 * (1.0 + 1e-12):
         raise DomainError(f"n1={n1} > n0={n0} violates n(x) >= 0")
-    # log-space, finite up to n0 ~ 300: ln T = -3 n0 + 3 ln I0(x), ln I0 = x + ln(e^-x I0)
+    # log-space: ln T = 3 ((x - n0) + ln(e^-x I0(x))), where x - n0 <= 0 neither
+    # cancels nor overflows at a large n0 ~ n1
     x = min(n1, n0)
-    ln_i0 = math.log(bessel_I_scaled(0, x))
-    ln_t = -3.0 * n0 + 3.0 * (x + ln_i0)
-    if ln_t != ln_t:  # 3 n0 and 3 (x + ln_i0) both overflow, above n0 ~ 6e307
-        ln_t = 3.0 * (x - n0 + ln_i0)
-    return math.exp(ln_t)
+    return math.exp(3.0 * ((x - n0) + math.log(bessel_I_scaled(0, x))))
 
 
 def observables(species: ClusterSpecies, grating: GratingConfig,
@@ -64,9 +61,10 @@ def observables(species: ClusterSpecies, grating: GratingConfig,
 
 
 def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
+    # V and T are even in n1: they read the amplitude, and n1 keeps its sign
     return FringeObservables(
-        visibility=visibility(max(profile.n1, 0.0)),
-        transmissivity=transmissivity(profile.n0, max(profile.n1, 0.0)),
+        visibility=visibility(abs(profile.n1)),
+        transmissivity=transmissivity(profile.n0, abs(profile.n1)),
         n0=profile.n0,
         n1=profile.n1,
     )
@@ -129,14 +127,14 @@ def flux_for_target_visibility(species: ClusterSpecies, grating: GratingConfig,
                                v_target: float) -> float:
     """Pulse flux that realizes the target visibility for this species.
 
-    n1 is exactly linear in the flux, so the solve for n1 and one profile
-    at unit flux fix it by a division.  A species whose profile has no
-    modulation reaches no visibility at any flux.
+    n1 is exactly linear in the flux and V is even in it, so the solve for
+    n1 and one profile at unit flux fix it by a division by |n1|.  A species
+    whose profile has no modulation reaches no visibility at any flux.
     """
     n1_target = solve_modulation_for_visibility(v_target)
     unit = absorption_profile(species, grating, 1.0)
-    if unit.n1 <= 0.0:
+    if unit.n1 == 0.0:
         raise UnachievableTargetError(
             f"species {species.label!r} has no absorption modulation; "
             "cannot reach a nonzero visibility")
-    return n1_target / unit.n1
+    return n1_target / abs(unit.n1)

@@ -26,16 +26,17 @@ _DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
 _FIRST_BUDGET = 16
 
 
-class AbsorptionProfile(_value_type("AbsorptionProfile", "n0 n1 flux truncation_order")):
+class AbsorptionProfile(_value_type("AbsorptionProfile", "n0 n1 truncation_order")):
     """n(x) = n0 + n1 cos(2 pi x / d) for one species, grating, and flux,
-    from multipole sums that converged at `truncation_order`."""
+    from multipole sums that converged at `truncation_order`.  n1 < 0 is a
+    modulation in antiphase with the grating."""
 
     __slots__ = ()
 
-    def __new__(cls, n0: float, n1: float, flux: float, truncation_order: int):
+    def __new__(cls, n0: float, n1: float, truncation_order: int):
         if n0 < abs(n1) * (1.0 - 1e-12):
             raise DomainError(f"n(x) would go negative: n0={n0}, n1={n1}")
-        return tuple.__new__(cls, (n0, n1, flux, truncation_order))
+        return tuple.__new__(cls, (n0, n1, truncation_order))
 
 
 def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
@@ -156,6 +157,5 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
     if prefactor == math.inf:  # or h nu k^2 is small enough that the quotient overflows
         raise DomainError(f"the absorption prefactor is out of float range at laser "
                           f"wavelength {grating.laser_wavelength} m and flux {flux} J/m^2")
-    return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, flux=flux,
-                             truncation_order=used)
+    return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, truncation_order=used)
 

@@ -143,9 +143,7 @@ def _iv_asymptotic_scaled(order: int, x: float) -> float:
         total += term
         if abs(term) < 1e-18:
             break
-    if x < 2.8e307:
-        return total / math.sqrt(2.0 * math.pi * x)
-    return total / (math.sqrt(2.0 * math.pi) * math.sqrt(x))  # 2 pi x overflows
+    return total / (math.sqrt(2.0 * math.pi) * math.sqrt(x))  # 2 pi x may overflow
 
 
 def bessel_I_scaled(order: int, x: float) -> float:

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -30,10 +31,15 @@ from cslsim.cli import (
     build_parser,
     main,
 )
-from cslsim.interferometer import flux_for_target_visibility
+from cslsim.interferometer import flux_for_target_visibility, transmissivity, visibility
 from cslsim.mie import absorption_profile
 from cslsim.params import CslParams, RunConfig, default_grating, gold_cluster
-from oracles import csl_visibility_ratio_oracle
+from oracles import (
+    csl_visibility_ratio_oracle,
+    iv_oracle,
+    solve_oracle,
+    standing_wave_sums_oracle,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -173,7 +179,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig1.v3", "fig2.v1", "fig2.v2",
                                     "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
-                                    "fig2.v8", "fig3.v1", "fig3.v2"])
+                                    "fig2.v8", "fig2.v10", "fig3.v1", "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -345,17 +351,57 @@ def test_a_run_that_cannot_rename_one_file_writes_none(tmp_path, monkeypatch, bl
     assert sorted(tmp_path.iterdir()) == before
 
 
+def _fig2_gold_and_lossless_rows(tmp_path):
+    """The rows of two fig2 sweeps at target 0.8: gold, whose rows are `ok`
+    or `geometry_error`, and a lossless sphere (eps_im = 0, so n1 is exactly
+    0), whose rows are `unreachable` or `geometry_error`."""
+    lossless = tmp_path / "lossless.ini"
+    lossless.write_text(CONFIG_TEXT.replace("eps_im = 3.2", "eps_im = 0"))
+    rows = []
+    for config in ([], ["--config", str(lossless)]):
+        out = tmp_path / "fig2.csv"
+        assert run([*config, "fig2", "--mass-range=5:10.5:12", "--target-V=0.8",
+                    "--out", str(out)]) == EXIT_OK
+        rows += [r.split(",") for r in read_rows(out)[1:]]
+    return rows
+
+
 def test_fig2_ok_rows_carry_the_scalar_flux(tmp_path):
-    out = tmp_path / "fig2.csv"
-    assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=0.8",
-                "--out", str(out)]) == EXIT_OK
-    rows = [r.split(",") for r in read_rows(out)[1:]]
+    rows = _fig2_gold_and_lossless_rows(tmp_path)
     assert {r[-1] for r in rows} == {"ok", "unreachable", "geometry_error"}
     grating = default_grating()
     for row in rows:
         if row[-1] == "ok":
             flux = flux_for_target_visibility(gold_cluster(float(row[0])), grating, 0.8)
             assert float(row[2]) == pytest.approx(flux, rel=1e-12)
+
+
+def test_fig2_rows_of_an_antiphase_modulation_match_the_oracle():
+    # for gold at 157 nm, n1 < 0 between about 2.16e9 and 9.3e9 amu; V and T
+    # are even in n1, so these rows are `ok`, with the amplitude |n1| written
+    target = 0.85
+    _, args_from, files = SWEEPS["fig2"]
+    ns = build_parser().parse_args(
+        ["fig2", "--mass-range=5:10.5:600", f"--target-V={target!r}"])
+    (text,) = files(args_from(ns, RunConfig()), None).values()
+    grating = default_grating()
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    antiphase = [row for row in rows if row[-1] == "ok"
+                 and absorption_profile(gold_cluster(float(row[0])), grating, 1.0).n1 < 0.0]
+    assert len(antiphase) == 70
+    n1 = solve_oracle(target)
+    k = grating.wavenumber
+    prefactor = 4.0 / (params.PLANCK_H * grating.laser_frequency * k * k)
+    for row in antiphase[::7]:  # the mpmath sums take about 30 ms a row
+        species = gold_cluster(float(row[0]))
+        s0, s1 = standing_wave_sums_oracle(k * params.cluster_radius(species),
+                                           species.permittivity)
+        assert s1 < 0.0
+        n0 = n1 * s0 / -s1
+        t = float(mp.exp(-3 * mp.mpf(n0)) * mp.mpf(iv_oracle(0, n1)) ** 3)
+        expected = (n1 / (prefactor * -s1), n0, n1, t)
+        for cell, value in zip(row[2:6], expected):
+            assert float(cell) == pytest.approx(value, rel=1e-10, abs=0.0), row[0]
 
 
 def test_a_fig2_sweep_shares_one_n1_solve_and_one_mie_evaluation_per_row(tmp_path,
@@ -370,19 +416,19 @@ def test_a_fig2_sweep_shares_one_n1_solve_and_one_mie_evaluation_per_row(tmp_pat
 
     sums = counted(cslsim.mie, "absorption_sums")
     passes = counted(cslsim.interferometer, "_iv012_scaled")  # the n1 solve's series
-    out = tmp_path / "fig2.csv"
-    assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=0.8",
-                "--out", str(out)]) == EXIT_OK
-    statuses = [r.split(",")[-1] for r in read_rows(out)[1:]]
+    # both sweeps ask for one target, so the second reads the first's solve
+    statuses = [r[-1] for r in _fig2_gold_and_lossless_rows(tmp_path)]
     assert set(statuses) == {"ok", "unreachable", "geometry_error"}
     assert len(sums) == len(statuses) - statuses.count("geometry_error")
     assert 1 <= len(passes) <= 4
 
 
 @given(st.floats(3.0, 11.0), st.floats(0.01, 2.0), st.integers(1, 12), st.floats(0.05, 1.7))
+@example(9.0, 1.0, 5, 0.85)  # across the gold masses whose n1 is negative
 @settings(max_examples=40, deadline=None)
 def test_fig2_rows_are_consistent(lo, span, steps, target_v):
-    # every target in [0.05, 1.7] is reachable: V(n1) rises to 1.71 on the branch
+    # every target in [0.05, 1.7] is reachable: V(n1) rises to 1.71 on the branch,
+    # and V is even in n1, so every row inside the geometry guard is `ok`
     _, args_from, files = SWEEPS["fig2"]
     ns = build_parser().parse_args(
         ["fig2", f"--mass-range={lo!r}:{lo + span!r}:{steps}", f"--target-V={target_v!r}"])
@@ -391,7 +437,8 @@ def test_fig2_rows_are_consistent(lo, span, steps, target_v):
     for row in text.splitlines()[1:]:
         _, radius_nm, flux, n0, n1, _, status = row.split(",")
         assert (status == "geometry_error") == (float(radius_nm) >= period_nm)
-        if status == "ok":
+        if status != "geometry_error":
+            assert status == "ok" and float(n1) > 0.0
             assert math.isfinite(float(flux))
             assert float(n1) <= float(n0) * (1.0 + 1e-12)
 
@@ -558,6 +605,17 @@ def test_observables_at_a_modulation_near_the_float_range(tmp_path, capsys, flux
         assert data["n1"] > 2.87e307 and data["V"] == 2.0 and data["T"] == 0.0
     else:
         assert captured.out == "" and "n0 must be >= 0 and finite, got inf" in captured.err
+
+
+def test_observables_read_the_amplitude_of_an_antiphase_modulation(tmp_path, capsys):
+    # at 3e9 amu, n1 < 0: the report keeps its sign, and V and T read |n1|
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEXT.replace("mass_amu = 1e6", "mass_amu = 3e9"))
+    assert run(["--config", str(cfg), "observables", "--flux", "1.0"]) == EXIT_OK
+    data = _strict_json(capsys.readouterr().out)
+    assert data["n1"] < 0.0
+    assert data["V"] == visibility(-data["n1"]) > 1.99
+    assert data["T"] == transmissivity(data["n0"], -data["n1"])
 
 
 def test_an_absorption_prefactor_past_the_float_range_names_the_flux(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,11 +163,25 @@ def test_transmissivity_finite_at_high_mean_absorption():
 @pytest.mark.parametrize("n0, n1", [(2.9e307, 2.9e307), (1e308, 1e308),
                                      (1.7e308, 1e308), (1.7976931348623157e308, 6e307)])
 def test_observables_stay_defined_at_a_modulation_near_the_float_range(n0, n1):
-    # above x = 2.87e307, 2 pi x overflows, and above n0 = 6e307 so does 3 n0;
-    # this checks that a value comes back, not its digits: at n0 = n1 the
-    # two terms of ln T cancel
+    # above x = 2.87e307, 2 pi x overflows, and above n0 = 6e307 so does 3 n0
     assert visibility(n1) == 2.0
     assert 0.0 <= transmissivity(n0, n1) <= 1.0
+
+
+@pytest.mark.parametrize("x", [1e15, 1e20, 1e300, 2.9e307])
+def test_transmissivity_at_a_large_equal_n0_and_n1_is_the_asymptote(x):
+    # T(x, x) = (exp(-x) I0(x))^3 ~ (2 pi x)^(-3/2) (1 + 1 / (8 x))^3, with
+    # no cancellation between -3 n0 and 3 x; 0 where the asymptote underflows
+    expected = float(mp.power(2 * mp.pi * mp.mpf(x), -1.5) * (1 + 1 / (8 * mp.mpf(x))) ** 3)
+    assert transmissivity(x, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_observables_read_the_amplitude_of_an_antiphase_modulation():
+    # for gold at 157 nm, n1 < 0 between about 2.16e9 and 9.3e9 amu
+    obs = observables(gold_cluster(3e9), default_grating(), 1.0)
+    assert obs.n1 < 0.0
+    assert obs.visibility == visibility(abs(obs.n1)) > 1.99
+    assert obs.transmissivity == transmissivity(obs.n0, abs(obs.n1))
 
 
 def test_observables_struct():

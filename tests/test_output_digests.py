@@ -35,13 +35,13 @@ SWEEP_DIGESTS = {
         (["--config=csl.ini", "--threshold", "0.3"], {"out.csv":
               "35109bb9db679952a95cf12a79e9bca4c9a88a983fb88b4fd09ea67ae3f6b1e4"}),
     ],
-    "fig2.v10": [
+    "fig2.v11": [
         ([], {"out.csv":
-              "61f447714e43cc1b3aac4f9cf3de78051db2cb0702f0cff41b63760f7aa0ef17"}),
+              "cdd1f8b7121998933010706a3dfe85134c0f21b1c7125d8143b62941c5684ef5"}),
         (["--mass-range=5:10.5:600", "--target-V=0.85"], {"out.csv":
-              "43cab3efa952f9890d835f411256afe8646e82654b38ee99494f0d95a377077d"}),
+              "cd61c1993ad625c29b3796014383a70ee2bf8e6418c1d887b00de08e11420576"}),
         (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
-              "99c1d0b23d6c54499734a4e46103102004ccfa78143a01cff9293bb192753983"}),
+              "257ba83e5ac1c2883f4c5a944ced7b10f7b1af500d39fe9220c37d157d6e0fbf"}),
     ],
     "fig3.v3": [
         ([], {"out_m1e+06.csv":
@@ -71,9 +71,9 @@ REPORT_DIGESTS = {
 # report's stdout, or of out.csv for a sweep
 README_CONFIG_DIGESTS = [
     (["budget"], "4ec124c5b3e95f9a1f9a9506b0616d2f556325089d3139a2e01b29328e0c7709"),
-    (["observables"], "a0767c66cc7716f77f8ac33d2ef28a5fcddc4edb35c55c072de10dab49cbb86c"),
+    (["observables"], "960ff57308a40e4ce5ad7feb904817c326925d48d9fb84dbe34f92482973308c"),
     (["fig2", "--mass-range=5:8:9"],
-     "ac0415c1c992f5d2868432eec1791fc34e3fb0dd76e2d7e435a7daec67a9393a"),
+     "37d2c1afb4a248418d1541960801c3b1eed6e37f10fc959baf0cb72066a8342b"),
 ]
 
 
@@ -128,6 +128,12 @@ def test_report_stdout_matches_its_digest(capsys, command):
 
 def test_every_sweep_schema_has_a_pinned_digest():
     assert {schema for schema, _, _ in SWEEPS.values()} == set(SWEEP_DIGESTS)
+
+
+def test_readme_names_each_sweep_schema():
+    text = README.read_text(encoding="utf-8")
+    named = dict(re.findall(r"^`(fig\d)` \(schema `(fig\d\.v\d+)`\)", text, flags=re.M))
+    assert named == {command: schema for command, (schema, _, _) in SWEEPS.items()}
 
 
 @pytest.mark.parametrize("options,digest", README_CONFIG_DIGESTS)

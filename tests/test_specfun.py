@@ -270,7 +270,8 @@ def test_bessel_I_scaled_large_argument_finite():
 
 @pytest.mark.parametrize("x", [2.7e307, 2.9e307, 1e308, 1.7976931348623157e308])
 def test_bessel_I_scaled_where_2_pi_x_overflows(x):
-    # the asymptotic prefactor (2 pi x)^(-1/2), taken in two roots above x = 2.8e307
+    # the asymptotic prefactor (2 pi x)^(-1/2), taken in two roots since 2 pi x
+    # overflows above x = 2.87e307
     for order in (0, 1, 2):
         expected = mp.besseli(order, mp.mpf(x)) * mp.exp(-mp.mpf(x))
         assert bessel_I_scaled(order, x) == pytest.approx(float(expected), rel=1e-15, abs=0.0)

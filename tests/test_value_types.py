@@ -39,7 +39,7 @@ FIELDS = {
     RunConfig: (("species", "grating", "csl", "environment"),
                 (gold_cluster(1e7), default_grating(), CslParams(lambda0=1e-8),
                  EnvironmentConfig(gas_pressure=1e-7))),
-    AbsorptionProfile: (("n0", "n1", "flux", "truncation_order"), (2.0, 1.5, 1.0, 12)),
+    AbsorptionProfile: (("n0", "n1", "truncation_order"), (2.0, 1.5, 12)),
     FringeObservables: (("visibility", "transmissivity", "n0", "n1"), (0.85, 0.1, 2.0, 1.5)),
     CslReduction: (("ratio", "exponent", "geometry_factor"), (0.9, 0.105, 0.5)),
     DecoherenceModel: (("c6_prefactor", "gas_electron_count", "cluster_electrons_per_amu",
