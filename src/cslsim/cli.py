@@ -314,7 +314,7 @@ def _fig3_files(args: dict, out: str | None) -> dict:
 # command -> (schema, args from the parsed options and config, files from args)
 SWEEPS = {
     "fig1": ("fig1.v4", _fig1_args, _fig1_files),
-    "fig2": ("fig2.v11", _fig2_args, _fig2_files),
+    "fig2": ("fig2.v12", _fig2_args, _fig2_files),
     "fig3": ("fig3.v3", _fig3_args, _fig3_files),
 }
 

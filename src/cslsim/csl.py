@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, finite
+from .errors import DomainError, finite, fraction
 from .params import ClusterSpecies, CslParams, GratingConfig, _value_type
 
 
@@ -33,28 +33,21 @@ def geometry_factor(grating: GratingConfig, csl: CslParams) -> float:
     return 1.0 - math.sqrt(math.pi) * csl.r_c / nd * math.erf(a)
 
 
-def csl_exponent(species: ClusterSpecies, grating: GratingConfig,
-                 csl: CslParams) -> float:
-    """Exponent 2 lambda0 T0 N (m/m0)^3 * geometry_factor."""
-    t0 = grating.talbot_time_for_mass(csl.m0)
-    mass_ratio = species.mass / csl.m0
-    return (2.0 * csl.lambda0 * t0 * grating.talbot_order
-            * mass_ratio ** 3 * geometry_factor(grating, csl))
-
-
 def csl_visibility_ratio(species: ClusterSpecies, grating: GratingConfig,
                          csl: CslParams) -> CslReduction:
-    """Closed-form visibility reduction V_CSL / V."""
+    """Closed-form visibility reduction V_CSL / V = exp(-exponent), with the
+    exponent 2 lambda0 T0 N (m/m0)^3 * geometry_factor."""
     try:
-        exponent = csl_exponent(species, grating, csl)
+        g = geometry_factor(grating, csl)
+        exponent = (2.0 * csl.lambda0 * grating.talbot_time_for_mass(csl.m0)
+                    * grating.talbot_order * (species.mass / csl.m0) ** 3 * g)
     except OverflowError:  # from (m/m0)^3
         exponent = math.inf
     if not math.isfinite(exponent):
         raise DomainError(
             f"CSL exponent is not finite for mass {species.mass} kg "
             f"({species.mass_amu} amu) at m0 = {csl.m0} kg")
-    return CslReduction(ratio=math.exp(-exponent), exponent=exponent,
-                        geometry_factor=geometry_factor(grating, csl))
+    return CslReduction(ratio=math.exp(-exponent), exponent=exponent, geometry_factor=g)
 
 
 def critical_mass(csl: CslParams, grating: GratingConfig,
@@ -76,12 +69,7 @@ def exclusion_boundary(grating: GratingConfig, csl: CslParams,
     For any finite lambda0 > 0 the cube root lies within about 1e-108 to
     6e102, so m_c leaves the float range only if C is near its edge.
     """
-    try:
-        in_range = 0.0 < threshold < 1.0
-    except TypeError:  # None or a str does not compare with a float
-        in_range = False
-    if not in_range:
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
+    fraction("threshold", threshold)
     g = geometry_factor(grating, csl)
     if g <= 0.0:
         raise DomainError("degenerate geometry: separation N d vanishes on the "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .errors import DomainError, finite
+from .errors import DomainError, finite, fraction
 from .params import (
     BOHR_RADIUS,
     BOLTZMANN_KB,
@@ -276,12 +276,7 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     has left the grid.  The top grid temperature is still evaluated, so a
     grid whose rates leave float range is refused, naming that temperature.
     """
-    try:
-        in_range = 0.0 < level < 1.0  # NaN fails it: -ln(level) is the exposure traced
-    except TypeError:  # None or a str does not compare with a float
-        in_range = False
-    if not in_range:
-        raise DomainError(f"'level' must be in (0, 1), got {level}")
+    fraction("'level'", level)  # -ln(level) is the exposure traced
     # a repeated grid value is one grid line, so the size is checked after the set
     pressures = sorted({finite("grid pressure", float(p)) for p in pressure_grid})
     temperatures = sorted({finite("grid temperature", float(t)) for t in temperature_grid})

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all cslsim modules, and the one range check."""
+"""Exception hierarchy shared by all cslsim modules, and the two range checks."""
 
 import math
 
@@ -43,3 +43,13 @@ def finite(name: str, value, zero: bool = False):
     except TypeError:
         pass
     raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value}")
+
+
+def fraction(name: str, value) -> None:
+    """DomainError unless `value` lies in (0, 1): NaN, None and a str fail too."""
+    try:
+        if 0.0 < value < 1.0:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must lie in (0, 1), got {value}")

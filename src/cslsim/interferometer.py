@@ -127,12 +127,18 @@ def flux_for_target_visibility(species: ClusterSpecies, grating: GratingConfig,
                                v_target: float) -> float:
     """Pulse flux that realizes the target visibility for this species.
 
-    n1 is exactly linear in the flux and V is even in it, so the solve for
-    n1 and one profile at unit flux fix it by a division by |n1|.  A species
-    whose profile has no modulation reaches no visibility at any flux.
+    n1 is exactly linear in the flux and V is even in it, so one profile at
+    unit flux and the solve for n1 fix it by a division by |n1|.  The
+    profile comes first, so a sphere past the geometry guard is refused
+    whatever the target.  A species whose profile has no modulation reaches
+    no visibility at any flux.
     """
-    n1_target = solve_modulation_for_visibility(v_target)
+    try:  # before the cached solve, which cannot key a list
+        v_target < 2.0
+    except TypeError:  # None, a str or a list does not compare with a float
+        raise DomainError(f"target visibility must be a number, got {v_target!r}") from None
     unit = absorption_profile(species, grating, 1.0)
+    n1_target = solve_modulation_for_visibility(v_target)
     if unit.n1 == 0.0:
         raise UnachievableTargetError(
             f"species {species.label!r} has no absorption modulation; "

@@ -15,7 +15,7 @@ import pytest
 
 from cslsim.csl import (
     critical_mass,
-    csl_exponent,
+    csl_visibility_ratio,
     exclusion_boundary,
 )
 from cslsim.decoherence import critical_contour, decoherence_budget
@@ -74,7 +74,7 @@ def test_02_closed_form_vs_path_oracle():
         grating = GratingConfig(laser_wavelength=157e-9, talbot_order=order)
         csl = CslParams(lambda0=lam)
         species = gold_cluster(mass_amu)
-        closed = csl_exponent(species, grating, csl)
+        closed = csl_visibility_ratio(species, grating, csl).exponent
         oracle = csl_exponent_oracle(species, grating, csl)
         worst = max(worst, abs(closed - oracle) / oracle)
     report(2, f"decay-exponent oracle, 100 draws (worst rel err {worst:.2e})",

@@ -179,7 +179,8 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig1.v3", "fig2.v1", "fig2.v2",
                                     "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
-                                    "fig2.v8", "fig2.v10", "fig3.v1", "fig3.v2"])
+                                    "fig2.v8", "fig2.v10", "fig2.v11", "fig3.v1",
+                                    "fig3.v2"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -444,10 +445,16 @@ def test_fig2_rows_are_consistent(lo, span, steps, target_v):
 
 
 def test_fig2_unreachable_target_marks_every_row(tmp_path):
+    # the geometry guard runs before the target: a sphere past the grating
+    # period is geometry_error at any target, and every other row unreachable
+    period_nm = default_grating().period * 1e9
     out = tmp_path / "fig2.csv"
     assert run(["fig2", "--mass-range=5:10.5:12", "--target-V=1.9",
                 "--out", str(out)]) == EXIT_OK
-    assert {r.split(",")[-1] for r in read_rows(out)[1:]} == {"unreachable"}
+    rows = [r.split(",") for r in read_rows(out)[1:]]
+    assert {status for *_, status in rows} == {"unreachable", "geometry_error"}
+    for _, radius_nm, *_, status in rows:
+        assert (status == "geometry_error") == (float(radius_nm) >= period_nm)
 
 
 def test_a_permittivity_past_the_bessel_bound_is_a_usage_error(tmp_path, capsys):
@@ -519,6 +526,19 @@ def test_cli_import_loads_no_scipy():
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
+def test_the_module_entry_point_exits_with_the_usage_code(tmp_path):
+    # `python -m cslsim.cli` hands main()'s return code to the shell
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "cslsim.cli", "fig2", "--mass-range=5:six:3",
+         "--out", str(tmp_path / "x.csv")], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_USAGE
+    assert "--mass-range: could not convert" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_range_is_usage_error(tmp_path, capsys):
     assert run(["fig1", "--lambda0-range=oops", "--out",
                 str(tmp_path / "x.csv")]) == EXIT_USAGE
@@ -535,7 +555,11 @@ def test_bad_range_is_usage_error(tmp_path, capsys):
             (["fig2", "--mass-range=5:400:3"], "'hi_log10' must be at most"),
             (["fig2", "--mass-range=400:0:1"], "'lo_log10' must be at most"),
             (["fig3", "--masses", "1e7", "--p-range=-14:400:3"],
-             "'p_hi_log10' must be at most")):
+             "'p_hi_log10' must be at most"),
+            # a non-number names its option
+            (["fig2", "--mass-range=5:six:3"], "--mass-range: could not convert"),
+            (["fig2", "--mass-range=5:6:3.5"], "--mass-range: invalid literal"),
+            (["fig3", "--masses", "1e6,heavy"], "--masses: could not convert")):
         capsys.readouterr()
         assert run([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
         assert message in capsys.readouterr().err
@@ -910,8 +934,12 @@ def test_every_value_flag_has_a_row_in_the_readme_table():
     (b"[DEFAULT]\nlambda0_hz = 1e-10\n", "unknown config section [DEFAULT]"),
     (b"[DEFAULT]\nlambda0_hz = 1e-10\n[csl]\nrc_nm = 100\n",
      "unknown config section [DEFAULT]"),
+    (b"[species]\ndensity_kg_m3 = 19300\neps_re = 0.9\n",
+     "[species] missing keys: ['eps_im', 'mass_amu']"),
+    (b"[grating]\ntalbot_order = 2\n", "[grating] missing keys: ['wavelength_nm']"),
 ], ids=["key-before-section", "duplicate-option", "duplicate-section", "key-without-value",
-        "percent-in-number", "not-utf-8", "default-alone", "default-beside-csl"])
+        "percent-in-number", "not-utf-8", "default-alone", "default-beside-csl",
+        "species-missing-keys", "grating-missing-keys"])
 def test_a_malformed_config_is_a_usage_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(text)

@@ -9,7 +9,6 @@ from scipy.integrate import quad, simpson
 
 from cslsim.csl import (
     critical_mass,
-    csl_exponent,
     csl_visibility_ratio,
     exclusion_boundary,
     geometry_factor,
@@ -42,7 +41,8 @@ def critical_mass_bisect(csl, grating, threshold=0.5):
     target = math.log(1.0 / threshold)
 
     def exponent_at(mass_kg):
-        return csl_exponent(ClusterSpecies(mass_kg, 1.0, 1.0 + 0.0j, "probe"), grating, csl)
+        probe = ClusterSpecies(mass_kg, 1.0, 1.0 + 0.0j, "probe")
+        return csl_visibility_ratio(probe, grating, csl).exponent
 
     lo, hi = 1e-30, 1e-30
     while exponent_at(hi) < target:
@@ -100,8 +100,8 @@ def test_geometry_factor_limits():
 def test_exponent_cubic_in_mass():
     grating = default_grating()
     csl = make_csl(1e-10)
-    e1 = csl_exponent(gold_cluster(1e6), grating, csl)
-    e2 = csl_exponent(gold_cluster(2e6), grating, csl)
+    e1 = csl_visibility_ratio(gold_cluster(1e6), grating, csl).exponent
+    e2 = csl_visibility_ratio(gold_cluster(2e6), grating, csl).exponent
     assert e2 / e1 == pytest.approx(8.0, rel=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_closed_form_matches_path_history_oracle():
         grating = GratingConfig(laser_wavelength=157e-9, talbot_order=order)
         csl = make_csl(lam)
         species = gold_cluster(mass_amu)
-        closed = csl_exponent(species, grating, csl)
+        closed = csl_visibility_ratio(species, grating, csl).exponent
         oracle = csl_exponent_oracle(species, grating, csl, time_steps=100_000)
         assert closed == pytest.approx(oracle, rel=1e-6)
 

@@ -718,11 +718,29 @@ def test_contour_grid_validation():
         critical_contour(gold_cluster(1e7), grating, [1e-8, 1e-8], [100.0, 300.0])
 
 
+def test_temperature_solve_halves_the_weight_of_a_stale_low_end():
+    # ln b = -100 K / T, a Wien tail, is concave in ln T: every secant lands
+    # on the high side, so the low end stays and only halving its weight
+    # converges in a few steps (8 here, 37 without the halving)
+    calls = []
+
+    def wien(temperature):
+        calls.append(temperature)
+        return math.exp(-100.0 / temperature)
+
+    target = math.exp(-100.0 / 30.0)
+    b_lo, b_hi = wien(10.0), wien(100.0)
+    calls.clear()
+    t = decoherence._solve_temperature(wien, target, 10.0, 100.0, b_lo, b_hi)
+    assert len(calls) <= 10
+    assert abs(math.log(wien(t) / target)) <= 1e-12
+
+
 @pytest.mark.parametrize("level", [0.0, -1.0, 1.0, 2.0, math.nan, None, "0.5"])
 def test_contour_refuses_a_level_outside_0_1(level):
     # -ln(level) is the exposure traced: 0 and below have no log, and at 1
     # and above (or NaN) no grid point could reach it; None and a str do not
     # compare with a float
-    with pytest.raises(DomainError, match=re.escape(f"'level' must be in (0, 1), got {level}")):
+    with pytest.raises(DomainError, match=re.escape(f"'level' must lie in (0, 1), got {level}")):
         critical_contour(gold_cluster(1e7), default_grating(), [1e-8, 1e-3], [100.0, 300.0],
                          level=level)

@@ -210,3 +210,22 @@ def test_unachievable_target_raises():
         solve_modulation_for_visibility(2.5)
     with pytest.raises(UnachievableTargetError):
         solve_modulation_for_visibility(-0.1)
+
+
+def test_a_halley_step_out_of_the_bracket_falls_back_to_bisection():
+    # at this target one Halley step leaves [lo, hi]: the bisection that
+    # replaces it must still meet the solve's tolerance
+    target = 1.2841663251903503e-278
+    n1 = solve_modulation_for_visibility(target)
+    assert abs(math.log(visibility(n1)) - math.log(target)) <= 1e-13
+
+
+@pytest.mark.parametrize("target", [None, "0.5", [0.5]])
+def test_flux_refuses_a_target_that_is_not_a_number(target):
+    # before the cached solve, whose cache cannot key a list
+    solve_modulation_for_visibility.cache_clear()
+    with pytest.raises(DomainError, match="target visibility must be a number"):
+        flux_for_target_visibility(gold_cluster(1e6), default_grating(), target)
+    info = solve_modulation_for_visibility.cache_info()
+    assert info.hits + info.misses == 0
+

@@ -9,7 +9,7 @@ import cslsim.mie as mie
 from cslsim.cli import EXIT_NONCONVERGENCE, main
 from cslsim.errors import DomainError, GeometryError, NonConvergenceError, ResonanceError
 from cslsim.interferometer import flux_for_target_visibility, observables
-from cslsim.mie import absorption_profile, absorption_sums
+from cslsim.mie import AbsorptionProfile, absorption_profile, absorption_sums
 from cslsim.params import (
     GOLD_DENSITY,
     PLANCK_H,
@@ -206,6 +206,10 @@ def test_geometry_guard_rejects_large_sphere():
     huge = gold_cluster(1e11)  # R > 78.5 nm
     with pytest.raises(GeometryError):
         absorption_profile(huge, grating)
+    # a flux solve reads the profile before the target, so the guard holds at any target
+    for target in (0.85, 1.9, 0.0, math.nan):
+        with pytest.raises(GeometryError):
+            flux_for_target_visibility(huge, grating, target)
 
 
 def test_multipole_components_domain_errors():
@@ -348,3 +352,10 @@ def test_the_sums_cache_changes_no_profile_or_observable():
     for output, expected in zip(outputs, warm):
         mie._unit_sums.cache_clear()
         assert output() == expected
+
+
+@pytest.mark.parametrize("n1", [2.0, -2.0])
+def test_a_profile_modulated_past_its_mean_is_refused(n1):
+    # n(x) = n0 + n1 cos(2 pi x / d) would go negative where |n1| > n0
+    with pytest.raises(DomainError, match=r"n\(x\) would go negative"):
+        AbsorptionProfile(1.0, n1, 3)

@@ -35,7 +35,7 @@ SWEEP_DIGESTS = {
         (["--config=csl.ini", "--threshold", "0.3"], {"out.csv":
               "35109bb9db679952a95cf12a79e9bca4c9a88a983fb88b4fd09ea67ae3f6b1e4"}),
     ],
-    "fig2.v11": [
+    "fig2.v12": [
         ([], {"out.csv":
               "cdd1f8b7121998933010706a3dfe85134c0f21b1c7125d8143b62941c5684ef5"}),
         (["--mass-range=5:10.5:600", "--target-V=0.85"], {"out.csv":
