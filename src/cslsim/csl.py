@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, finite, fraction
+from .errors import DomainError, finite, open_interval
 from .params import ClusterSpecies, CslParams, GratingConfig, _value_type
 
 
@@ -69,7 +69,7 @@ def exclusion_boundary(grating: GratingConfig, csl: CslParams,
     For any finite lambda0 > 0 the cube root lies within about 1e-108 to
     6e102, so m_c leaves the float range only if C is near its edge.
     """
-    fraction("threshold", threshold)
+    open_interval("threshold", threshold, 1.0)
     g = geometry_factor(grating, csl)
     if g <= 0.0:
         raise DomainError("degenerate geometry: separation N d vanishes on the "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .errors import DomainError, finite, fraction
+from .errors import DomainError, finite, open_interval
 from .params import (
     BOHR_RADIUS,
     BOLTZMANN_KB,
@@ -123,16 +123,14 @@ def _bose_tails(x: float) -> tuple[float, float, float]:
     Gamma(m+1, y) = m! e^(-y) sum_{j<=m} y^j / j!, so the m share the partial sums.
     Each k is straight-line code: the Poisson weights e^(-y) y^j / j!, each the
     last times y / j, added left to right, the sums at j = 4, 6 and 8 kept.
-    The terms fall like e^(-k x) and at least like k^-(m+1); stopping at k x >= 50,
-    k = 1000 or e^(-y) = 0 leaves out less than 1e-12 of m! zeta(m+1), the sum at 0.
+    The terms fall like e^(-k x) and at least like k^-(m+1); stopping at k x >= 50
+    or k = 1000 leaves out less than 1e-12 of m! zeta(m+1), the sum at 0.
     """
     t4 = t6 = t8 = 0.0
     for k in range(1, math.ceil(50.0 / max(x, 0.05)) + 1):
         y = k * x
         # e^(-y) y^j / j! is a Poisson weight: it never overflows
         p0 = math.exp(-y)
-        if p0 == 0.0:
-            break
         p1 = p0 * y
         p2 = p1 * (y / 2)
         p3 = p2 * (y / 3)
@@ -276,7 +274,7 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     has left the grid.  The top grid temperature is still evaluated, so a
     grid whose rates leave float range is refused, naming that temperature.
     """
-    fraction("'level'", level)  # -ln(level) is the exposure traced
+    open_interval("'level'", level, 1.0)  # -ln(level) is the exposure traced
     # a repeated grid value is one grid line, so the size is checked after the set
     pressures = sorted({finite("grid pressure", float(p)) for p in pressure_grid})
     temperatures = sorted({finite("grid temperature", float(t)) for t in temperature_grid})

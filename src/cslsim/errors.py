@@ -45,11 +45,11 @@ def finite(name: str, value, zero: bool = False):
     raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value}")
 
 
-def fraction(name: str, value) -> None:
-    """DomainError unless `value` lies in (0, 1): NaN, None and a str fail too."""
+def open_interval(name: str, value, hi: float) -> None:
+    """DomainError unless `value` lies in (0, hi): NaN, None, a str and a list fail too."""
     try:
-        if 0.0 < value < 1.0:
+        if 0.0 < value < hi:
             return
     except TypeError:
         pass
-    raise DomainError(f"{name} must lie in (0, 1), got {value}")
+    raise DomainError(f"{name} must lie in (0, {hi:g}), got {value}")

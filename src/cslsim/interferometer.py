@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, UnachievableTargetError, finite
+from .errors import DomainError, UnachievableTargetError, finite, open_interval
 from .mie import AbsorptionProfile, absorption_profile
 from .params import ClusterSpecies, GratingConfig, _value_type
 from .specfun import _iv012_scaled, bessel_I_scaled
@@ -70,10 +70,20 @@ def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
     )
 
 
-# n1 depends on the target alone, and a sweep asks for one target for every mass
-@functools.lru_cache(maxsize=1)
 def solve_modulation_for_visibility(v_target: float) -> float:
     """Invert the visibility for n1 on its first monotone branch.
+
+    A target that is not a visibility in (0, 2), None, a str or a list
+    included, is a DomainError before the cache, which could not key a list.
+    """
+    open_interval("target visibility", v_target, 2.0)
+    return _solve_n1(v_target)
+
+
+# n1 depends on the target alone, and a sweep asks for one target for every mass
+@functools.lru_cache(maxsize=1)
+def _solve_n1(v_target: float) -> float:
+    """n1 with V(n1) = v_target, for 0 < v_target < 2.
 
     Halley steps on g(s) = ln V - ln V_target against s = ln n1,
     ds = -2 g g' / (2 g'^2 - g g''), all read from one fused (I_0, I_1, I_2)
@@ -90,9 +100,6 @@ def solve_modulation_for_visibility(v_target: float) -> float:
     bounded at 100 steps in case rounding stalls the residual above that,
     when it returns the last iterate.
     """
-    if not (0.0 < v_target < 2.0):
-        raise UnachievableTargetError(
-            f"target visibility must lie in (0, 2), got {v_target}")
     if v_target >= _V_BRACKET_MAX:
         raise UnachievableTargetError(
             f"target visibility {v_target} is beyond the monotone branch "
@@ -133,10 +140,6 @@ def flux_for_target_visibility(species: ClusterSpecies, grating: GratingConfig,
     whatever the target.  A species whose profile has no modulation reaches
     no visibility at any flux.
     """
-    try:  # before the cached solve, which cannot key a list
-        v_target < 2.0
-    except TypeError:  # None, a str or a list does not compare with a float
-        raise DomainError(f"target visibility must be a number, got {v_target!r}") from None
     unit = absorption_profile(species, grating, 1.0)
     n1_target = solve_modulation_for_visibility(v_target)
     if unit.n1 == 0.0:

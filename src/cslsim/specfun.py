@@ -129,20 +129,15 @@ def _iv012_scaled(x: float) -> tuple[float, float, float]:
 
 
 def _iv_asymptotic_scaled(order: int, x: float) -> float:
-    # exp(-x) I_k(x) ~ (2 pi x)^(-1/2) sum_n (-1)^n a_n(k) / x^n, truncated
-    # at the smallest term; at the x >= 30 crossover the floor is ~exp(-60).
+    # exp(-x) I_k(x) ~ (2 pi x)^(-1/2) sum_n (-1)^n a_n(k) / x^n.  For k <= 2 and
+    # x >= 30 every term is smaller than the one before, so the loop ends at the
+    # first term below 1e-18, by n = 19, before the series reaches its smallest term.
     mu = 4.0 * order * order
-    term = 1.0
-    total = 1.0
-    smallest = 1.0
-    for n in range(1, 40):
+    n, term, total = 0, 1.0, 1.0
+    while abs(term) >= 1e-18:
+        n += 1
         term *= -(mu - (2 * n - 1) ** 2) / (8.0 * x * n)
-        if abs(term) > smallest:
-            break
-        smallest = abs(term)
         total += term
-        if abs(term) < 1e-18:
-            break
     return total / (math.sqrt(2.0 * math.pi) * math.sqrt(x))  # 2 pi x may overflow
 
 

@@ -233,7 +233,10 @@ def test_rerun_names_a_missing_argument(tmp_path, capsys):
                                                ("fig1", "version", "9.9"),
                                                # a key this build does not write
                                                ("fig1", "treshold", 0.1),
-                                               ("fig2", "treshold", 0.1)])
+                                               ("fig2", "treshold", 0.1),
+                                               # no flux reaches a visibility outside (0, 2)
+                                               ("fig2", "target_v", 0.0),
+                                               ("fig2", "target_v", 2.0)])
 def test_rerun_refuses_a_mistyped_argument(tmp_path, capsys, command, key, value):
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
              "fig2": ["--mass-range=5:6:3"],
@@ -455,6 +458,15 @@ def test_fig2_unreachable_target_marks_every_row(tmp_path):
     assert {status for *_, status in rows} == {"unreachable", "geometry_error"}
     for _, radius_nm, *_, status in rows:
         assert (status == "geometry_error") == (float(radius_nm) >= period_nm)
+
+
+@pytest.mark.parametrize("target", ["0", "-1", "2", "nan"])
+def test_fig2_target_outside_0_2_is_a_usage_error(tmp_path, capsys, target):
+    # no flux reaches a visibility outside (0, 2): refused before any row
+    assert run(["fig2", "--mass-range=5:10.5:12", f"--target-V={target}",
+                "--out", str(tmp_path / "fig2.csv")]) == EXIT_USAGE
+    assert "'target_v' must lie in (0, 2)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_permittivity_past_the_bessel_bound_is_a_usage_error(tmp_path, capsys):

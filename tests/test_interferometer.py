@@ -79,7 +79,7 @@ def triple_calls(monkeypatch):
 def test_solve_needs_few_fused_bessel_passes(triple_calls):
     for target in SOLVE_TARGETS:
         # SOLVE_TARGETS holds 1.0 twice, and a memo hit makes no pass
-        solve_modulation_for_visibility.cache_clear()
+        interferometer._solve_n1.cache_clear()
         triple_calls.clear()
         solve_modulation_for_visibility(target)
         assert 1 <= len(triple_calls) <= 8
@@ -89,7 +89,7 @@ def test_solve_needs_few_fused_bessel_passes(triple_calls):
                          ids=["grid", "band"])
 def test_halley_steps_bound_the_fused_passes(triple_calls, targets, most):
     for target in targets:
-        solve_modulation_for_visibility.cache_clear()
+        interferometer._solve_n1.cache_clear()
         triple_calls.clear()
         solve_modulation_for_visibility(target)
         assert 1 <= len(triple_calls) <= most, target
@@ -206,10 +206,21 @@ def test_flux_round_trip_restores_target_visibility(mass_amu):
 
 
 def test_unachievable_target_raises():
-    with pytest.raises(UnachievableTargetError):
+    # outside (0, 2) is no visibility at all; [V(20), 2) is past the branch
+    with pytest.raises(DomainError):
         solve_modulation_for_visibility(2.5)
-    with pytest.raises(UnachievableTargetError):
+    with pytest.raises(DomainError):
         solve_modulation_for_visibility(-0.1)
+    with pytest.raises(UnachievableTargetError):
+        solve_modulation_for_visibility(1.9)
+
+
+@pytest.mark.parametrize("target", [None, "0.5", [0.5], math.nan, 0.0, -1.0, 2.0, 2.5])
+def test_solve_refuses_a_target_outside_0_2_before_its_cache(target):
+    with pytest.raises(DomainError, match=r"target visibility must lie in \(0, 2\)"):
+        solve_modulation_for_visibility(target)
+    info = interferometer._solve_n1.cache_info()
+    assert info.hits + info.misses == 0
 
 
 def test_a_halley_step_out_of_the_bracket_falls_back_to_bisection():
@@ -223,9 +234,8 @@ def test_a_halley_step_out_of_the_bracket_falls_back_to_bisection():
 @pytest.mark.parametrize("target", [None, "0.5", [0.5]])
 def test_flux_refuses_a_target_that_is_not_a_number(target):
     # before the cached solve, whose cache cannot key a list
-    solve_modulation_for_visibility.cache_clear()
-    with pytest.raises(DomainError, match="target visibility must be a number"):
+    with pytest.raises(DomainError, match=r"target visibility must lie in \(0, 2\)"):
         flux_for_target_visibility(gold_cluster(1e6), default_grating(), target)
-    info = solve_modulation_for_visibility.cache_info()
+    info = interferometer._solve_n1.cache_info()
     assert info.hits + info.misses == 0
 

@@ -191,6 +191,12 @@ def test_j_rejects_an_argument_beyond_the_order_cap(z):
         spherical_hankel_h1(2, z)
 
 
+@pytest.mark.parametrize("lmax", [-1, 257])
+def test_j_rejects_an_order_outside_0_to_the_cap(lmax):
+    with pytest.raises(DomainError, match=re.escape(f"order must be in [0, 256], got {lmax}")):
+        spherical_jn_array(lmax, 1.0)
+
+
 def test_h1_rejects_nonpositive():
     with pytest.raises(DomainError):
         spherical_hankel_h1(0, 0.0)
@@ -292,6 +298,25 @@ def test_bessel_I_rejects_negative():
         bessel_I(0, -0.5)
     with pytest.raises(DomainError):
         bessel_I(3, 1.0)
+
+
+@pytest.mark.parametrize("x", [1.0 + 0.0j, "1.0"])
+def test_bessel_I_scaled_rejects_a_non_real_argument(x):
+    with pytest.raises(DomainError, match="modified Bessel requires a real x"):
+        bessel_I_scaled(0, x)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_the_asymptotic_terms_fall_from_the_crossover_on(order):
+    # the asymptotic sum has no smallest-term stop, only the 1e-18 one: at the
+    # crossover, where each ratio |mu - (2n-1)^2| / (8 x n) is largest, every
+    # term must be smaller than the one before until one is below 1e-18
+    from cslsim.specfun import _IV_SERIES_MAX_X
+    x, mu, terms = _IV_SERIES_MAX_X, 4.0 * order * order, [1.0]
+    for n in range(1, 20):
+        terms.append(terms[-1] * -(mu - (2 * n - 1) ** 2) / (8.0 * x * n))
+    assert all(abs(b) < abs(a) for a, b in zip(terms, terms[1:]))
+    assert abs(terms[19]) < 1e-18
 
 
 def test_a_visibility_and_its_transmissivity_sum_the_series_once():
