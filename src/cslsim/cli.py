@@ -146,10 +146,10 @@ def _write_files(files: dict) -> None:
 
 def _sweep_args(config: RunConfig) -> dict:
     """The species and grating settings that fig2 and fig3 read."""
-    species, grating = config.species, config.grating
+    species = config.species
     return {"label": species.label, "density_kg_m3": species.bulk_density,
             "eps_re": species.permittivity.real, "eps_im": species.permittivity.imag,
-            "wavelength_m": grating.laser_wavelength, "talbot_order": grating.talbot_order}
+            "wavelength_m": config.grating.laser_wavelength}
 
 
 def _grid(args: dict, lo_key: str, hi_key: str, steps_key: str) -> list[float]:
@@ -224,11 +224,10 @@ def _fig2_args(ns, config: RunConfig) -> dict:
 
 
 def _fig2_files(args: dict, out: str | None) -> dict:
-    grating = GratingConfig(args["wavelength_m"], args["talbot_order"])
-    target_v = args["target_v"]
+    grating = GratingConfig(args["wavelength_m"])  # the flux solve reads no Talbot order
     # the solve's refusal, by the args key and before any row: a sweep of
     # geometry_error rows never reaches the solve
-    open_interval("'target_v'", target_v, 2.0)
+    target_v = open_interval("'target_v'", args["target_v"], 2.0)
     masses = _log_grid(args, "lo_log10", "hi_log10", "steps")
     rows = [FIG2_HEADER]
     for mass_amu in masses:
@@ -260,6 +259,7 @@ def _fig3_args(ns, config: RunConfig) -> dict:
     env = config.environment
     return {
         **_sweep_args(config),
+        "talbot_order": config.grating.talbot_order,
         "gas_temperature_K": env.gas_temperature,
         "gas_mass_amu": env.gas_mass / ATOMIC_MASS_UNIT,
         "gas_polarizability_A3": env.gas_polarizability_volume * 1e30,
@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         p.add_argument("--out", default="fig3.csv" if name == "fig3" else None)
-        if name != "rerun":
+        if name not in ("fig2", "rerun"):  # fig2's flux solve reads no Talbot order
             p.add_argument("--talbot-order", type=int, default=None)
     return parser
 

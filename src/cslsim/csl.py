@@ -69,7 +69,7 @@ def exclusion_boundary(grating: GratingConfig, csl: CslParams,
     For any finite lambda0 > 0 the cube root lies within about 1e-108 to
     6e102, so m_c leaves the float range only if C is near its edge.
     """
-    open_interval("threshold", threshold, 1.0)
+    threshold = open_interval("threshold", threshold, 1.0)
     g = geometry_factor(grating, csl)
     if g <= 0.0:
         raise DomainError("degenerate geometry: separation N d vanishes on the "
@@ -82,7 +82,8 @@ def exclusion_boundary(grating: GratingConfig, csl: CslParams,
                           f"r_c = {csl.r_c} m and m0 = {csl.m0} kg")
     out = []
     for lam in lambda0_grid:
-        m_c = c / finite("lambda0 grid value", lam) ** (1.0 / 3.0)
+        lam = finite("lambda0 grid value", lam)
+        m_c = c / lam ** (1.0 / 3.0)
         if not 0.0 < m_c < math.inf:
             raise DomainError(f"the critical mass is out of float range at "
                               f"lambda0 grid value {lam}")

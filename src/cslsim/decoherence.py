@@ -218,7 +218,8 @@ def blackbody_rates(species: ClusterSpecies, grating: GratingConfig, temperature
     # Rayleigh scattering (8 pi / 3) (omega/c)^4 R^6.
     k_abs = _ABS_FACTOR * r3 / _ABS_DIVISOR
     k_sca = 8.0 * r3 * r3 / _SCA_DIVISOR
-    absorption, scattering = _photon_rates(finite("temperature", temperature), nd, k_abs, k_sca)
+    temperature = finite("temperature", temperature)
+    absorption, scattering = _photon_rates(temperature, nd, k_abs, k_sca)
     emission = (absorption if cluster_temperature in (None, temperature) else _photon_rates(
         finite("cluster_temperature", cluster_temperature), nd, k_abs, k_sca)[0])
     return absorption, emission, scattering
@@ -274,10 +275,10 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
     has left the grid.  The top grid temperature is still evaluated, so a
     grid whose rates leave float range is refused, naming that temperature.
     """
-    open_interval("'level'", level, 1.0)  # -ln(level) is the exposure traced
+    level = open_interval("'level'", level, 1.0)  # -ln(level) is the exposure traced
     # a repeated grid value is one grid line, so the size is checked after the set
-    pressures = sorted({finite("grid pressure", float(p)) for p in pressure_grid})
-    temperatures = sorted({finite("grid temperature", float(t)) for t in temperature_grid})
+    pressures = sorted({finite("grid pressure", p) for p in pressure_grid})
+    temperatures = sorted({finite("grid temperature", t) for t in temperature_grid})
     if len(pressures) < 2 or len(temperatures) < 2:
         raise DomainError("contour tracing needs at least a 2 x 2 grid")
     base_env = env_template if env_template is not None else EnvironmentConfig()

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all cslsim modules, and the two range checks."""
+"""Exception hierarchy shared by all cslsim modules, and the number checks,
+which return the checked value as a float (or a complex) for callers to keep."""
 
+import cmath
 import math
 
 
@@ -31,25 +33,40 @@ class ConfigError(CslSimError, ValueError):
     """Malformed configuration file or command-line usage."""
 
 
-def finite(name: str, value, zero: bool = False):
-    """`value` if it is finite and > 0, or >= 0 with `zero`; else DomainError.
-
-    NaN fails both comparisons, so it is refused like inf, and a value that
-    does not compare with a float, such as None, is refused too.
-    """
+def _real(value) -> float:
+    """float(value); NaN, which every range refuses, for text and for what
+    float() does not convert (None, a complex, a list, 10**400)."""
     try:
-        if 0.0 <= value < math.inf if zero else 0.0 < value < math.inf:
-            return value
-    except TypeError:
-        pass
-    raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value}")
+        return math.nan if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
-def open_interval(name: str, value, hi: float) -> None:
-    """DomainError unless `value` lies in (0, hi): NaN, None, a str and a list fail too."""
+def finite(name: str, value, zero: bool = False) -> float:
+    """`value` as a float if it is a real number (what float() converts, text
+    excepted), finite and > 0, or >= 0 with `zero`; else DomainError."""
+    x = value if type(value) is float else _real(value)
+    if 0.0 <= x < math.inf if zero else 0.0 < x < math.inf:
+        return x
+    raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, "
+                      f"got {value!r}")
+
+
+def open_interval(name: str, value, hi: float) -> float:
+    """`value` as a float if it is a real number in (0, hi); else DomainError."""
+    x = value if type(value) is float else _real(value)
+    if 0.0 < x < hi:
+        return x
+    raise DomainError(f"{name} must lie in (0, {hi:g}), got {value!r}")
+
+
+def finite_complex(name: str, value) -> complex:
+    """complex(value) if that converts, text such as "1+2j" included, and both
+    parts are finite; else DomainError."""
     try:
-        if 0.0 < value < hi:
-            return
-    except TypeError:
+        z = complex(value)
+        if cmath.isfinite(z):
+            return z
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"{name} must lie in (0, {hi:g}), got {value}")
+    raise DomainError(f"{name} must be a complex number with finite parts, got {value!r}")

@@ -34,7 +34,7 @@ def visibility(n1: float) -> float:
     from exponentially scaled Bessels, so it stays finite for every n1 and
     tends to 2.
     """
-    finite("n1", n1, True)
+    n1 = finite("n1", n1, True)
     i0 = bessel_I_scaled(0, n1)
     i1 = bessel_I_scaled(1, n1)
     i2 = bessel_I_scaled(2, n1)
@@ -43,8 +43,7 @@ def visibility(n1: float) -> float:
 
 def transmissivity(n0: float, n1: float) -> float:
     """Neutral-cluster fraction exp(-3 n0) I_0^3(n1) after three pulses."""
-    finite("n0", n0, True)
-    finite("n1", n1, True)
+    n0, n1 = finite("n0", n0, True), finite("n1", n1, True)
     if n1 > n0 * (1.0 + 1e-12):
         raise DomainError(f"n1={n1} > n0={n0} violates n(x) >= 0")
     # log-space: ln T = 3 ((x - n0) + ln(e^-x I0(x))), where x - n0 <= 0 neither
@@ -73,11 +72,10 @@ def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
 def solve_modulation_for_visibility(v_target: float) -> float:
     """Invert the visibility for n1 on its first monotone branch.
 
-    A target that is not a visibility in (0, 2), None, a str or a list
-    included, is a DomainError before the cache, which could not key a list.
+    A target that is not a visibility in (0, 2) is a DomainError before the
+    cache, which is keyed by the checked float.
     """
-    open_interval("target visibility", v_target, 2.0)
-    return _solve_n1(v_target)
+    return _solve_n1(open_interval("target visibility", v_target, 2.0))
 
 
 # n1 depends on the target alone, and a sweep asks for one target for every mass

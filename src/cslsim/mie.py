@@ -10,7 +10,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, GeometryError, NonConvergenceError, ResonanceError, finite
+from .errors import (DomainError, GeometryError, NonConvergenceError, ResonanceError, finite,
+                     finite_complex)
 from .params import PLANCK_H, ClusterSpecies, GratingConfig, _value_type, cluster_radius
 from .specfun import MAX_ORDER, _jn_ratio_pass
 
@@ -63,9 +64,9 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     """
     # past rho = MAX_ORDER the order cap cannot reach l > rho, where the terms
     # fall off, and rho^4 below may overflow
-    if finite("rho", rho) > MAX_ORDER:
+    rho, eps = finite("rho", rho), finite_complex("eps", eps)
+    if rho > MAX_ORDER:
         raise DomainError(f"rho must be at most {MAX_ORDER}, got {rho}")
-    eps = complex(eps)
     if eps.imag < 0.0:
         raise DomainError("Im(eps) must be >= 0")
     erho = eps * rho

@@ -10,7 +10,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import ConfigError, DomainError, finite
+from .errors import ConfigError, DomainError, finite, finite_complex
 
 def _value_type(name: str, fields: str, defaults=()):
     """The named-tuple base of an immutable value type: its fields compare,
@@ -55,10 +55,10 @@ GOLD_ATOM_MASS_AMU = 196.96657
 
 
 def _cluster_kg(mass_amu: float, name: str = "mass") -> float:
-    # checked in kg, where a tiny mass underflows to 0, but named as given
-    mass = mass_amu * ATOMIC_MASS_UNIT
-    if not 0.0 < mass < math.inf:
-        raise DomainError(f"{name} must be positive and finite in kg, got {mass_amu} amu")
+    # checked as given, then in kg, where a tiny mass underflows to 0
+    mass = finite(name, mass_amu) * ATOMIC_MASS_UNIT
+    if not mass:
+        raise DomainError(f"{name} must be positive and finite in kg, got {mass_amu!r} amu")
     return mass
 
 
@@ -72,13 +72,7 @@ class ClusterSpecies(_value_type("ClusterSpecies", "mass bulk_density permittivi
                 permittivity: complex,    # relative epsilon at the grating wavelength
                 label: str = "cluster"):
         mass, bulk_density = finite("mass", mass), finite("bulk_density", bulk_density)
-        try:
-            eps = complex(permittivity)
-        except (TypeError, ValueError):
-            raise DomainError(f"permittivity must be a complex number, "
-                              f"got {permittivity!r}") from None
-        if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
-            raise DomainError("permittivity must be finite")
+        eps = finite_complex("permittivity", permittivity)
         if eps.imag < 0.0:
             raise DomainError("Im(eps) must be >= 0 for a passive medium")
         # the checked complex, so "1+2j" is stored as 1+2j; 2.0 == 2+0j, hashes alike
@@ -106,7 +100,7 @@ class GratingConfig(_value_type("GratingConfig", "laser_wavelength talbot_order 
     def __new__(cls, laser_wavelength: float,  # m
                 talbot_order: int = 2,
                 laser_flux: float = 1.0):      # J/m^2 per pulse
-        finite("laser_wavelength", laser_wavelength)
+        laser_wavelength = finite("laser_wavelength", laser_wavelength)
         # the Talbot time scales with the order, so it must have a double value; a bool is no order
         if not (isinstance(talbot_order, int) and not isinstance(talbot_order, bool)
                 and 1 <= talbot_order <= sys.float_info.max):
@@ -165,16 +159,15 @@ class EnvironmentConfig(_value_type("EnvironmentConfig", (
                 gas_polarizability_volume: float = 1.74e-30,       # m^3 (alpha/4 pi eps0), N2
                 environment_temperature: float | None = None,      # K; None -> gas temperature
                 cluster_temperature: float | None = None):         # K; None -> environment
-        fields = (finite("gas_pressure", gas_pressure, True),
-                  finite("gas_temperature", gas_temperature), finite("gas_mass", gas_mass),
-                  finite("gas_polarizability_volume", gas_polarizability_volume),
-                  environment_temperature, cluster_temperature)
-        # only these two may be None: see the properties below
-        for name, value in (("environment_temperature", environment_temperature),
-                            ("cluster_temperature", cluster_temperature)):
-            if value is not None:
-                finite(name, value)
-        return tuple.__new__(cls, fields)
+        # only the last two may be None: see the properties below
+        return tuple.__new__(cls, (
+            finite("gas_pressure", gas_pressure, True),
+            finite("gas_temperature", gas_temperature), finite("gas_mass", gas_mass),
+            finite("gas_polarizability_volume", gas_polarizability_volume),
+            None if environment_temperature is None
+            else finite("environment_temperature", environment_temperature),
+            None if cluster_temperature is None
+            else finite("cluster_temperature", cluster_temperature)))
 
     @property
     def radiation_temperature(self) -> float:

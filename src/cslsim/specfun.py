@@ -28,7 +28,7 @@ import cmath
 import functools
 import math
 
-from .errors import DomainError, finite
+from .errors import DomainError, finite, finite_complex
 
 MAX_ORDER = 256          # largest supported spherical-Bessel order and |z|
 _TINY_Z = 1e-300         # below this |z|, r_l overflows and j_l (l >= 2) underflows
@@ -69,9 +69,7 @@ def spherical_jn_array(lmax: int, z) -> list[complex]:
     """j_0(z) .. j_lmax(z) from the ratio pass and one upward product."""
     if lmax < 0 or lmax > MAX_ORDER:
         raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must be finite, got {z}")
+    z = finite_complex("z", z)
     if abs(z) > MAX_ORDER:
         raise DomainError(f"|z| must be at most {MAX_ORDER}, got {z}")
     if abs(z) < _TINY_Z:  # j_0 = 1 and j_1 = z / 3 to rounding
@@ -90,10 +88,8 @@ def spherical_jn_array(lmax: int, z) -> list[complex]:
 def spherical_hankel_array(lmax: int, x: float) -> list[complex]:
     """h_0^(1)(x) .. h_lmax^(1)(x) = j_l(x) + i y_l(x), real x > 0, with
     y_l by stable upward recurrence."""
-    if not isinstance(x, (int, float)):
-        raise DomainError(f"spherical y_l requires a real x, got {x}")
-    js = spherical_jn_array(lmax, finite("x", x))
-    x = float(x)
+    x = finite("x", x)
+    js = spherical_jn_array(lmax, x)
     ys = [-math.cos(x) / x]
     if lmax:
         # y_1 ~ -1/x^2 overflows before x * x underflows to 0
@@ -145,9 +141,7 @@ def bessel_I_scaled(order: int, x: float) -> float:
     """Exponentially scaled modified Bessel exp(-x) I_order(x), x >= 0."""
     if order not in (0, 1, 2):
         raise DomainError(f"only orders 0, 1, 2 are supported, got {order}")
-    if not isinstance(x, (int, float)):
-        raise DomainError(f"modified Bessel requires a real x, got {x}")
-    x = abs(float(finite("x", x, True)))  # -0.0 shares 0.0's cache key, so both give I_1 = +0.0
+    x = abs(finite("x", x, True))  # -0.0 shares 0.0's cache key, so both give I_1 = +0.0
     if x < _IV_SERIES_MAX_X:
         return _iv012_scaled(x)[order]
     return _iv_asymptotic_scaled(order, x)

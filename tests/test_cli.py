@@ -236,7 +236,10 @@ def test_rerun_names_a_missing_argument(tmp_path, capsys):
                                                ("fig2", "treshold", 0.1),
                                                # no flux reaches a visibility outside (0, 2)
                                                ("fig2", "target_v", 0.0),
-                                               ("fig2", "target_v", 2.0)])
+                                               ("fig2", "target_v", 2.0),
+                                               # fig2 no longer writes the Talbot order,
+                                               # which its flux solve does not read
+                                               ("fig2", "talbot_order", 2)])
 def test_rerun_refuses_a_mistyped_argument(tmp_path, capsys, command, key, value):
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
              "fig2": ["--mass-range=5:6:3"],
@@ -926,6 +929,14 @@ def test_a_value_flag_writes_what_its_config_keys_write(tmp_path, flag, command)
     by_flag = _walk_outputs(tmp_path / "flag", command, [option])
     assert by_flag == _walk_outputs(tmp_path / "key", command, changed=keys)
     assert by_flag != _walk_outputs(tmp_path / "base", command)
+
+
+def test_only_the_commands_that_read_the_talbot_order_take_its_flag(tmp_path, capsys):
+    assert _commands_taking("talbot_order") == ["budget", "fig1", "fig3", "observables"]
+    assert run(["fig2", "--talbot-order", "3", "--out", str(tmp_path / "fig2.csv")]) \
+        == EXIT_USAGE
+    assert "--talbot-order" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_every_value_flag_has_a_row_in_the_readme_table():

@@ -176,8 +176,8 @@ def test_bisection_agrees_with_closed_form():
 
 def test_threshold_validation():
     grating = default_grating()
-    for bad in (0.0, 1.0, -0.5, 2.0, None, "0.5"):  # None and a str do not compare
-        message = f"threshold must lie in (0, 1), got {bad}"
+    for bad in (0.0, 1.0, -0.5, 2.0, None, "0.5"):  # None and a str are not real numbers
+        message = f"threshold must lie in (0, 1), got {bad!r}"
         with pytest.raises(DomainError, match=re.escape(message)):
             critical_mass(make_csl(1e-10), grating, threshold=bad)
     with pytest.raises(DomainError):

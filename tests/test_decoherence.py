@@ -739,8 +739,8 @@ def test_temperature_solve_halves_the_weight_of_a_stale_low_end():
 @pytest.mark.parametrize("level", [0.0, -1.0, 1.0, 2.0, math.nan, None, "0.5"])
 def test_contour_refuses_a_level_outside_0_1(level):
     # -ln(level) is the exposure traced: 0 and below have no log, and at 1
-    # and above (or NaN) no grid point could reach it; None and a str do not
-    # compare with a float
-    with pytest.raises(DomainError, match=re.escape(f"'level' must lie in (0, 1), got {level}")):
+    # and above (or NaN) no grid point could reach it; None and a str are not
+    # real numbers
+    with pytest.raises(DomainError, match=re.escape(f"'level' must lie in (0, 1), got {level!r}")):
         critical_contour(gold_cluster(1e7), default_grating(), [1e-8, 1e-3], [100.0, 300.0],
                          level=level)

@@ -1,8 +1,11 @@
 import ast
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cslsim
@@ -11,30 +14,33 @@ from cslsim.errors import DomainError
 
 SPECIES, GRATING = params.gold_cluster(1e6), params.default_grating()
 
-# id -> (name in the message, whether 0 is accepted, a call that hands the value to the check)
+# id -> (name in the message, whether 0 is accepted, a call that hands the value
+# to the check and returns the value kept, or what the site returns)
 CHECKS = {
-    "species-mass": ("mass", False, lambda v: params.ClusterSpecies(v, 19300.0, 1j)),
+    "species-mass": ("mass", False, lambda v: params.ClusterSpecies(v, 19300.0, 1j).mass),
     "species-bulk_density": ("bulk_density", False,
-                             lambda v: params.ClusterSpecies(1e-20, v, 1j)),
-    "grating-laser_wavelength": ("laser_wavelength", False, params.GratingConfig),
-    "grating-laser_flux": ("laser_flux", True, lambda v: params.GratingConfig(157e-9, 2, v)),
-    "csl-r_c": ("r_c", False, lambda v: params.CslParams(r_c=v)),
-    "csl-lambda0": ("lambda0", True, lambda v: params.CslParams(lambda0=v)),
-    "csl-m0": ("m0", False, lambda v: params.CslParams(m0=v)),
-    "environment-gas_pressure": ("gas_pressure", True,
-                                 lambda v: params.EnvironmentConfig(gas_pressure=v)),
-    **{f"environment-{name}": (name, False,
-                               lambda v, name=name: params.EnvironmentConfig(**{name: v}))
-       for name in ("gas_temperature", "environment_temperature", "cluster_temperature",
-                    "gas_mass", "gas_polarizability_volume")},
-    "absorption_sums-rho": ("rho", False, lambda v: mie.absorption_sums(v, 1j)),
+                             lambda v: params.ClusterSpecies(1e-20, v, 1j).bulk_density),
+    "gold_cluster-mass_amu": ("mass", False, lambda v: params.gold_cluster(v).mass),
+    "grating-laser_wavelength": ("laser_wavelength", False,
+                                 lambda v: params.GratingConfig(v).laser_wavelength),
+    "grating-laser_flux": ("laser_flux", True,
+                           lambda v: params.GratingConfig(157e-9, 2, v).laser_flux),
+    "csl-r_c": ("r_c", False, lambda v: params.CslParams(r_c=v).r_c),
+    "csl-lambda0": ("lambda0", True, lambda v: params.CslParams(lambda0=v).lambda0),
+    "csl-m0": ("m0", False, lambda v: params.CslParams(m0=v).m0),
+    **{f"environment-{name}": (name, name == "gas_pressure",
+                               lambda v, name=name: getattr(
+                                   params.EnvironmentConfig(**{name: v}), name))
+       for name in ("gas_pressure", "gas_temperature", "environment_temperature",
+                    "cluster_temperature", "gas_mass", "gas_polarizability_volume")},
+    "absorption_sums-rho": ("rho", False, lambda v: mie.absorption_sums(v, 1j)[:2]),
     "absorption_profile-flux": ("flux", True,
-                                lambda v: mie.absorption_profile(SPECIES, GRATING, v)),
+                                lambda v: mie.absorption_profile(SPECIES, GRATING, v)[:2]),
     "visibility-n1": ("n1", True, interferometer.visibility),
     "transmissivity-n0": ("n0", True, lambda v: interferometer.transmissivity(v, 0.0)),
     "transmissivity-n1": ("n1", True, lambda v: interferometer.transmissivity(1.0, v)),
     "exclusion_boundary-grid": ("lambda0 grid value", False, lambda v: csl.exclusion_boundary(
-        GRATING, params.CslParams(), [1e-10, v])),
+        GRATING, params.CslParams(), [1e-10, v])[1]),
     "collision_cross_section-speed": ("speed", False,
                                       lambda v: decoherence.collision_cross_section(v, 1e-70)),
     "critical_contour-pressure": ("grid pressure", False, lambda v: decoherence.critical_contour(
@@ -55,6 +61,45 @@ CHECKS = {
 # None may stand only for the two unset temperatures of an environment
 UNSET_REFUSED = {f"environment-{name}"
                  for name in ("gas_temperature", "gas_mass", "gas_polarizability_volume")}
+# the sites where None means "unset": a default or an equilibrium temperature
+UNSET_ACCEPTED = {"environment-environment_temperature", "environment-cluster_temperature",
+                  "blackbody_rates-cluster_temperature", "absorption_profile-flux"}
+
+# id -> (name in the message, the upper end of (0, hi), a call as in CHECKS)
+OPEN_CHECKS = {
+    "solve-target": ("target visibility", 2.0, interferometer.solve_modulation_for_visibility),
+    "flux_for_target_visibility-target": ("target visibility", 2.0, lambda v: (
+        interferometer.flux_for_target_visibility(SPECIES, GRATING, v))),
+    "critical_mass-threshold": ("threshold", 1.0, lambda v: csl.critical_mass(
+        params.CslParams(lambda0=1e-10), GRATING, v)),
+    "critical_contour-level": ("'level'", 1.0, lambda v: decoherence.critical_contour(
+        SPECIES, GRATING, [1e-8, 1e-3], [100.0, 300.0], level=v)),
+}
+
+# id -> (name in the message, a call as in CHECKS)
+COMPLEX_CHECKS = {
+    "species-permittivity": ("permittivity", lambda v: params.ClusterSpecies(
+        1e-20, 19300.0, v).permittivity),
+    "absorption_sums-eps": ("eps", lambda v: mie.absorption_sums(0.5, v)[:2]),
+    "spherical_jn_array-z": ("z", lambda v: specfun.spherical_jn_array(2, v)),
+}
+
+# id -> (a value of another type, the real number it stands for, whether
+# complex() takes it): a real number is what float() converts, text excepted
+TYPE_AXIS = {
+    "Decimal": (Decimal("0.5"), 0.5, True),
+    "Fraction": (Fraction(1, 2), 0.5, True),
+    "float64": (np.float64(0.5), 0.5, True),
+    "int64": (np.int64(1), 1.0, True),
+    "10**400": (10 ** 400, None, False),
+    "str": ("1", None, True),
+    "str-abc": ("abc", None, False),
+    "bytes": (b"1", None, False),
+    "None": (None, None, False),
+    "complex": (1 + 0j, None, True),
+    "complex-inf": (complex(0.0, math.inf), None, False),
+    "list": ([0.5], None, False),
+}
 
 
 @pytest.mark.parametrize("check, value", [
@@ -99,3 +144,61 @@ def test_range_checks_are_not_written_by_hand():
             if site[1] == "_cluster_kg" or site[2].startswith("Im(eps) must be >= 0")]
     assert len(kept) == 3
     assert [site for site in found if site not in kept] == []
+
+
+def _leaves(kept):
+    """The numbers in `kept`, a number or nested tuples and lists of them, a
+    complex as its two parts."""
+    if isinstance(kept, (tuple, list)):
+        return [leaf for part in kept for leaf in _leaves(part)]
+    return [kept.real, kept.imag] if isinstance(kept, complex) else [kept]
+
+
+def _type_axis_cases():
+    """(site, the message up to the value, call, the upper end of its real
+    range, or None for a complex check)."""
+    for check, (name, zero, call) in CHECKS.items():
+        bound = ">= 0" if zero else "positive"
+        yield check, f"{name} must be {bound} and finite, got ", call, math.inf
+    for check, (name, hi, call) in OPEN_CHECKS.items():
+        yield check, f"{name} must lie in (0, {hi:g}), got ", call, hi
+    for check, (name, call) in COMPLEX_CHECKS.items():
+        yield check, f"{name} must be a complex number with finite parts, got ", call, None
+
+
+TYPE_AXIS_CASES = {f"{check}-{kind}": (check, wording, call, hi, kind)
+                   for check, wording, call, hi in _type_axis_cases() for kind in TYPE_AXIS}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_AXIS_CASES))
+def test_each_check_keeps_a_number_as_a_float_and_refuses_the_rest_in_one_wording(case):
+    check, wording, call, hi, kind = TYPE_AXIS_CASES[case]
+    value, real, complex_ok = TYPE_AXIS[kind]
+    accepted = complex_ok if hi is None else real is not None and real < hi
+    if value is None and check in UNSET_ACCEPTED:
+        call(value)  # None is the unset value there
+    elif accepted:
+        kept = call(value)  # never a TypeError, ValueError or OverflowError
+        assert _leaves(kept) and all(type(leaf) is float for leaf in _leaves(kept))
+    else:
+        with pytest.raises(DomainError) as refused:
+            call(value)
+        assert str(refused.value) == f"{wording}{value!r}"
+
+
+def test_only_errors_converts_a_real_or_complex_argument():
+    # cli parses command-line text into numbers; anywhere else a one-argument
+    # float() or complex() would convert an argument, and an isinstance() on
+    # float or complex would type-check one, past the checks in errors.py
+    found = []
+    for path in sorted(Path(cslsim.__file__).parent.glob("*.py")):
+        if path.name in ("errors.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                types = {n.id for arg in node.args[1:] for n in ast.walk(arg)
+                         if isinstance(n, ast.Name)}
+                if ((node.func.id in ("float", "complex") and len(node.args) == 1)
+                        or (node.func.id == "isinstance" and types & {"float", "complex"})):
+                    found.append((path.name, node.lineno))
+    assert found == []

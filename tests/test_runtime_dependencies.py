@@ -1,6 +1,7 @@
 """The package runs on the standard library alone (`dependencies = []`):
 every command, in a fresh interpreter that cannot import the test-only
-numerics packages."""
+numerics packages, nor the standard library's number types, which the
+number checks in `cslsim.errors` convert with float() instead of importing."""
 
 import json
 import os
@@ -15,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = """
 import json, sys
 
-BLOCKED = {"numpy", "scipy", "mpmath"}
+BLOCKED = {"numpy", "scipy", "mpmath", "numbers", "decimal", "fractions"}
 
 
 class Blocker:
