@@ -301,23 +301,25 @@ def _fig3_files(args: dict, out: str | None) -> dict:
         gas_polarizability_volume=args["gas_polarizability_A3"] * 1e-30,
         cluster_temperature=args["cluster_temperature_K"],
     )
-    pressures = [p * 100.0 for p in _log_grid(args, "p_lo_log10", "p_hi_log10", "p_steps")]
+    grid_mbar = _log_grid(args, "p_lo_log10", "p_hi_log10", "p_steps")
+    pressures = [p * 100.0 for p in grid_mbar]
+    mbar = dict(zip(pressures, grid_mbar))  # a vertex on a pressure line prints its grid value
     temperatures = _grid(args, "t_lo", "t_hi", "t_steps")
     files = {}
     for path, mass_amu in masses.items():
         contours = critical_contour(_species_from(args, mass_amu), grating, pressures,
                                     temperatures, env_template=env, level=args["level"])
         files[path] = _csv([FIG3_HEADER] + [
-            "%d,%.17g,%.17g" % (seg_idx, p_pa / 100.0, t_k)
+            "%d,%.17g,%.17g" % (seg_idx, mbar.get(p_pa, p_pa / 100.0), t_k)
             for seg_idx, line in enumerate(contours) for p_pa, t_k in line])
     return files
 
 
 # command -> (schema, args from the parsed options and config, files from args)
 SWEEPS = {
-    "fig1": ("fig1.v4", _fig1_args, _fig1_files),
+    "fig1": ("fig1.v5", _fig1_args, _fig1_files),
     "fig2": ("fig2.v12", _fig2_args, _fig2_files),
-    "fig3": ("fig3.v3", _fig3_args, _fig3_files),
+    "fig3": ("fig3.v4", _fig3_args, _fig3_files),
 }
 
 

@@ -57,6 +57,15 @@ def critical_mass(csl: CslParams, grating: GratingConfig,
     return exclusion_boundary(grating, csl, [csl.lambda0], threshold)[0][1]
 
 
+def _cbrt(x: float) -> float:
+    """x^(1/3) for x >= 0: y = x ** (1/3), whose exponent is 1.85e-17 short
+    of 1/3, and one Newton step, whose x / (y y) stays in range at both float
+    edges; 0 and inf come back as they are.  math.cbrt would make the digits
+    depend on the Python version."""
+    y = x ** (1.0 / 3.0)
+    return y + (x / (y * y) - y) / 3.0 if 0.0 < y < math.inf else y
+
+
 def exclusion_boundary(grating: GratingConfig, csl: CslParams,
                        lambda0_grid, threshold: float = 0.5
                        ) -> list[tuple[float, float]]:
@@ -76,14 +85,14 @@ def exclusion_boundary(grating: GratingConfig, csl: CslParams,
                           "localization scale")
     denom = 2.0 * grating.talbot_time_for_mass(csl.m0) * grating.talbot_order * g
     # -ln threshold stays finite for a subnormal threshold, where ln(1 / threshold) does not
-    c = csl.m0 * (-math.log(threshold) / denom) ** (1.0 / 3.0) if denom else math.inf
+    c = csl.m0 * _cbrt(-math.log(threshold) / denom) if denom else math.inf
     if not 0.0 < c < math.inf:
         raise DomainError(f"the critical-mass coefficient is out of float range at "
                           f"r_c = {csl.r_c} m and m0 = {csl.m0} kg")
     out = []
     for lam in lambda0_grid:
         lam = finite("lambda0 grid value", lam)
-        m_c = c / lam ** (1.0 / 3.0)
+        m_c = c / _cbrt(lam)
         if not 0.0 < m_c < math.inf:
             raise DomainError(f"the critical mass is out of float range at "
                               f"lambda0 grid value {lam}")

@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all cslsim modules, and the number checks,
-which return the checked value as a float (or a complex) for callers to keep."""
+which return the checked value as a float (or a complex, or an int) for
+callers to keep."""
 
 import cmath
 import math
+import operator
 
 
 class CslSimError(Exception):
@@ -70,3 +72,15 @@ def finite_complex(name: str, value) -> complex:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{name} must be a complex number with finite parts, got {value!r}")
+
+
+def integer(name: str, value, lo: int, hi: float) -> int:
+    """`value` as an int if it is an integer (what operator.index takes, an
+    int or a numpy integer, a bool excepted) in [lo, hi]; else DomainError."""
+    try:
+        n = value if type(value) is int else operator.index(value)
+    except TypeError:  # a float, text, None
+        n = None
+    if n is not None and type(value) is not bool and lo <= n <= hi:
+        return n
+    raise DomainError(f"{name} must be an integer from {lo} to {hi:g}, got {value!r}")

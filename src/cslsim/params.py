@@ -10,7 +10,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import ConfigError, DomainError, finite, finite_complex
+from .errors import ConfigError, DomainError, finite, finite_complex, integer
 
 def _value_type(name: str, fields: str, defaults=()):
     """The named-tuple base of an immutable value type: its fields compare,
@@ -101,10 +101,8 @@ class GratingConfig(_value_type("GratingConfig", "laser_wavelength talbot_order 
                 talbot_order: int = 2,
                 laser_flux: float = 1.0):      # J/m^2 per pulse
         laser_wavelength = finite("laser_wavelength", laser_wavelength)
-        # the Talbot time scales with the order, so it must have a double value; a bool is no order
-        if not (isinstance(talbot_order, int) and not isinstance(talbot_order, bool)
-                and 1 <= talbot_order <= sys.float_info.max):
-            raise DomainError(f"talbot_order must be an integer from 1 to {sys.float_info.max:g}")
+        # the Talbot time scales with the order, so it must have a double value
+        talbot_order = integer("talbot_order", talbot_order, 1, sys.float_info.max)
         return tuple.__new__(cls, (laser_wavelength, talbot_order,
                                    finite("laser_flux", laser_flux, True)))
 

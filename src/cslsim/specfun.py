@@ -28,7 +28,7 @@ import cmath
 import functools
 import math
 
-from .errors import DomainError, finite, finite_complex
+from .errors import DomainError, finite, finite_complex, integer
 
 MAX_ORDER = 256          # largest supported spherical-Bessel order and |z|
 _TINY_Z = 1e-300         # below this |z|, r_l overflows and j_l (l >= 2) underflows
@@ -67,8 +67,7 @@ def _jn_ratio_pass(lmax: int, w: complex) -> list:
 
 def spherical_jn_array(lmax: int, z) -> list[complex]:
     """j_0(z) .. j_lmax(z) from the ratio pass and one upward product."""
-    if lmax < 0 or lmax > MAX_ORDER:
-        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {lmax}")
+    lmax = integer("lmax", lmax, 0, MAX_ORDER)
     z = finite_complex("z", z)
     if abs(z) > MAX_ORDER:
         raise DomainError(f"|z| must be at most {MAX_ORDER}, got {z}")
@@ -139,8 +138,7 @@ def _iv_asymptotic_scaled(order: int, x: float) -> float:
 
 def bessel_I_scaled(order: int, x: float) -> float:
     """Exponentially scaled modified Bessel exp(-x) I_order(x), x >= 0."""
-    if order not in (0, 1, 2):
-        raise DomainError(f"only orders 0, 1, 2 are supported, got {order}")
+    order = integer("order", order, 0, 2)
     x = abs(finite("x", x, True))  # -0.0 shares 0.0's cache key, so both give I_1 = +0.0
     if x < _IV_SERIES_MAX_X:
         return _iv012_scaled(x)[order]

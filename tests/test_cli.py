@@ -166,7 +166,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
     assert run(["fig3", "--masses", "1e6,3e7", "--p-range=-14:-6:13",
                 "--T-range=4:400:13", "--out", str(out)]) == EXIT_OK
     meta = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())
-    assert meta["schema"] == "fig3.v3"
+    assert meta["schema"] == "fig3.v4"
     assert not (tmp_path / "fig3.csv.model.json").exists()
     replay = tmp_path / "replay.csv"
     assert run(["rerun", "--manifest", str(tmp_path / "fig3.csv.manifest.json"),
@@ -180,7 +180,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig1.v3", "fig2.v1", "fig2.v2",
                                     "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
                                     "fig2.v8", "fig2.v10", "fig2.v11", "fig3.v1",
-                                    "fig3.v2"])
+                                    "fig3.v2", "fig1.v4", "fig3.v3"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],

@@ -232,6 +232,25 @@ def test_exclusion_boundary_is_the_closed_form(csl, threshold):
         assert critical_mass(csl._replace(lambda0=lam), grating, threshold) == m_c
 
 
+@pytest.mark.parametrize("csl, threshold", [(CslParams(), 0.5),
+                                            (CslParams(r_c=50e-9, m0=2.0 * AMU), 0.3)])
+def test_exclusion_boundary_takes_each_cube_root_to_rounding(csl, threshold):
+    # m0 (-ln threshold / (denom lambda0))^(1/3) at 40 digits from the double
+    # denom = 2 T0 N g: measured within 3.2e-16 on the default fig1 grid, its
+    # markers and the float-edge rates (x ** (1/3) alone was 1.4e-14 off)
+    import mpmath as mp
+
+    grating = default_grating()
+    denom = (2.0 * grating.talbot_time_for_mass(csl.m0) * grating.talbot_order
+             * geometry_factor(grating, csl))
+    lams = [10.0 ** (-18.0 + 0.5 * i) for i in range(25)] + [1e-10, 1e-16, 5e-324, 1e-320,
+                                                              1e300, 1.7e308]
+    with mp.workdps(40):
+        for lam, m_c in exclusion_boundary(grating, csl, lams, threshold):
+            exact = csl.m0 * mp.cbrt(-mp.log(threshold) / (mp.mpf(denom) * lam))
+            assert abs(m_c - exact) <= 4.5e-16 * exact, lam
+
+
 @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-300, 1e300, 1.7e308])
 def test_exclusion_boundary_is_finite_for_every_finite_rate(lam):
     [(_, m_c)] = exclusion_boundary(default_grating(), CslParams(), [lam])
@@ -257,6 +276,9 @@ def test_exclusion_boundary_at_a_subnormal_threshold():
      "critical mass is out of float range at lambda0 grid value 1.7e+308"),
     (GratingConfig(1e-150), CslParams(r_c=1e-160, m0=1e200), [1.0, 1e-320],
      "critical mass is out of float range at lambda0 grid value 1e-320"),
+    # 2 T0 N g overflows at order 1e308 and m0 = 1e-10 kg, so the cube root is of 0
+    (GratingConfig(157e-9, 10 ** 308), CslParams(m0=1e-10), [1e-10],
+     "coefficient is out of float range at r_c = 1e-07 m and m0 = 1e-10 kg"),
 ])
 def test_exclusion_boundary_refuses_a_mass_past_the_float_range(grating, csl, lams, message):
     with pytest.raises(DomainError, match=re.escape(message)):

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import cslsim
-from cslsim import csl, decoherence, interferometer, mie, params, specfun
+from cslsim import csl, decoherence, errors, interferometer, mie, params, specfun
 from cslsim.errors import DomainError
 
 SPECIES, GRATING = params.gold_cluster(1e6), params.default_grating()
@@ -201,4 +202,78 @@ def test_only_errors_converts_a_real_or_complex_argument():
                 if ((node.func.id in ("float", "complex") and len(node.args) == 1)
                         or (node.func.id == "isinstance" and types & {"float", "complex"})):
                     found.append((path.name, node.lineno))
+    assert found == []
+
+
+# id -> (name in the message, the range [lo, hi], a call that hands the value
+# to the check and returns what the site returns); bessel_I_scaled reads its
+# order from the fused series below x = 30 and from the expansion above
+INTEGER_CHECKS = {
+    "grating-talbot_order": ("talbot_order", 1, sys.float_info.max,
+                             lambda v: params.GratingConfig(157e-9, v).talbot_order),
+    "spherical_jn_array-lmax": ("lmax", 0, 256, lambda v: specfun.spherical_jn_array(v, 1.0)),
+    "bessel_I_scaled-order-series": ("order", 0, 2, lambda v: specfun.bessel_I_scaled(v, 2.0)),
+    "bessel_I_scaled-order-expansion": ("order", 0, 2,
+                                        lambda v: specfun.bessel_I_scaled(v, 40.0)),
+}
+
+# id -> a value that is no integer of the range at any site; the ends come per site
+INTEGER_REFUSED = {
+    "bool": True,
+    "float": 2.0,
+    "float-2.5": 2.5,
+    "str": "2",
+    "bytes": b"2",
+    "None": None,
+    "10**400": 10 ** 400,
+}
+
+
+@pytest.mark.parametrize("check", sorted(INTEGER_CHECKS))
+def test_each_integer_check_keeps_an_int_or_a_numpy_integer_as_an_int(check):
+    name, lo, hi, call = INTEGER_CHECKS[check]
+    assert call(np.int64(2)) == call(2)
+    for value in (2, np.int64(2)):
+        kept = errors.integer(name, value, lo, hi)
+        assert type(kept) is int and kept == 2
+    if check == "grating-talbot_order":
+        assert type(call(np.int64(2))) is int
+
+
+@pytest.mark.parametrize("check, kind", [
+    (check, kind) for check in sorted(INTEGER_CHECKS)
+    for kind in [*INTEGER_REFUSED, "below", "above"]])
+def test_each_integer_check_refuses_the_rest_in_one_wording(check, kind):
+    name, lo, hi, call = INTEGER_CHECKS[check]
+    value = {"below": lo - 1, "above": int(hi) + 1}.get(kind, INTEGER_REFUSED.get(kind))
+    with pytest.raises(DomainError) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be an integer from {lo} to {hi:g}, got {value!r}"
+
+
+def test_only_errors_checks_an_integer_argument():
+    # an isinstance() on int, an operator.index or a membership test against
+    # a tuple of int literals would check an order past errors.integer
+    found = []
+    for path in sorted(Path(cslsim.__file__).parent.glob("*.py")):
+        if path.name in ("errors.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                hand = "int" in {n.id for arg in node.args[1:] for n in ast.walk(arg)
+                                 if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.Attribute):
+                hand = node.attr == "index" and getattr(node.value, "id", None) == "operator"
+            elif isinstance(node, ast.ImportFrom):
+                hand = node.module == "operator" and "index" in {a.name for a in node.names}
+            elif isinstance(node, ast.Compare):
+                hand = any(isinstance(op, (ast.In, ast.NotIn))
+                           and isinstance(right, (ast.Tuple, ast.List, ast.Set)) and right.elts
+                           and all(isinstance(e, ast.Constant) and type(e.value) is int
+                                   for e in right.elts)
+                           for op, right in zip(node.ops, node.comparators))
+            else:
+                hand = False
+            if hand:
+                found.append((path.name, node.lineno))
     assert found == []

@@ -29,11 +29,11 @@ CONFIG_FILES = {"csl.ini": "[csl]\nrc_nm = 50\nm0_amu = 2\n"}
 # command, except a leading --config=<name>; every run writes to --out
 # out.csv, and fig3 names one file per mass after it.
 SWEEP_DIGESTS = {
-    "fig1.v4": [
+    "fig1.v5": [
         ([], {"out.csv":
-              "e9369c67ca56f8b7a80bb9dfb82cb3eb93c5c6a1604b786d9da9e3eb50308c88"}),
+              "37495fba26b4854a52676293f3484e9c479f65993c24136b2d39fc72c9bdb76f"}),
         (["--config=csl.ini", "--threshold", "0.3"], {"out.csv":
-              "35109bb9db679952a95cf12a79e9bca4c9a88a983fb88b4fd09ea67ae3f6b1e4"}),
+              "aae0ef6c4f45f58d391c8e8616778f001dd4c077f7f3790922a5d4fd0c53de27"}),
     ],
     "fig2.v12": [
         ([], {"out.csv":
@@ -43,21 +43,21 @@ SWEEP_DIGESTS = {
         (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
               "257ba83e5ac1c2883f4c5a944ced7b10f7b1af500d39fe9220c37d157d6e0fbf"}),
     ],
-    "fig3.v3": [
+    "fig3.v4": [
         ([], {"out_m1e+06.csv":
               "3d5cc5871912393f2c93676c67d647f3de6ed1a332d2d17ffc3ef4b4c29d4df4",
               "out_m1e+07.csv":
-              "981adb116b16da3ab79e2e948924a60a681ff02deb8299c2c7ba462775d6efd7",
+              "2a3c6b3d9fd0a5d190adfc2bb9a24a4b74b2a92d5e037d44c01494dae5200941",
               "out_m1e+08.csv":
-              "26a837b093cc6e80f202522e250ec42c7923897fab7530cd7396d7c3e29b934c"}),
+              "3fbaf1682f5c7328df27343138707612b26a60dfcd4810040d2d2238ded8887c"}),
         # the benchmark's grid, where the Bose tails take one k term at every temperature
         (["--talbot-order", "1", "--masses", "3e6,1.5e7,5e7", "--p-range=-14:-6:240",
           "--T-range=4:400:240"], {"out_m3e+06.csv":
               "5bbffe584a52c2eae8829773c04f2127bbcf2bc0de12c4dfdbb91dabfc69509e",
               "out_m1.5e+07.csv":
-              "78f32fb16560ff7fa2a550d09c69609006f27be4af63ee5f6ea15e8c78b1e128",
+              "12baefa1a183c279f79899abb7fc17f67d7b71b8f5c677a668794d5bc970efa3",
               "out_m5e+07.csv":
-              "fe182a66ebfdc9e9b60e27c399efbb797e14e325f5f494bc985691441055fcea"}),
+              "ea13c1b74e8a264f24b70c7a893d8f0640768366b7baa54789af226fd4ebfe8d"}),
     ],
 }
 
@@ -83,8 +83,8 @@ README_CONFIG_DIGESTS = [
 CLUSTER_AT_150K_INI = "[environment]\ncluster_temperature_K = 150\n"
 CLUSTER_AT_150K_DIGESTS = {
     "out_m1e+06.csv": "d1bf2823c6888ea3d3ed0226e93893310293b7d539a0f6b9324b00d8bacd0c72",
-    "out_m1e+07.csv": "8d7f443e11db130ddbe2792340e590859bb580c40dcb8a577927af39a974fbc1",
-    "out_m1e+08.csv": "80f31be05a87b7bc8a8d77ef5a740f603e1570785003ecc9c060e915ab659470",
+    "out_m1e+07.csv": "8113b0364400817baba2863552f13e3eee547588a45dc79c0446544f33d43d59",
+    "out_m1e+08.csv": "d11acd2d1c4b6574ef2bd7ddea605527f7ac7bde487e9b948119f5b53e43b568",
 }
 
 

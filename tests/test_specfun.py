@@ -193,7 +193,8 @@ def test_j_rejects_an_argument_beyond_the_order_cap(z):
 
 @pytest.mark.parametrize("lmax", [-1, 257])
 def test_j_rejects_an_order_outside_0_to_the_cap(lmax):
-    with pytest.raises(DomainError, match=re.escape(f"order must be in [0, 256], got {lmax}")):
+    with pytest.raises(DomainError,
+                       match=re.escape(f"lmax must be an integer from 0 to 256, got {lmax}")):
         spherical_jn_array(lmax, 1.0)
 
 
