@@ -180,9 +180,10 @@ def _log_grid(args: dict, lo_key: str, hi_key: str, steps_key: str) -> list[floa
                           f"{math.log10(sys.float_info.max):.4f}, got {args[key]}") from None
 
 
-def _species_from(args: dict, mass_amu: float) -> ClusterSpecies:
-    return ClusterSpecies.from_amu(mass_amu, args["density_kg_m3"],
-                                   complex(args["eps_re"], args["eps_im"]), args["label"])
+def _species_fields(args: dict) -> tuple:
+    """The bulk density, permittivity and label that ClusterSpecies.from_amu
+    takes after the mass, read once per sweep."""
+    return args["density_kg_m3"], complex(args["eps_re"], args["eps_im"]), args["label"]
 
 
 # -- fig1 --------------------------------------------------------------------
@@ -229,9 +230,10 @@ def _fig2_files(args: dict, out: str | None) -> dict:
     # geometry_error rows never reaches the solve
     target_v = open_interval("'target_v'", args["target_v"], 2.0)
     masses = _log_grid(args, "lo_log10", "hi_log10", "steps")
+    fields = _species_fields(args)
     rows = [FIG2_HEADER]
     for mass_amu in masses:
-        sp = _species_from(args, mass_amu)
+        sp = ClusterSpecies.from_amu(mass_amu, *fields)
         try:
             flux = flux_for_target_visibility(sp, grating, target_v)
         except GeometryError:
@@ -305,10 +307,12 @@ def _fig3_files(args: dict, out: str | None) -> dict:
     pressures = [p * 100.0 for p in grid_mbar]
     mbar = dict(zip(pressures, grid_mbar))  # a vertex on a pressure line prints its grid value
     temperatures = _grid(args, "t_lo", "t_hi", "t_steps")
+    fields = _species_fields(args)
     files = {}
     for path, mass_amu in masses.items():
-        contours = critical_contour(_species_from(args, mass_amu), grating, pressures,
-                                    temperatures, env_template=env, level=args["level"])
+        contours = critical_contour(ClusterSpecies.from_amu(mass_amu, *fields), grating,
+                                    pressures, temperatures, env_template=env,
+                                    level=args["level"])
         files[path] = _csv([FIG3_HEADER] + [
             "%d,%.17g,%.17g" % (seg_idx, mbar.get(p_pa, p_pa / 100.0), t_k)
             for seg_idx, line in enumerate(contours) for p_pa, t_k in line])

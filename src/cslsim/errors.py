@@ -35,6 +35,15 @@ class ConfigError(CslSimError, ValueError):
     """Malformed configuration file or command-line usage."""
 
 
+def _shown(value) -> str:
+    """repr(value) for a refusal, or the type of a value that repr cannot
+    print: an int past the interpreter's digit limit (10**5000), or one holding it."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
+
+
 def _real(value) -> float:
     """float(value); NaN, which every range refuses, for text and for what
     float() does not convert (None, a complex, a list, 10**400)."""
@@ -51,7 +60,7 @@ def finite(name: str, value, zero: bool = False) -> float:
     if 0.0 <= x < math.inf if zero else 0.0 < x < math.inf:
         return x
     raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, "
-                      f"got {value!r}")
+                      f"got {_shown(value)}")
 
 
 def open_interval(name: str, value, hi: float) -> float:
@@ -59,7 +68,7 @@ def open_interval(name: str, value, hi: float) -> float:
     x = value if type(value) is float else _real(value)
     if 0.0 < x < hi:
         return x
-    raise DomainError(f"{name} must lie in (0, {hi:g}), got {value!r}")
+    raise DomainError(f"{name} must lie in (0, {hi:g}), got {_shown(value)}")
 
 
 def finite_complex(name: str, value) -> complex:
@@ -71,7 +80,7 @@ def finite_complex(name: str, value) -> complex:
             return z
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"{name} must be a complex number with finite parts, got {value!r}")
+    raise DomainError(f"{name} must be a complex number with finite parts, got {_shown(value)}")
 
 
 def integer(name: str, value, lo: int, hi: float) -> int:
@@ -83,4 +92,4 @@ def integer(name: str, value, lo: int, hi: float) -> int:
         n = None
     if n is not None and type(value) is not bool and lo <= n <= hi:
         return n
-    raise DomainError(f"{name} must be an integer from {lo} to {hi:g}, got {value!r}")
+    raise DomainError(f"{name} must be an integer from {lo} to {hi:g}, got {_shown(value)}")

@@ -12,7 +12,8 @@ import math
 
 from .errors import (DomainError, GeometryError, NonConvergenceError, ResonanceError, finite,
                      finite_complex)
-from .params import PLANCK_H, ClusterSpecies, GratingConfig, _value_type, cluster_radius
+from .params import (PLANCK_H, SPEED_OF_LIGHT, ClusterSpecies, GratingConfig, _value_type,
+                     cluster_radius)
 from .specfun import MAX_ORDER, _jn_ratio_pass
 
 _TAIL_TOL = 1e-10        # relative tail bound for the multipole sums
@@ -25,6 +26,9 @@ _DEGENERATE_DEN = 1e-30  # a smaller ratio-form |denominator|^2 is a resonance
 # near -1, where the high-order surface modes resonate, can need up to l = 19
 # from rho ~ 2 on; a sum that needs more than the budget doubles it.
 _FIRST_BUDGET = 16
+# (l, 2l + 1) as floats, so that the order loop's arithmetic is float with float,
+# which the interpreter runs faster than int with float, to the same bits
+_ORDERS = [(1.0 * l, 2.0 * l + 1.0) for l in range(1, _LMAX + 1)]
 
 
 class AbsorptionProfile(_value_type("AbsorptionProfile", "n0 n1 truncation_order")):
@@ -79,31 +83,34 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
     #   sigma_H = Im(D) / rho * a' / (rho |1 - eps rho q' / D'|^2)
     # sigma_H divides by rho twice, since rho^2 may underflow.
     em1 = eps - 1.0
+    er, ei = eps.real, eps.imag
     budget = _FIRST_BUDGET
     while True:
         ds = _jn_ratio_pass(budget + 1, w)
         q = 1j * rho / (rho + 1j)             # h_0 / h_1
+        eq = erho * q                         # eps rho q_l, carried from sigma_H's q'
         a = rho ** 4 / (rho * rho + 1.0)      # |1 / h_1|^2
         s0 = s1 = 0.0
         sign = 1.0  # (-1)^(l-1)
         run = 0
-        for l, d, dp in zip(range(1, budget + 1), ds, ds[1:]):
-            n = 2 * l + 1
+        for (l, n), d, dp in zip(_ORDERS, ds, ds[1:]):  # l = 1 .. budget
             # each square as h * h, correctly rounded, where ** 2 goes through libm pow
             qp = 1.0 / (n / rho - q)
             h = abs(qp)
             ap = a * (h * h)
-            h = abs(l * em1 + d - erho * q)
+            eqp = erho * qp
+            h = abs(l * em1 + d - eq)
             den_e = h * h
-            if den_e < _DEGENERATE_DEN:
-                raise ResonanceError(f"degenerate sigma_E denominator at l={l}, rho={rho}")
-            h = abs(1.0 - erho * qp / dp)
+            h = abs(1.0 - eqp / dp)
             den_h = h * h
-            if den_h < _DEGENERATE_DEN:
-                raise ResonanceError(f"degenerate sigma_H denominator at l={l}, rho={rho}")
-            se = (eps * (d - l).conjugate()).imag * a / den_e
-            sh = d.imag / rho * ap / (rho * den_h)
-            q, a = qp, ap
+            if den_e < _DEGENERATE_DEN or den_h < _DEGENERATE_DEN:
+                raise ResonanceError(f"degenerate sigma_{'E' if den_e < _DEGENERATE_DEN else 'H'}"
+                                     f" denominator at l={l:.0f}, rho={rho}")
+            # Im(eps conj(D - l)), to the bit
+            di = d.imag
+            se = (ei * (d.real - l) - er * di) * a / den_e
+            sh = di / rho * ap / (rho * den_h)
+            q, a, eq = qp, ap, eqp
             weight = n * math.pi / rho
             d0 = weight * (se - sh)
             d1 = weight * sign * (se + sh)
@@ -122,7 +129,7 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
             if abs(d0) < bound and abs(d1) < bound:
                 run += 1
                 if run >= _TAIL_RUN:
-                    return s0, s1, l
+                    return s0, s1, int(l)
             else:
                 run = 0
         if budget == _LMAX:
@@ -142,21 +149,23 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
                        flux: float | None = None) -> AbsorptionProfile:
     """Absorbed-photon parameters (n0, n1) of a sphere in the pulsed grating."""
     radius = cluster_radius(species)
-    if radius >= grating.period:
+    # the period, k and nu as GratingConfig's properties compute them, from one read
+    wavelength = grating.laser_wavelength
+    if radius >= wavelength / 2.0:
         raise GeometryError(
             f"cluster radius {radius:.3e} m >= grating period "
-            f"{grating.period:.3e} m: sub-period sphere model does not apply")
+            f"{wavelength / 2.0:.3e} m: sub-period sphere model does not apply")
     flux = grating.laser_flux if flux is None else finite("flux", flux, True)
 
-    k = grating.wavenumber
+    k = 2.0 * math.pi / wavelength
     rho = k * radius
     s0, s1, used = _unit_sums(rho, species.permittivity)
     try:
-        prefactor = 4.0 * flux / (PLANCK_H * grating.laser_frequency * k * k)
+        prefactor = 4.0 * flux / (PLANCK_H * (SPEED_OF_LIGHT / wavelength) * k * k)
     except ZeroDivisionError:  # h nu k^2 underflows
         prefactor = math.inf
     if prefactor == math.inf:  # or h nu k^2 is small enough that the quotient overflows
         raise DomainError(f"the absorption prefactor is out of float range at laser "
-                          f"wavelength {grating.laser_wavelength} m and flux {flux} J/m^2")
-    return AbsorptionProfile(n0=prefactor * s0, n1=prefactor * s1, truncation_order=used)
+                          f"wavelength {wavelength} m and flux {flux} J/m^2")
+    return AbsorptionProfile(prefactor * s0, prefactor * s1, used)
 

@@ -411,6 +411,50 @@ def test_fig2_rows_of_an_antiphase_modulation_match_the_oracle():
             assert float(cell) == pytest.approx(value, rel=1e-10, abs=0.0), row[0]
 
 
+# the largest relative error of each fig2 column over every fifth row of the
+# default run, measured against the 40-digit chain below; each bound adds a
+# slack of 1e-15 (about 4.5 ulps), and 5e-15 for T, whose error is about 3 n0
+# (12 to 17 here) times that of n0.  The flux carries about 3x the radius's
+# error: x ** (1/3) in cluster_radius is 1.3e-15 off, and S1 goes as rho^3.
+FIG2_MEASURED = {"radius_nm": 1.3e-15, "flux": 4.6e-15, "n0": 1.2e-15, "n1": 7.4e-16,
+                 "T": 8.1e-15}
+FIG2_SLACK = {"radius_nm": 1e-15, "flux": 1e-15, "n0": 1e-15, "n1": 1e-15, "T": 5e-15}
+
+
+def test_every_fifth_default_fig2_row_is_within_its_measured_error_of_40_digits():
+    # from each row's mass: R = (3 m / 4 pi rho)^(1/3), the Mie sums from the
+    # mpmath oracle at rho = k R, n1 from findroot on ln V with mpmath's I_k,
+    # flux = n1 / (P |S1|) with P = 4 / (h nu k^2), n0 = n1 S0 / |S1| and
+    # T = exp(-3 n0) I0(n1)^3
+    _, args_from, files = SWEEPS["fig2"]
+    ns = build_parser().parse_args(["fig2"])
+    (text,) = files(args_from(ns, RunConfig()), None).values()
+    target = ns.target_V
+    with mp.workdps(40):
+        def ln_v(x):
+            i0 = mp.besseli(0, x)
+            return mp.log(2 * mp.besseli(1, x) ** 2 * mp.besseli(2, x) / i0 ** 3)
+
+        n1 = mp.findroot(lambda x: ln_v(x) - mp.log(target), mp.mpf(1))
+        i0_cubed = mp.besseli(0, n1) ** 3
+        wavelength = mp.mpf(default_grating().laser_wavelength)
+        k = 2 * mp.pi / wavelength
+        prefactor = 4 / (params.PLANCK_H * (params.SPEED_OF_LIGHT / wavelength) * k * k)
+        for row in text.splitlines()[1::5]:
+            mass_amu, *cells, status = row.split(",")
+            assert status == "ok"
+            radius = mp.cbrt(3 * mp.mpf(float(mass_amu)) * params.ATOMIC_MASS_UNIT
+                             / (4 * mp.pi * params.GOLD_DENSITY))
+            s0, s1 = map(mp.mpf, standing_wave_sums_oracle(
+                k * radius, params.GOLD_PERMITTIVITY_157NM))
+            n0 = n1 * s0 / abs(s1)
+            exact = {"radius_nm": radius * 10 ** 9, "flux": n1 / (prefactor * abs(s1)),
+                     "n0": n0, "n1": n1, "T": mp.exp(-3 * n0) * i0_cubed}
+            for (column, value), cell in zip(exact.items(), cells):
+                error = abs(mp.mpf(float(cell)) / value - 1)
+                assert error <= FIG2_MEASURED[column] + FIG2_SLACK[column], (mass_amu, column)
+
+
 def test_a_fig2_sweep_shares_one_n1_solve_and_one_mie_evaluation_per_row(tmp_path,
                                                                          monkeypatch):
     import cslsim.interferometer

@@ -326,6 +326,17 @@ def test_a_degenerate_denominator_is_a_resonance(monkeypatch, tmp_path):
     assert not out.exists()
 
 
+# at rho = 1.5, eps = 16 + 0.1i the l = 1 denominators are about 311 (sigma_E)
+# and 0.35 (sigma_H): a threshold of 1 passes sigma_E and stops at sigma_H, and
+# one above both names sigma_E, which is tested first
+@pytest.mark.parametrize("threshold, term", [(1.0, "H"), (1e300, "E")])
+def test_a_resonance_names_its_degenerate_denominator(monkeypatch, threshold, term):
+    monkeypatch.setattr(mie, "_DEGENERATE_DEN", threshold)
+    with pytest.raises(ResonanceError) as refused:
+        absorption_sums(1.5, 16 + 0.1j)
+    assert str(refused.value) == f"degenerate sigma_{term} denominator at l=1, rho=1.5"
+
+
 def test_a_flux_solve_and_its_observables_evaluate_the_sums_once(monkeypatch):
     calls = []
     sums = mie.absorption_sums

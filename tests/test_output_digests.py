@@ -42,6 +42,10 @@ SWEEP_DIGESTS = {
               "cd61c1993ad625c29b3796014383a70ee2bf8e6418c1d887b00de08e11420576"}),
         (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
               "257ba83e5ac1c2883f4c5a944ced7b10f7b1af500d39fe9220c37d157d6e0fbf"}),
+        # the benchmark's mass_sweep inputs at seed 1: its jittered grid and target
+        (["--mass-range=4.958027753265712:10.466532999800542:600",
+          "--target-V=0.8809165024575587"], {"out.csv":
+              "a4b1afa21a23b0c2d32972b37e71d25a692c4ca539c2b692d8dcd763fd40eaa6"}),
     ],
     "fig3.v4": [
         ([], {"out_m1e+06.csv":
