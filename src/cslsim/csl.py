@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, finite, open_interval
-from .params import ClusterSpecies, CslParams, GratingConfig, _value_type
+from .params import ClusterSpecies, CslParams, GratingConfig, _cbrt, _value_type
 
 
 class CslReduction(_value_type("CslReduction", "ratio exponent geometry_factor")):
@@ -55,15 +55,6 @@ def critical_mass(csl: CslParams, grating: GratingConfig,
     """Mass at which the CSL visibility ratio drops to the threshold: the
     one-point case of the exclusion boundary at csl.lambda0."""
     return exclusion_boundary(grating, csl, [csl.lambda0], threshold)[0][1]
-
-
-def _cbrt(x: float) -> float:
-    """x^(1/3) for x >= 0: y = x ** (1/3), whose exponent is 1.85e-17 short
-    of 1/3, and one Newton step, whose x / (y y) stays in range at both float
-    edges; 0 and inf come back as they are.  math.cbrt would make the digits
-    depend on the Python version."""
-    y = x ** (1.0 / 3.0)
-    return y + (x / (y * y) - y) / 3.0 if 0.0 < y < math.inf else y
 
 
 def exclusion_boundary(grating: GratingConfig, csl: CslParams,

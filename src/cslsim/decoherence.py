@@ -23,8 +23,8 @@ from .params import (
     ClusterSpecies,
     EnvironmentConfig,
     GratingConfig,
+    _radius_cubed,
     _value_type,
-    cluster_radius,
     total_interference_time,
 )
 
@@ -79,7 +79,7 @@ def dispersion_coefficient(species: ClusterSpecies, env: EnvironmentConfig) -> f
     sphere limit of Clausius-Mossotti).
     """
     a0_cubed = BOHR_RADIUS ** 3
-    alpha_cluster = cluster_radius(species) ** 3 / a0_cubed   # atomic units
+    alpha_cluster = _radius_cubed(species) / a0_cubed   # atomic units
     alpha_gas = env.gas_polarizability_volume / a0_cubed
     n_cluster = species.mass_amu * DEFAULT_MODEL.cluster_electrons_per_amu
     n_gas = DEFAULT_MODEL.gas_electron_count
@@ -212,7 +212,7 @@ def blackbody_rates(species: ClusterSpecies, grating: GratingConfig, temperature
     its cap.
     """
     nd = grating.talbot_order * (grating.laser_wavelength / 2.0)  # N times the period
-    r3 = cluster_radius(species) ** 3
+    r3 = _radius_cubed(species)
     # sigma(omega) times the photon flux omega^2 / (pi^2 c^2), per omega^power:
     # Drude absorption 4 pi (omega/c) R^3 * 3 eps0 omega / sigma_dc, and
     # Rayleigh scattering (8 pi / 3) (omega/c)^4 R^6.

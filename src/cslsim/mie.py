@@ -149,7 +149,7 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
                        flux: float | None = None) -> AbsorptionProfile:
     """Absorbed-photon parameters (n0, n1) of a sphere in the pulsed grating."""
     radius = cluster_radius(species)
-    # the period, k and nu as GratingConfig's properties compute them, from one read
+    # the period, k and nu from one read of the wavelength
     wavelength = grating.laser_wavelength
     if radius >= wavelength / 2.0:
         raise GeometryError(

@@ -111,14 +111,6 @@ class GratingConfig(_value_type("GratingConfig", "laser_wavelength talbot_order 
         """Grating period d = lambda_L / 2 (standing-wave antinode spacing)."""
         return self.laser_wavelength / 2.0
 
-    @property
-    def laser_frequency(self) -> float:
-        return SPEED_OF_LIGHT / self.laser_wavelength
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.laser_wavelength
-
     def talbot_time_for_mass(self, mass_kg: float) -> float:
         try:
             return mass_kg * self.period ** 2 / PLANCK_H
@@ -181,9 +173,23 @@ class EnvironmentConfig(_value_type("EnvironmentConfig", (
 
 # -- derived quantities -------------------------------------------------------
 
+def _cbrt(x: float) -> float:
+    """x^(1/3) for x >= 0: y = x ** (1/3), whose exponent is 1.85e-17 short
+    of 1/3, and one Newton step, whose x / (y y) stays in range at both float
+    edges; 0 and inf come back as they are.  math.cbrt would make the digits
+    depend on the Python version."""
+    y = x ** (1.0 / 3.0)
+    return y + (x / (y * y) - y) / 3.0 if 0.0 < y < math.inf else y
+
+
+def _radius_cubed(species: ClusterSpecies) -> float:
+    """R^3 = 3 m / (4 pi rho), the sphere's volume over 4 pi / 3."""
+    return 3.0 * species.mass / (4.0 * math.pi * species.bulk_density)
+
+
 def cluster_radius(species: ClusterSpecies) -> float:
-    """Sphere radius (3 m / 4 pi rho)^(1/3) from mass and bulk density."""
-    return (3.0 * species.mass / (4.0 * math.pi * species.bulk_density)) ** (1.0 / 3.0)
+    """Sphere radius R = (3 m / 4 pi rho)^(1/3) from mass and bulk density."""
+    return _cbrt(_radius_cubed(species))
 
 
 def total_interference_time(species: ClusterSpecies, grating: GratingConfig) -> float:

@@ -66,7 +66,8 @@ def dipole_absorption_cross_section(species: ClusterSpecies,
     """Point-particle absorption cross section 4 pi k R^3 Im[(eps-1)/(eps+2)]."""
     radius = cluster_radius(species)
     eps = complex(species.permittivity)
-    return (4.0 * math.pi * grating.wavenumber * radius ** 3
+    k = 2.0 * math.pi / grating.laser_wavelength
+    return (4.0 * math.pi * k * radius ** 3
             * ((eps - 1.0) / (eps + 2.0)).imag)
 
 

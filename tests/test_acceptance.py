@@ -31,6 +31,7 @@ from cslsim.mie import absorption_profile
 from cslsim.params import (
     ATOMIC_MASS_UNIT,
     PLANCK_H,
+    SPEED_OF_LIGHT,
     CslParams,
     EnvironmentConfig,
     GratingConfig,
@@ -118,12 +119,12 @@ def test_05_transmissivity_endpoints_at_fixed_visibility():
 def test_06_dipole_limit_and_point_particle_ratio():
     grating = default_grating()
     rho_target = 0.01
-    radius = rho_target / grating.wavenumber
+    radius = rho_target * grating.laser_wavelength / (2.0 * math.pi)
     mass_amu = 4.0 * math.pi / 3.0 * radius ** 3 * 19300.0 / AMU
     tiny = gold_cluster(mass_amu)
     profile = absorption_profile(tiny, grating, flux=1.0)
     n0_dipole = (2.0 * dipole_absorption_cross_section(tiny, grating)
-                 / (PLANCK_H * grating.laser_frequency))
+                 / (PLANCK_H * SPEED_OF_LIGHT / grating.laser_wavelength))
     rel = abs(profile.n0 - n0_dipole) / n0_dipole
     au1000 = absorption_profile(gold_cluster(1.9697e5), grating, flux=1.0)
     ratio = au1000.n1 / au1000.n0

@@ -166,7 +166,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
     assert run(["fig3", "--masses", "1e6,3e7", "--p-range=-14:-6:13",
                 "--T-range=4:400:13", "--out", str(out)]) == EXIT_OK
     meta = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())
-    assert meta["schema"] == "fig3.v4"
+    assert meta["schema"] == "fig3.v5"
     assert not (tmp_path / "fig3.csv.model.json").exists()
     replay = tmp_path / "replay.csv"
     assert run(["rerun", "--manifest", str(tmp_path / "fig3.csv.manifest.json"),
@@ -180,7 +180,8 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
 @pytest.mark.parametrize("schema", ["fig1.v1", "fig1.v2", "fig1.v3", "fig2.v1", "fig2.v2",
                                     "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
                                     "fig2.v8", "fig2.v10", "fig2.v11", "fig3.v1",
-                                    "fig3.v2", "fig1.v4", "fig3.v3"])
+                                    "fig3.v2", "fig1.v4", "fig3.v3", "fig2.v12",
+                                    "fig3.v4"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -397,8 +398,9 @@ def test_fig2_rows_of_an_antiphase_modulation_match_the_oracle():
                  and absorption_profile(gold_cluster(float(row[0])), grating, 1.0).n1 < 0.0]
     assert len(antiphase) == 70
     n1 = solve_oracle(target)
-    k = grating.wavenumber
-    prefactor = 4.0 / (params.PLANCK_H * grating.laser_frequency * k * k)
+    k = 2.0 * math.pi / grating.laser_wavelength
+    prefactor = 4.0 / (params.PLANCK_H * (params.SPEED_OF_LIGHT / grating.laser_wavelength)
+                       * k * k)
     for row in antiphase[::7]:  # the mpmath sums take about 30 ms a row
         species = gold_cluster(float(row[0]))
         s0, s1 = standing_wave_sums_oracle(k * params.cluster_radius(species),
@@ -413,12 +415,14 @@ def test_fig2_rows_of_an_antiphase_modulation_match_the_oracle():
 
 # the largest relative error of each fig2 column over every fifth row of the
 # default run, measured against the 40-digit chain below; each bound adds a
-# slack of 1e-15 (about 4.5 ulps), and 5e-15 for T, whose error is about 3 n0
-# (12 to 17 here) times that of n0.  The flux carries about 3x the radius's
-# error: x ** (1/3) in cluster_radius is 1.3e-15 off, and S1 goes as rho^3.
-FIG2_MEASURED = {"radius_nm": 1.3e-15, "flux": 4.6e-15, "n0": 1.2e-15, "n1": 7.4e-16,
-                 "T": 8.1e-15}
-FIG2_SLACK = {"radius_nm": 1e-15, "flux": 1e-15, "n0": 1e-15, "n1": 1e-15, "T": 5e-15}
+# slack of about 4.5 ulps (1e-15), one ulp (2.2e-16) for the radius, whose
+# cube root takes a Newton step, 9e-16 for n0, so that its bound stays at
+# 2.2e-15, and 5e-15 for T, whose error is about 3 n0 (12 to 17 here) times
+# that of n0.  The flux carries the radius's error three times over, since
+# S1 goes as rho^3: x ** (1/3) alone was 1.3e-15 off, the flux 4.5e-15.
+FIG2_MEASURED = {"radius_nm": 1.7e-16, "flux": 1.5e-15, "n0": 1.3e-15, "n1": 7.4e-16,
+                 "T": 7.1e-15}
+FIG2_SLACK = {"radius_nm": 2.2e-16, "flux": 1e-15, "n0": 9e-16, "n1": 1e-15, "T": 5e-15}
 
 
 def test_every_fifth_default_fig2_row_is_within_its_measured_error_of_40_digits():
@@ -453,6 +457,106 @@ def test_every_fifth_default_fig2_row_is_within_its_measured_error_of_40_digits(
             for (column, value), cell in zip(exact.items(), cells):
                 error = abs(mp.mpf(float(cell)) / value - 1)
                 assert error <= FIG2_MEASURED[column] + FIG2_SLACK[column], (mass_amu, column)
+
+
+# the largest relative error of the default fig1 run's masses and geometry
+# factor, measured against the 40-digit chain below, and a slack of one ulp
+FIG1_MEASURED = {"m_c_amu": 2.8e-16, "geometry_factor": 6.1e-17}
+FIG1_SLACK = 2.2e-16
+
+
+def test_every_default_fig1_row_is_within_its_measured_error_of_40_digits():
+    # from the inputs, not from the double 2 T0 N g: T0 = m0 d^2 / h with
+    # d = lambda / 2, g = 1 - sqrt(pi) r_c / (N d) erf(N d / 2 r_c) and
+    # m_c = m0 cbrt(-ln threshold / (2 lambda0 T0 N g)), each at 40 digits
+    _, args_from, files = SWEEPS["fig1"]
+    ns = build_parser().parse_args(["fig1"])
+    (text,) = files(args_from(ns, RunConfig()), None).values()
+    grating, csl = RunConfig().grating, RunConfig().csl
+    with mp.workdps(40):
+        d = mp.mpf(grating.laser_wavelength) / 2
+        nd, r_c = grating.talbot_order * d, mp.mpf(csl.r_c)
+        t0 = csl.m0 * d ** 2 / params.PLANCK_H
+        g = 1 - mp.sqrt(mp.pi) * r_c / nd * mp.erf(nd / (2 * r_c))
+        for row in text.splitlines()[1:]:
+            lam, m_c_amu, g_cell = map(float, row.split(","))
+            m_c = csl.m0 * mp.cbrt(-mp.log(mp.mpf(ns.threshold))
+                                   / (2 * lam * t0 * grating.talbot_order * g))
+            for column, cell, exact in (("m_c_amu", m_c_amu, m_c / params.ATOMIC_MASS_UNIT),
+                                        ("geometry_factor", g_cell, g)):
+                error = abs(mp.mpf(cell) / exact - 1)
+                assert error <= FIG1_MEASURED[column] + FIG1_SLACK, (lam, column)
+
+
+# The exposure (a p + b(T)) t_total at a vertex of the default 1e7 amu
+# contour meets -ln 0.5 within these tolerances.  Measured at every tenth
+# vertex: 2.1e-15 on a grid temperature line, where p is solved in closed
+# form (the collision rate's exponent 0.4 is the double above 2/5, which
+# moves its power of C6 / hbar v ~ 2e-41 by 2e-15), and 1.1e-13 on a grid
+# pressure line, where the temperature solve stops once
+# |ln(b / target)| <= 1e-12, the bound below.
+FIG3_ON_TEMPERATURE_LINE = 3e-15
+FIG3_ON_PRESSURE_LINE = 1e-12
+
+
+def test_every_tenth_default_fig3_vertex_meets_the_level_at_30_digits():
+    # a, the collision rate per Pa, in closed form: n_gas / p = 1 / (kB T_gas)
+    # times (2 / sqrt(pi)) Gamma(9/5) v_p sigma(v_p), with sigma(v) =
+    # c6_prefactor (C6 / hbar v)^(2/5) and the Slater-Kirkwood C6 of
+    # R^3 = 3 m / (4 pi rho); b(T), absorption, emission at the radiation
+    # temperature and Rayleigh scattering, by quadrature of the capped Planck
+    # integrands, split at the kink where (N d omega / c)^2 reaches the cap
+    from cslsim.decoherence import DEFAULT_MODEL
+
+    _, args_from, files = SWEEPS["fig3"]
+    ns = build_parser().parse_args(["fig3"])
+    args = args_from(ns, RunConfig())
+    rows = files(args, "fig3.csv")["fig3_m1e+07.csv"].splitlines()[1:]
+    grating, env, model = RunConfig().grating, RunConfig().environment, DEFAULT_MODEL
+    assert len(rows) > 80  # 85 vertices, so nine are checked
+
+    def on_grid(value, lo, hi, steps):
+        index = (value - lo) * (steps - 1) / (hi - lo)
+        return abs(index - round(index)) < 1e-9
+
+    with mp.workdps(30):
+        m = mp.mpf(1e7) * params.ATOMIC_MASS_UNIT
+        r3 = 3 * m / (4 * mp.pi * params.GOLD_DENSITY)
+        d, c = mp.mpf(grating.laser_wavelength) / 2, mp.mpf(params.SPEED_OF_LIGHT)
+        nd = grating.talbot_order * d
+        t_total = 2 * nd * m * d / params.PLANCK_H
+        a0 = mp.mpf(params.BOHR_RADIUS)
+        alpha_c, alpha_g = r3 / a0 ** 3, env.gas_polarizability_volume / a0 ** 3
+        electrons_c = 10 ** 7 * mp.mpf(11) / params.GOLD_ATOM_MASS_AMU
+        c6 = (mp.mpf(3) / 2 * alpha_c * alpha_g / (mp.sqrt(alpha_c / electrons_c)
+                                                   + mp.sqrt(alpha_g / model.gas_electron_count))
+              * params.HARTREE_ENERGY * a0 ** 6)
+        kt_gas = params.BOLTZMANN_KB * mp.mpf(env.gas_temperature)
+        v_p = mp.sqrt(2 * kt_gas / env.gas_mass)
+        sigma = model.c6_prefactor * (c6 / (params.HBAR * v_p)) ** (mp.mpf(2) / 5)
+        a = 2 / mp.sqrt(mp.pi) * mp.gamma(mp.mpf(9) / 5) * v_p * sigma / kt_gas
+        cap = mp.mpf(model.photon_effectiveness_cap)
+        # Drude absorption and Rayleigh scattering times the photon flux, per omega^4 and ^6
+        k_abs = 12 * params.VACUUM_PERMITTIVITY * r3 / (mp.pi * model.dc_conductivity * c ** 3)
+        k_sca = 8 * r3 ** 2 / (3 * mp.pi * c ** 6)
+
+        def b(temperature):
+            w = params.BOLTZMANN_KB * mp.mpf(temperature) / params.HBAR
+            s = nd * w / c
+            kink = mp.sqrt(cap) / s
+
+            def capped(power):  # int_0^inf x^power min(s^2 x^2, cap) / (e^x - 1) dx
+                return (mp.quad(lambda x: s * s * x ** (power + 2) / mp.expm1(x), [0, kink])
+                        + mp.quad(lambda x: cap * x ** power / mp.expm1(x), [kink, mp.inf]))
+
+            return 2 * k_abs * w ** 5 * capped(4) + k_sca * w ** 7 * capped(6)
+
+        for row in rows[::10]:
+            _, p_mbar, temperature = map(float, row.split(","))
+            exposure = (a * mp.mpf(p_mbar) * 100 + b(temperature)) * t_total
+            on_t_line = on_grid(temperature, args["t_lo"], args["t_hi"], args["t_steps"])
+            tolerance = FIG3_ON_TEMPERATURE_LINE if on_t_line else FIG3_ON_PRESSURE_LINE
+            assert abs(exposure / -mp.log(mp.mpf(args["level"])) - 1) <= tolerance, row
 
 
 def test_a_fig2_sweep_shares_one_n1_solve_and_one_mie_evaluation_per_row(tmp_path,

@@ -164,14 +164,14 @@ def test_bose_tails_keep_their_bits(x):
 # the effectiveness kink at x = 73, past _TAIL_FREE_X (no tail pass), and
 # order 2 at 400 K at 36.5 (two k terms)
 BLACKBODY_BITS = {
-    (1, 4.0): ("0x1.e741d729140a7p-49", "0x1.e95259c3d3e77p-72", "0x1.71b7167863de7p-12"),
-    (1, 77.0): ("0x1.bc8075e164db4p-19", "0x1.4312cbe2349b3p-33", "0x1.71b7167863de7p-12"),
-    (1, 300.0): ("0x1.71b7167863de7p-5", "0x1.fde0b534afc5ep-16", "0x1.71b7167863de7p-12"),
-    (1, 400.0): ("0x1.5a379100f35aap-2", "0x1.a86b3d56d7609p-12", "0x1.71b7167863de7p-12"),
-    (2, 4.0): ("0x1.e741d729140a7p-47", "0x1.e95259c3d3e77p-70", "0x1.71b7167863de7p-10"),
-    (2, 77.0): ("0x1.bc8075e164db4p-17", "0x1.4312cbe2349b3p-31", "0x1.71b7167863de7p-10"),
-    (2, 300.0): ("0x1.71b7167863de3p-3", "0x1.fde0b534afb3cp-14", "0x1.71b7167863de7p-10"),
-    (2, 400.0): ("0x1.5a379100c1c44p+0", "0x1.a86b3d506ee93p-10", "0x1.71b7167863de7p-10"),
+    (1, 4.0): ("0x1.e741d72914089p-49", "0x1.e95259c3d3e3cp-72", "0x1.71b7167863dd1p-12"),
+    (1, 77.0): ("0x1.bc8075e164d99p-19", "0x1.4312cbe23498dp-33", "0x1.71b7167863dd1p-12"),
+    (1, 300.0): ("0x1.71b7167863dd1p-5", "0x1.fde0b534afc21p-16", "0x1.71b7167863dd1p-12"),
+    (1, 400.0): ("0x1.5a379100f3595p-2", "0x1.a86b3d56d75d6p-12", "0x1.71b7167863dd1p-12"),
+    (2, 4.0): ("0x1.e741d72914089p-47", "0x1.e95259c3d3e3cp-70", "0x1.71b7167863dd1p-10"),
+    (2, 77.0): ("0x1.bc8075e164d99p-17", "0x1.4312cbe23498dp-31", "0x1.71b7167863dd1p-10"),
+    (2, 300.0): ("0x1.71b7167863dcdp-3", "0x1.fde0b534afaffp-14", "0x1.71b7167863dd1p-10"),
+    (2, 400.0): ("0x1.5a379100c1c2fp+0", "0x1.a86b3d506ee60p-10", "0x1.71b7167863dd1p-10"),
 }
 
 

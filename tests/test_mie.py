@@ -13,6 +13,7 @@ from cslsim.mie import AbsorptionProfile, absorption_profile, absorption_sums
 from cslsim.params import (
     GOLD_DENSITY,
     PLANCK_H,
+    SPEED_OF_LIGHT,
     ClusterSpecies,
     GratingConfig,
     cluster_radius,
@@ -27,7 +28,7 @@ GOLD_EPS = 0.9 + 3.2j
 def species_for_rho(rho, grating=None, density=19300.0, eps=GOLD_EPS):
     """Gold-like sphere whose scaled radius k_L R equals rho."""
     grating = grating or default_grating()
-    radius = rho / grating.wavenumber
+    radius = rho * grating.laser_wavelength / (2.0 * math.pi)
     mass = 4.0 * math.pi / 3.0 * radius ** 3 * density
     return ClusterSpecies(mass, density, eps, "probe")
 
@@ -85,7 +86,7 @@ def test_dipole_limit_small_sphere():
     species = species_for_rho(0.01, grating)
     profile = absorption_profile(species, grating, flux=1.0)
     sigma_abs = dipole_absorption_cross_section(species, grating)
-    n0_dipole = 2.0 * 1.0 * sigma_abs / (PLANCK_H * grating.laser_frequency)
+    n0_dipole = 2.0 * 1.0 * sigma_abs / (PLANCK_H * SPEED_OF_LIGHT / grating.laser_wavelength)
     assert profile.n0 == pytest.approx(n0_dipole, rel=0.01)
 
 
@@ -120,14 +121,13 @@ def test_flux_linearity():
 
 def test_geometry_depends_only_on_rho():
     # same rho from two (wavelength, radius) pairs; fluxes chosen so the
-    # prefactor F / (h nu k^2) matches
+    # prefactor F / (h nu k^2) matches: nu k^2 goes as lambda^-3
     g1 = default_grating()
     g2 = GratingConfig(laser_wavelength=2.0 * g1.laser_wavelength)
     sp1 = species_for_rho(0.3, g1)
     sp2 = species_for_rho(0.3, g2)
     f1 = 1.0
-    f2 = f1 * (g2.laser_frequency * g2.wavenumber ** 2) / (
-        g1.laser_frequency * g1.wavenumber ** 2)
+    f2 = f1 * (g1.laser_wavelength / g2.laser_wavelength) ** 3
     p1 = absorption_profile(sp1, g1, flux=f1)
     p2 = absorption_profile(sp2, g2, flux=f2)
     assert p2.n0 == pytest.approx(p1.n0, rel=1e-12)

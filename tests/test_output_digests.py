@@ -35,49 +35,49 @@ SWEEP_DIGESTS = {
         (["--config=csl.ini", "--threshold", "0.3"], {"out.csv":
               "aae0ef6c4f45f58d391c8e8616778f001dd4c077f7f3790922a5d4fd0c53de27"}),
     ],
-    "fig2.v12": [
+    "fig2.v13": [
         ([], {"out.csv":
-              "cdd1f8b7121998933010706a3dfe85134c0f21b1c7125d8143b62941c5684ef5"}),
+              "3b6a32ba7a13f92ba8610729ae0efc85169da314f5a2f55f8ed5b10873daa6d0"}),
         (["--mass-range=5:10.5:600", "--target-V=0.85"], {"out.csv":
-              "cd61c1993ad625c29b3796014383a70ee2bf8e6418c1d887b00de08e11420576"}),
+              "411d836991837dcb77598ce588a09e197ffd4fdda326ac371d9b732578f4df85"}),
         (["--mass-range=5:10.5:600", "--target-V=1.2"], {"out.csv":
-              "257ba83e5ac1c2883f4c5a944ced7b10f7b1af500d39fe9220c37d157d6e0fbf"}),
+              "720c55fc38915c9c9b2a34835b2917c00dc444953c65037c6c57802f6c3e9016"}),
         # the benchmark's mass_sweep inputs at seed 1: its jittered grid and target
         (["--mass-range=4.958027753265712:10.466532999800542:600",
           "--target-V=0.8809165024575587"], {"out.csv":
-              "a4b1afa21a23b0c2d32972b37e71d25a692c4ca539c2b692d8dcd763fd40eaa6"}),
+              "20bc81e2a7ab289281881d9c4f20089359cdae3e011d964cfbc8c6a03e961f46"}),
     ],
-    "fig3.v4": [
+    "fig3.v5": [
         ([], {"out_m1e+06.csv":
-              "3d5cc5871912393f2c93676c67d647f3de6ed1a332d2d17ffc3ef4b4c29d4df4",
+              "43ee877c3556629ad4cbbc82160e5f2a268ca3ca91c1b31d02e069467c47c0c5",
               "out_m1e+07.csv":
-              "2a3c6b3d9fd0a5d190adfc2bb9a24a4b74b2a92d5e037d44c01494dae5200941",
+              "ab20e15510eef18c112aa71e964ba52995272c8ed86f06e96b6a07470020c1db",
               "out_m1e+08.csv":
-              "3fbaf1682f5c7328df27343138707612b26a60dfcd4810040d2d2238ded8887c"}),
+              "94dc92c6137c5e90b5c5ded8ea244207501139e4c82f147cd9656109dbcf4b33"}),
         # the benchmark's grid, where the Bose tails take one k term at every temperature
         (["--talbot-order", "1", "--masses", "3e6,1.5e7,5e7", "--p-range=-14:-6:240",
           "--T-range=4:400:240"], {"out_m3e+06.csv":
-              "5bbffe584a52c2eae8829773c04f2127bbcf2bc0de12c4dfdbb91dabfc69509e",
+              "c79f75640b97e5421173d431aa5271d3985f2ccc94bace324cad2013f7639a46",
               "out_m1.5e+07.csv":
-              "12baefa1a183c279f79899abb7fc17f67d7b71b8f5c677a668794d5bc970efa3",
+              "7a7a0f0cf489e507450a644827b74952e6a89751ce9135a956d861a330082c81",
               "out_m5e+07.csv":
-              "ea13c1b74e8a264f24b70c7a893d8f0640768366b7baa54789af226fd4ebfe8d"}),
+              "05c8b55c5613f8c47edccbc80e08c123c28b0655073fe56ba9fe19dc3a1aa3be"}),
     ],
 }
 
 # report command -> SHA-256 of its default stdout
 REPORT_DIGESTS = {
-    "budget": "6688c35c9d692cca5b150cf4623f09e3150e7035e7eca4b904ccc0e404a2fd33",
-    "observables": "34fe6537279939ec09971d08714cde4f57a96c8ae699447f81c6a09e07050052",
+    "budget": "81d29d724b1cf2b088528faac2afedd6f24b7f597ca4c25b64b52f7bae0ffb1d",
+    "observables": "5c52d4560a87b48a6b09d0057c4becb15fb2abadbd2dd6ed19ec2c2b5a434d1c",
 }
 
 # With README's `ini` block as the config file: options -> SHA-256 of the
 # report's stdout, or of out.csv for a sweep
 README_CONFIG_DIGESTS = [
-    (["budget"], "4ec124c5b3e95f9a1f9a9506b0616d2f556325089d3139a2e01b29328e0c7709"),
-    (["observables"], "960ff57308a40e4ce5ad7feb904817c326925d48d9fb84dbe34f92482973308c"),
+    (["budget"], "639541a4cf65bdf8203d38a0d4dd0a686c3ac0777450e83275f7d0d5a4c951ed"),
+    (["observables"], "bdf41d63f66a4bc2b52453279c1e0973575d28ec9fc6177a9f9a7c17058362c5"),
     (["fig2", "--mass-range=5:8:9"],
-     "37d2c1afb4a248418d1541960801c3b1eed6e37f10fc959baf0cb72066a8342b"),
+     "2d597ab5f6248ffb6ba48c1ff862c61db978bec7b485c6307fc10dd3ba54fd9f"),
 ]
 
 
@@ -86,9 +86,9 @@ README_CONFIG_DIGESTS = [
 # rates left to right (sum() rounds differently from CPython 3.12 on)
 CLUSTER_AT_150K_INI = "[environment]\ncluster_temperature_K = 150\n"
 CLUSTER_AT_150K_DIGESTS = {
-    "out_m1e+06.csv": "d1bf2823c6888ea3d3ed0226e93893310293b7d539a0f6b9324b00d8bacd0c72",
-    "out_m1e+07.csv": "8113b0364400817baba2863552f13e3eee547588a45dc79c0446544f33d43d59",
-    "out_m1e+08.csv": "d11acd2d1c4b6574ef2bd7ddea605527f7ac7bde487e9b948119f5b53e43b568",
+    "out_m1e+06.csv": "c61b35b1aa3603c86b997677f86bf7fe62ca36f7ccf4f624dcfff9cdd454d797",
+    "out_m1e+07.csv": "b0e035064404559fe2242c750c372a66ac0bfc7cedd413c2b0613acada3689fa",
+    "out_m1e+08.csv": "60abf5e39a45d9a9c1898975958ed40037c4611c5710000ec2d5797221466473",
 }
 
 

@@ -204,3 +204,39 @@ def test_load_config_rejects_unknown_section(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/nowhere.cfg")
+
+
+def test_only_params_takes_a_cube_root():
+    # x ** (1/3), pow(x, 1/3), x **= 1/3 or a library cbrt outside params
+    # would take a cube root past params._cbrt and its Newton step
+    import ast
+    from pathlib import Path
+
+    import cslsim
+
+    def third(node):
+        """Whether node is a constant expression, such as 1.0 / 3.0, equal to 1/3 or -1/3."""
+        if not all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator,
+                                  ast.unaryop, ast.expr_context)) for n in ast.walk(node)):
+            return False
+        value = eval(compile(ast.Expression(node), "<exponent>", "eval"), {})
+        return isinstance(value, (int, float)) and abs(abs(value) - 1.0 / 3.0) < 1e-9
+
+    found = []
+    for path in sorted(Path(cslsim.__file__).parent.glob("*.py")):
+        if path.name == "params.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                root = third(node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+                root = third(node.value)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                root = name == "cbrt" or (name == "pow" and len(node.args) >= 2
+                                          and third(node.args[1]))
+            else:
+                root = False
+            if root:
+                found.append((path.name, node.lineno))
+    assert found == []

@@ -365,3 +365,29 @@ def test_every_public_function_is_called_by_the_package_or_timed(layer):
               if f.__module__ == module.__name__ and not name.startswith("_")
               and id(f) not in bound and name not in called | timed]
     assert unused == []
+
+
+def test_every_public_property_of_a_value_type_is_read_by_the_package_or_benchmark():
+    # a property that only tests read belongs in the tests as the formula it
+    # computes; a read anywhere in the package's modules or the benchmark's
+    # sources counts, since the benchmark checks its outputs with them
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import perfbench
+    from perfbench.tracing import package_modules
+
+    modules = package_modules()
+    sources = [inspect.getsource(m) for m in modules]
+    sources += [p.read_text() for p in sorted(Path(perfbench.__file__).parent.glob("*.py"))]
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    properties = {f"{cls.__name__}.{name}" for m in modules
+                  for cls in vars(m).values()
+                  if isinstance(cls, type) and cls.__module__ == m.__name__
+                  and issubclass(cls, tuple) and hasattr(cls, "_fields")
+                  for name, value in vars(cls).items()
+                  if isinstance(value, property) and not name.startswith("_")}
+    assert "GratingConfig.period" in properties
+    assert sorted(p for p in properties if p.split(".")[1] not in read) == []
