@@ -72,27 +72,6 @@ class DecoherenceBudget(_value_type("DecoherenceBudget", (
                 + self.rate_bb_emission + self.rate_bb_scattering)
 
 
-def dispersion_coefficient(species: ClusterSpecies, env: EnvironmentConfig) -> float:
-    """Slater-Kirkwood C6 between the cluster and one gas molecule, in J m^6.
-
-    The cluster static polarizability volume is taken as R^3 (conducting
-    sphere limit of Clausius-Mossotti).
-    """
-    a0_cubed = BOHR_RADIUS ** 3
-    alpha_cluster = _radius_cubed(species) / a0_cubed   # atomic units
-    alpha_gas = env.gas_polarizability_volume / a0_cubed
-    n_cluster = species.mass_amu * DEFAULT_MODEL.cluster_electrons_per_amu
-    n_gas = DEFAULT_MODEL.gas_electron_count
-    c6_au = 1.5 * alpha_cluster * alpha_gas / (
-        math.sqrt(alpha_cluster / n_cluster) + math.sqrt(alpha_gas / n_gas))
-    return c6_au * HARTREE_ENERGY * BOHR_RADIUS ** 6
-
-
-def collision_cross_section(speed: float, c6: float) -> float:
-    """Total London-van der Waals cross section at one relative speed."""
-    return DEFAULT_MODEL.c6_prefactor * (c6 / (HBAR * finite("speed", speed))) ** 0.4
-
-
 # (2/sqrt(pi)) Gamma(9/5), the Maxwell-Boltzmann mean of v^(3/5) over v_p^(3/5)
 _MAXWELL_FACTOR = 2.0 / math.sqrt(math.pi) * math.gamma(1.8)
 
@@ -100,9 +79,11 @@ _MAXWELL_FACTOR = 2.0 / math.sqrt(math.pi) * math.gamma(1.8)
 def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     """Residual-gas collision rate n_gas <sigma_tot v>, linear in pressure.
 
-    sigma falls as v^(-2/5), so the Maxwell-Boltzmann mean
-    (4/sqrt(pi)) int u^3 exp(-u^2) sigma(v_p u) v_p du is
-    (2/sqrt(pi)) Gamma(9/5) v_p sigma(v_p), v_p the most probable speed.
+    sigma(v) = c6_prefactor (C6 / hbar v)^(2/5), with the Slater-Kirkwood C6
+    of a cluster whose static polarizability volume is R^3 (the conducting
+    sphere limit of Clausius-Mossotti).  sigma falls as v^(-2/5), so the
+    Maxwell-Boltzmann mean (4/sqrt(pi)) int u^3 exp(-u^2) sigma(v_p u) v_p du
+    is (2/sqrt(pi)) Gamma(9/5) v_p sigma(v_p), v_p the most probable speed.
     """
     if env.gas_pressure == 0.0:
         return 0.0
@@ -110,9 +91,15 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
         n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
     except ZeroDivisionError:
         raise DomainError(f"kB T is 0 at gas temperature {env.gas_temperature} K") from None
-    c6 = dispersion_coefficient(species, env)
+    a0_cubed = BOHR_RADIUS ** 3  # C6 from the polarizabilities in atomic units
+    alpha_cluster = _radius_cubed(species) / a0_cubed
+    alpha_gas = env.gas_polarizability_volume / a0_cubed
+    n_cluster = species.mass_amu * DEFAULT_MODEL.cluster_electrons_per_amu
+    c6 = 1.5 * alpha_cluster * alpha_gas / (math.sqrt(alpha_cluster / n_cluster) + math.sqrt(
+        alpha_gas / DEFAULT_MODEL.gas_electron_count)) * HARTREE_ENERGY * BOHR_RADIUS ** 6
     v_p = math.sqrt(2.0 * BOLTZMANN_KB * env.gas_temperature / env.gas_mass)
-    mean_sigma_v = _MAXWELL_FACTOR * v_p * collision_cross_section(v_p, c6)
+    sigma = DEFAULT_MODEL.c6_prefactor * (c6 / (HBAR * finite("speed", v_p))) ** 0.4
+    mean_sigma_v = _MAXWELL_FACTOR * v_p * sigma
     return n_gas * mean_sigma_v * DEFAULT_MODEL.collision_effectiveness
 
 

@@ -11,17 +11,19 @@ import cslsim.decoherence as decoherence
 from cslsim.decoherence import (
     DEFAULT_MODEL,
     blackbody_rates,
-    collision_cross_section,
     collision_rate,
     critical_contour,
     decoherence_budget,
-    dispersion_coefficient,
 )
 from cslsim.errors import DomainError
 from cslsim.params import (
     ATOMIC_MASS_UNIT,
+    BOHR_RADIUS,
     BOLTZMANN_KB,
+    GOLD_ATOM_MASS_AMU,
+    HARTREE_ENERGY,
     HBAR,
+    PLANCK_H,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
     EnvironmentConfig,
@@ -73,14 +75,28 @@ def blackbody_oracle(species, grating, temperature, cluster_temperature=None):
 
 
 def collision_oracle(species, environment):
-    """n_gas <sigma v> by adaptive quadrature over the Maxwell-Boltzmann speeds."""
-    c6 = dispersion_coefficient(species, environment)
-    v_p = math.sqrt(2.0 * BOLTZMANN_KB * environment.gas_temperature / environment.gas_mass)
-    value, _ = quad(lambda u: u ** 3 * math.exp(-u * u)
-                    * collision_cross_section(v_p * u, c6),
-                    1e-12, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    n_gas = environment.gas_pressure / (BOLTZMANN_KB * environment.gas_temperature)
-    return n_gas * 4.0 / math.sqrt(math.pi) * v_p * value * DEFAULT_MODEL.collision_effectiveness
+    """n_gas <sigma v> by quadrature over the Maxwell-Boltzmann speeds, at 30
+    digits, with sigma(v) = 7.57 (C6 / hbar v)^(2/5) and the Slater-Kirkwood
+    C6 of a gold cluster of static polarizability volume R^3 = 3 m / (4 pi rho)
+    (11 valence electrons per atom) and an N2 molecule (10 electrons)."""
+    with mp.workdps(30):
+        a0_cubed = mp.mpf(BOHR_RADIUS) ** 3
+        alpha_c = 3 * mp.mpf(species.mass) / (4 * mp.pi * species.bulk_density) / a0_cubed
+        alpha_g = environment.gas_polarizability_volume / a0_cubed
+        electrons_c = species.mass / ATOMIC_MASS_UNIT * mp.mpf(11) / GOLD_ATOM_MASS_AMU
+        c6 = (mp.mpf(3) / 2 * alpha_c * alpha_g
+              / (mp.sqrt(alpha_c / electrons_c) + mp.sqrt(alpha_g / 10))
+              * HARTREE_ENERGY * a0_cubed ** 2)
+        kt = BOLTZMANN_KB * mp.mpf(environment.gas_temperature)
+        v_p = mp.sqrt(2 * kt / environment.gas_mass)
+        hbar = PLANCK_H / (2 * mp.pi)
+
+        def sigma(v):
+            return mp.mpf("7.57") * (c6 / (hbar * v)) ** (mp.mpf(2) / 5)
+
+        mean_sigma_v = 4 / mp.sqrt(mp.pi) * v_p * mp.quad(
+            lambda u: u ** 3 * mp.exp(-u * u) * sigma(v_p * u), [0, 1, mp.inf])
+        return float(environment.gas_pressure / kt * mean_sigma_v)
 
 
 @pytest.mark.parametrize("mass", [1e5, 1e6, 1e7, 1e8])
@@ -270,20 +286,19 @@ def test_collision_rate_linear_in_pressure():
     assert r1 > 0.0
 
 
-def test_cross_section_speed_power_law():
-    c6 = dispersion_coefficient(gold_cluster(1e6), env(1e-9))
-    s1 = collision_cross_section(100.0, c6)
-    s2 = collision_cross_section(200.0, c6)
-    assert s1 / s2 == pytest.approx(2.0 ** 0.4, rel=1e-12)
-    with pytest.raises(DomainError):
-        collision_cross_section(0.0, c6)
+def test_collision_rate_falls_as_temperature_to_the_minus_seven_tenths():
+    # at fixed pressure n_gas ~ 1/T, and v_p sigma(v_p) ~ v_p^(3/5) ~ T^(3/10)
+    species = gold_cluster(1e6)
+    for gas_T in (4.0, 77.0, 300.0):
+        ratio = collision_rate(species, env(1e-9, gas_T=gas_T)) / collision_rate(
+            species, env(1e-9, gas_T=2.0 * gas_T))
+        assert ratio == pytest.approx(2.0 ** 0.7, rel=1e-14)
 
 
-def test_dispersion_coefficient_grows_with_cluster_size():
+def test_collision_rate_grows_with_cluster_mass():
     e = env(1e-9)
-    c6_small = dispersion_coefficient(gold_cluster(1e5), e)
-    c6_large = dispersion_coefficient(gold_cluster(1e8), e)
-    assert c6_large > c6_small > 0.0
+    rates = [collision_rate(gold_cluster(mass), e) for mass in (1e5, 1e6, 1e7, 1e8)]
+    assert 0.0 < rates[0] < rates[1] < rates[2] < rates[3]
 
 
 def test_blackbody_radius_scaling():

@@ -42,8 +42,6 @@ CHECKS = {
     "transmissivity-n1": ("n1", True, lambda v: interferometer.transmissivity(1.0, v)),
     "exclusion_boundary-grid": ("lambda0 grid value", False, lambda v: csl.exclusion_boundary(
         GRATING, params.CslParams(), [1e-10, v])[1]),
-    "collision_cross_section-speed": ("speed", False,
-                                      lambda v: decoherence.collision_cross_section(v, 1e-70)),
     "critical_contour-pressure": ("grid pressure", False, lambda v: decoherence.critical_contour(
         SPECIES, GRATING, [1e-7, v], [100.0, 200.0])),
     "critical_contour-temperature": ("grid temperature", False,
