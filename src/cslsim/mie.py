@@ -118,11 +118,9 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
             s0 += d0
             s1 += d1
             # max(abs(s0), abs(s1), 1e-300) without the call, which costs a tenth of
-            # the loop; compared in max()'s order, so a NaN s0 still gives a NaN bound
+            # the loop: a passive sphere's orders add sigma_E >= 0 and -sigma_H >= 0,
+            # so |S1| <= S0 and abs(s1) never wins; a NaN s0 still gives a NaN bound
             bound = abs(s0)
-            h = abs(s1)
-            if h > bound:
-                bound = h
             if bound < 1e-300:
                 bound = 1e-300
             bound *= _TAIL_TOL
