@@ -323,7 +323,7 @@ def _fig3_files(args: dict, out: str | None) -> dict:
 SWEEPS = {
     "fig1": ("fig1.v5", _fig1_args, _fig1_files),
     "fig2": ("fig2.v13", _fig2_args, _fig2_files),
-    "fig3": ("fig3.v5", _fig3_args, _fig3_files),
+    "fig3": ("fig3.v6", _fig3_args, _fig3_files),
 }
 
 

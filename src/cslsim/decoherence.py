@@ -13,6 +13,7 @@ import math
 
 from .errors import DomainError, finite, open_interval
 from .params import (
+    ATOMIC_MASS_UNIT,
     BOHR_RADIUS,
     BOLTZMANN_KB,
     GOLD_ATOM_MASS_AMU,
@@ -24,6 +25,7 @@ from .params import (
     EnvironmentConfig,
     GratingConfig,
     _radius_cubed,
+    _two_fifths,
     _value_type,
     total_interference_time,
 )
@@ -87,10 +89,6 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     """
     if env.gas_pressure == 0.0:
         return 0.0
-    try:
-        n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
-    except ZeroDivisionError:
-        raise DomainError(f"kB T is 0 at gas temperature {env.gas_temperature} K") from None
     a0_cubed = BOHR_RADIUS ** 3  # C6 from the polarizabilities in atomic units
     alpha_cluster = _radius_cubed(species) / a0_cubed
     alpha_gas = env.gas_polarizability_volume / a0_cubed
@@ -98,7 +96,12 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     c6 = 1.5 * alpha_cluster * alpha_gas / (math.sqrt(alpha_cluster / n_cluster) + math.sqrt(
         alpha_gas / DEFAULT_MODEL.gas_electron_count)) * HARTREE_ENERGY * BOHR_RADIUS ** 6
     v_p = math.sqrt(2.0 * BOLTZMANN_KB * env.gas_temperature / env.gas_mass)
-    sigma = DEFAULT_MODEL.c6_prefactor * (c6 / (HBAR * finite("speed", v_p))) ** 0.4
+    if not 0.0 < v_p < math.inf:  # 0 also where kB T underflows: n_gas divides by no 0
+        raise DomainError(f"the gas speed is out of float range at gas temperature "
+                          f"{env.gas_temperature} K and gas mass "
+                          f"{env.gas_mass / ATOMIC_MASS_UNIT} amu")
+    n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
+    sigma = DEFAULT_MODEL.c6_prefactor * _two_fifths(c6 / (HBAR * v_p))
     mean_sigma_v = _MAXWELL_FACTOR * v_p * sigma
     return n_gas * mean_sigma_v * DEFAULT_MODEL.collision_effectiveness
 

@@ -182,6 +182,17 @@ def _cbrt(x: float) -> float:
     return y + (x / (y * y) - y) / 3.0 if 0.0 < y < math.inf else y
 
 
+def _two_fifths(x: float) -> float:
+    """x^(2/5) for x >= 0: y = x ** 0.4, whose exponent is 2.2e-17 above 2/5,
+    and one Newton step on y^5 = x^2, whose x / (y y) stays in range at both
+    float edges; 0 and inf come back as they are."""
+    y = x ** 0.4
+    if 0.0 < y < math.inf:
+        h = x / (y * y)
+        return y + (h * h - y) / 5.0
+    return y
+
+
 def _radius_cubed(species: ClusterSpecies) -> float:
     """R^3 = 3 m / (4 pi rho), the sphere's volume over 4 pi / 3."""
     return 3.0 * species.mass / (4.0 * math.pi * species.bulk_density)

@@ -166,7 +166,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
     assert run(["fig3", "--masses", "1e6,3e7", "--p-range=-14:-6:13",
                 "--T-range=4:400:13", "--out", str(out)]) == EXIT_OK
     meta = json.loads((tmp_path / "fig3.csv.manifest.json").read_text())
-    assert meta["schema"] == "fig3.v5"
+    assert meta["schema"] == "fig3.v6"
     assert not (tmp_path / "fig3.csv.model.json").exists()
     replay = tmp_path / "replay.csv"
     assert run(["rerun", "--manifest", str(tmp_path / "fig3.csv.manifest.json"),
@@ -181,7 +181,7 @@ def test_manifest_rerun_fig3_byte_identical(tmp_path):
                                     "fig2.v3", "fig2.v4", "fig2.v5", "fig2.v6", "fig2.v7",
                                     "fig2.v8", "fig2.v10", "fig2.v11", "fig3.v1",
                                     "fig3.v2", "fig1.v4", "fig3.v3", "fig2.v12",
-                                    "fig3.v4"])
+                                    "fig3.v4", "fig3.v5"])
 def test_rerun_refuses_another_schema(tmp_path, schema):
     command = schema.split(".")[0]
     sweep = {"fig1": ["--lambda0-range=-12:-10:3"],
@@ -490,12 +490,12 @@ def test_every_default_fig1_row_is_within_its_measured_error_of_40_digits():
 
 # The exposure (a p + b(T)) t_total at a vertex of the default 1e7 amu
 # contour meets -ln 0.5 within these tolerances.  Measured at every tenth
-# vertex: 2.1e-15 on a grid temperature line, where p is solved in closed
-# form (the collision rate's exponent 0.4 is the double above 2/5, which
-# moves its power of C6 / hbar v ~ 2e-41 by 2e-15), and 1.1e-13 on a grid
-# pressure line, where the temperature solve stops once
+# vertex: 3.5e-16 on a grid temperature line, where p is solved in closed
+# form, to which the bound adds 1.5e-16, about one rounding of the exposure
+# (2.1e-15 when the collision rate took its 2/5 power as x ** 0.4); and
+# 1.1e-13 on a grid pressure line, where the temperature solve stops once
 # |ln(b / target)| <= 1e-12, the bound below.
-FIG3_ON_TEMPERATURE_LINE = 3e-15
+FIG3_ON_TEMPERATURE_LINE = 5e-16
 FIG3_ON_PRESSURE_LINE = 1e-12
 
 
@@ -858,6 +858,23 @@ def test_a_temperature_past_float_range_is_usage_error(tmp_path, monkeypatch, ca
     assert captured.out == ""
     assert f"{temperature} K" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("gas_mass_amu, temperature, message", [
+    # v_p = sqrt(2 kB T / m) underflows to 0, and overflows in a subnormal kg mass
+    ("1e30", "1e-300", "gas temperature 1e-300 K and gas mass 1e+30 amu"),
+    ("1e-290", "1e+20", "gas temperature 1e+20 K and gas mass 9.999998548494028e-291 amu"),
+])
+def test_a_gas_speed_past_float_range_names_the_gas_temperature_and_mass(
+        tmp_path, monkeypatch, capsys, gas_mass_amu, temperature, message):
+    monkeypatch.chdir(tmp_path)
+    Path("gas.ini").write_text(f"[environment]\ngas_mass_amu = {gas_mass_amu}\n")
+    assert run(["--config", "gas.ini", "budget", "--temperature-K", temperature,
+                "--pressure-mbar", "1e-10"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: the gas speed is out of float range at {message}\n" == captured.err
+    assert os.listdir(tmp_path) == ["gas.ini"]
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -267,11 +267,12 @@ def test_collision_rate_at_an_underflowing_temperature_is_a_domain_error():
 
 
 def test_collision_rate_matches_quadrature_oracle():
+    # measured: 2.2e-16 (2.1e-15 when the 2/5 power was x ** 0.4)
     for mass in (1e5, 1e6, 1e7, 1e8):
         for gas_T in (4.0, 77.0, 300.0, 1000.0):
             e = env(1e-9, gas_T=gas_T)
             assert collision_rate(gold_cluster(mass), e) == pytest.approx(
-                collision_oracle(gold_cluster(mass), e), rel=1e-9)
+                collision_oracle(gold_cluster(mass), e), rel=1e-15)
 
 
 def test_collision_rate_vanishes_in_perfect_vacuum():

@@ -47,21 +47,21 @@ SWEEP_DIGESTS = {
           "--target-V=0.8809165024575587"], {"out.csv":
               "20bc81e2a7ab289281881d9c4f20089359cdae3e011d964cfbc8c6a03e961f46"}),
     ],
-    "fig3.v5": [
+    "fig3.v6": [
         ([], {"out_m1e+06.csv":
-              "43ee877c3556629ad4cbbc82160e5f2a268ca3ca91c1b31d02e069467c47c0c5",
+              "f7e15efa3d8bf99b8baed491e28a6abf5ab7f05d045b1824d2156db0844b2b0d",
               "out_m1e+07.csv":
-              "ab20e15510eef18c112aa71e964ba52995272c8ed86f06e96b6a07470020c1db",
+              "ee240cab4210ec5be1306b6abb1b5798569bfe9b2f107d3a1491ef494dd96d20",
               "out_m1e+08.csv":
-              "94dc92c6137c5e90b5c5ded8ea244207501139e4c82f147cd9656109dbcf4b33"}),
+              "ec00f1d68cf08317bd51653f7d4dea74b73c76b9e13d9d200df1f899cad52c18"}),
         # the benchmark's grid, where the Bose tails take one k term at every temperature
         (["--talbot-order", "1", "--masses", "3e6,1.5e7,5e7", "--p-range=-14:-6:240",
           "--T-range=4:400:240"], {"out_m3e+06.csv":
-              "c79f75640b97e5421173d431aa5271d3985f2ccc94bace324cad2013f7639a46",
+              "beb7b32426502b2328010a4bdde5e68e0dde99b80d98d758dbc0079850ca4573",
               "out_m1.5e+07.csv":
-              "7a7a0f0cf489e507450a644827b74952e6a89751ce9135a956d861a330082c81",
+              "83aa8a00bdc444e23c8743af7fd2913ef1c4d1e9340077afd116c86baa0d8ba9",
               "out_m5e+07.csv":
-              "05c8b55c5613f8c47edccbc80e08c123c28b0655073fe56ba9fe19dc3a1aa3be"}),
+              "08998ac8ebebbf72c033185de28a8b01498835d5a43a55768377f159a677d6ca"}),
     ],
 }
 
@@ -74,7 +74,7 @@ REPORT_DIGESTS = {
 # With README's `ini` block as the config file: options -> SHA-256 of the
 # report's stdout, or of out.csv for a sweep
 README_CONFIG_DIGESTS = [
-    (["budget"], "639541a4cf65bdf8203d38a0d4dd0a686c3ac0777450e83275f7d0d5a4c951ed"),
+    (["budget"], "a79f17f62d5b33cd4ff5d1e01b719df9763c3308342fc0c8b5b3085b586c8ec0"),
     (["observables"], "bdf41d63f66a4bc2b52453279c1e0973575d28ec9fc6177a9f9a7c17058362c5"),
     (["fig2", "--mass-range=5:8:9"],
      "2d597ab5f6248ffb6ba48c1ff862c61db978bec7b485c6307fc10dd3ba54fd9f"),
@@ -86,9 +86,9 @@ README_CONFIG_DIGESTS = [
 # rates left to right (sum() rounds differently from CPython 3.12 on)
 CLUSTER_AT_150K_INI = "[environment]\ncluster_temperature_K = 150\n"
 CLUSTER_AT_150K_DIGESTS = {
-    "out_m1e+06.csv": "c61b35b1aa3603c86b997677f86bf7fe62ca36f7ccf4f624dcfff9cdd454d797",
-    "out_m1e+07.csv": "b0e035064404559fe2242c750c372a66ac0bfc7cedd413c2b0613acada3689fa",
-    "out_m1e+08.csv": "60abf5e39a45d9a9c1898975958ed40037c4611c5710000ec2d5797221466473",
+    "out_m1e+06.csv": "6377545cc3d14d95682777c62f5e59b5cc899262d6f683acd888df288e92ca65",
+    "out_m1e+07.csv": "d22f0f441c2186137471307b1c1f9a87b529b2f80f8628f762d575d86322657b",
+    "out_m1e+08.csv": "3fb4d08b4eb6ba930b8af2b7577699eee9fbb955fde6208a996f4310038099fa",
 }
 
 

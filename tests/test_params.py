@@ -208,35 +208,44 @@ def test_load_config_missing_file():
 
 def test_only_params_takes_a_cube_root():
     # x ** (1/3), pow(x, 1/3), x **= 1/3 or a library cbrt outside params
-    # would take a cube root past params._cbrt and its Newton step
+    # would take a cube root past params._cbrt and its Newton step, and
+    # x ** 0.4 or pow(x, 2 / 5) a 2/5 power past params._two_fifths
     import ast
     from pathlib import Path
 
     import cslsim
 
-    def third(node):
-        """Whether node is a constant expression, such as 1.0 / 3.0, equal to 1/3 or -1/3."""
+    def ruled(node):
+        """Whether node is a constant expression, such as 1.0 / 3.0 or 2 / 5,
+        equal to 1/3, -1/3, 2/5 or -2/5."""
         if not all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator,
                                   ast.unaryop, ast.expr_context)) for n in ast.walk(node)):
             return False
         value = eval(compile(ast.Expression(node), "<exponent>", "eval"), {})
-        return isinstance(value, (int, float)) and abs(abs(value) - 1.0 / 3.0) < 1e-9
+        return isinstance(value, (int, float)) and any(
+            abs(abs(value) - power) < 1e-9 for power in (1.0 / 3.0, 0.4))
 
-    found = []
-    for path in sorted(Path(cslsim.__file__).parent.glob("*.py")):
-        if path.name == "params.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
+    def taken(source):
+        """The sorted line numbers at which source takes a ruled power or a cbrt."""
+        lines = []
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-                root = third(node.right)
+                root = ruled(node.right)
             elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
-                root = third(node.value)
+                root = ruled(node.value)
             elif isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 root = name == "cbrt" or (name == "pow" and len(node.args) >= 2
-                                          and third(node.args[1]))
+                                          and ruled(node.args[1]))
             else:
                 root = False
             if root:
-                found.append((path.name, node.lineno))
+                lines.append(node.lineno)
+        return sorted(lines)
+
+    # each spelling is caught, and the Halley start's fourth root is not
+    assert taken("a = x ** 0.4\nb = pow(x, 2 / 5)\nx **= -1.0 / 3.0\nc = math.cbrt(x)\n"
+                 "d = (16.0 * v_target) ** 0.25\n") == [1, 2, 3, 4]
+    found = [(path.name, line) for path in sorted(Path(cslsim.__file__).parent.glob("*.py"))
+             if path.name != "params.py" for line in taken(path.read_text())]
     assert found == []
