@@ -117,9 +117,8 @@ def absorption_sums(rho: float, eps: complex) -> tuple[float, float, int]:
             sign = -sign
             s0 += d0
             s1 += d1
-            # max(abs(s0), abs(s1), 1e-300) without the call, which costs a tenth of
-            # the loop: a passive sphere's orders add sigma_E >= 0 and -sigma_H >= 0,
-            # so |S1| <= S0 and abs(s1) never wins; a NaN s0 still gives a NaN bound
+            # the bound max(abs(s0), 1e-300) without the call, which costs a tenth of the
+            # loop; a passive sphere's orders add sigma_E >= 0 and -sigma_H >= 0, so |S1| <= S0
             bound = abs(s0)
             if bound < 1e-300:
                 bound = 1e-300

@@ -491,10 +491,9 @@ def test_every_default_fig1_row_is_within_its_measured_error_of_40_digits():
 # The exposure (a p + b(T)) t_total at a vertex of the default 1e7 amu
 # contour meets -ln 0.5 within these tolerances.  Measured at every tenth
 # vertex: 3.5e-16 on a grid temperature line, where p is solved in closed
-# form, to which the bound adds 1.5e-16, about one rounding of the exposure
-# (2.1e-15 when the collision rate took its 2/5 power as x ** 0.4); and
-# 1.1e-13 on a grid pressure line, where the temperature solve stops once
-# |ln(b / target)| <= 1e-12, the bound below.
+# form, to which the bound adds 1.5e-16, about one rounding of the
+# exposure; and 1.1e-13 on a grid pressure line, where the temperature
+# solve stops once |ln(b / target)| <= 1e-12, the bound below.
 FIG3_ON_TEMPERATURE_LINE = 5e-16
 FIG3_ON_PRESSURE_LINE = 1e-12
 
