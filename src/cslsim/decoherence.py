@@ -74,7 +74,6 @@ class DecoherenceBudget(_value_type("DecoherenceBudget", (
                 + self.rate_bb_emission + self.rate_bb_scattering)
 
 
-# (2/sqrt(pi)) Gamma(9/5), the Maxwell-Boltzmann mean of v^(3/5) over v_p^(3/5)
 _MAXWELL_FACTOR = 2.0 / math.sqrt(math.pi) * math.gamma(1.8)
 
 
@@ -95,12 +94,13 @@ def collision_rate(species: ClusterSpecies, env: EnvironmentConfig) -> float:
     n_cluster = species.mass_amu * DEFAULT_MODEL.cluster_electrons_per_amu
     c6 = 1.5 * alpha_cluster * alpha_gas / (math.sqrt(alpha_cluster / n_cluster) + math.sqrt(
         alpha_gas / DEFAULT_MODEL.gas_electron_count)) * HARTREE_ENERGY * BOHR_RADIUS ** 6
-    v_p = math.sqrt(2.0 * BOLTZMANN_KB * env.gas_temperature / env.gas_mass)
+    kt = BOLTZMANN_KB * env.gas_temperature
+    v_p = math.sqrt(2.0 * kt / env.gas_mass)
     if not 0.0 < v_p < math.inf:  # 0 also where kB T underflows: n_gas divides by no 0
         raise DomainError(f"the gas speed is out of float range at gas temperature "
                           f"{env.gas_temperature} K and gas mass "
                           f"{env.gas_mass / ATOMIC_MASS_UNIT} amu")
-    n_gas = env.gas_pressure / (BOLTZMANN_KB * env.gas_temperature)
+    n_gas = env.gas_pressure / kt
     sigma = DEFAULT_MODEL.c6_prefactor * _two_fifths(c6 / (HBAR * v_p))
     mean_sigma_v = _MAXWELL_FACTOR * v_p * sigma
     return n_gas * mean_sigma_v * DEFAULT_MODEL.collision_effectiveness

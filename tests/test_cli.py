@@ -847,6 +847,8 @@ FIG3_SMALL = ["fig3", "--masses", "1e7", "--p-range=-14:-6:3"]
     ([*FIG3_SMALL, "--T-range=4:1e250:3"], "5e+249"),
     ([*FIG3_SMALL, "--T-range=1e-300:1e5:3"], "1e-300"),
     ([*FIG3_SMALL, "--T-range=1:1e300:3"], "1e+300"),
+    # kB T rounds to 0 here, while 2 kB T rounds to the least subnormal
+    (["budget", "--pressure-mbar", "1", "--temperature-K", "1e-301"], "1e-301"),
 ])
 def test_a_temperature_past_float_range_is_usage_error(tmp_path, monkeypatch, capsys,
                                                        argv, temperature):
@@ -859,20 +861,23 @@ def test_a_temperature_past_float_range_is_usage_error(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("gas_mass_amu, temperature, message", [
+@pytest.mark.parametrize("gas_mass_amu, temperature", [
     # v_p = sqrt(2 kB T / m) underflows to 0, and overflows in a subnormal kg mass
-    ("1e30", "1e-300", "gas temperature 1e-300 K and gas mass 1e+30 amu"),
-    ("1e-290", "1e+20", "gas temperature 1e+20 K and gas mass 9.999998548494028e-291 amu"),
+    ("1e30", "1e-300"),
+    ("1e-290", "1e+20"),
 ])
 def test_a_gas_speed_past_float_range_names_the_gas_temperature_and_mass(
-        tmp_path, monkeypatch, capsys, gas_mass_amu, temperature, message):
+        tmp_path, monkeypatch, capsys, gas_mass_amu, temperature):
     monkeypatch.chdir(tmp_path)
     Path("gas.ini").write_text(f"[environment]\ngas_mass_amu = {gas_mass_amu}\n")
     assert run(["--config", "gas.ini", "budget", "--temperature-K", temperature,
                 "--pressure-mbar", "1e-10"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: the gas speed is out of float range at {message}\n" == captured.err
+    assert captured.err.startswith("error: the gas speed is out of float range at "
+                                   f"gas temperature {temperature} K and gas mass ")
+    if gas_mass_amu == "1e30":  # a subnormal kg mass reads back in amu with an error
+        assert captured.err.endswith(" 1e+30 amu\n")
     assert os.listdir(tmp_path) == ["gas.ini"]
 
 

@@ -261,18 +261,22 @@ def test_blackbody_rates_past_float_range_are_domain_errors(temperature):
             blackbody_rates(gold_cluster(1e7), grating, *temperatures)
 
 
-def test_collision_rate_at_an_underflowing_temperature_is_a_domain_error():
-    with pytest.raises(DomainError, match="1e-320 K"):
-        collision_rate(gold_cluster(1e6), env(1.0, gas_T=1e-320))
+# kB T is 0 at 1e-320 K; at 1e-301 K kB T is 0 too, but 2 kB T is not
+@pytest.mark.parametrize("gas_T", [1e-320, 1e-301])
+def test_collision_rate_at_an_underflowing_temperature_is_a_domain_error(gas_T):
+    with pytest.raises(DomainError, match=re.escape(f"{gas_T} K")):
+        collision_rate(gold_cluster(1e6), env(1.0, gas_T=gas_T))
 
 
-def test_collision_rate_matches_quadrature_oracle():
-    # measured: 2.2e-16, a few roundings of the closed form
-    for mass in (1e5, 1e6, 1e7, 1e8):
-        for gas_T in (4.0, 77.0, 300.0, 1000.0):
-            e = env(1e-9, gas_T=gas_T)
-            assert collision_rate(gold_cluster(mass), e) == pytest.approx(
-                collision_oracle(gold_cluster(mass), e), rel=1e-15)
+# each doubled temperature also holds rate(T) / rate(2T) to the oracle's 2^0.7
+# at fixed pressure (n_gas ~ 1/T, v_p sigma(v_p) ~ T^(3/10))
+@pytest.mark.parametrize("mass", [1e5, 1e6, 1e7, 1e8])
+def test_collision_rate_matches_quadrature_oracle(mass):
+    # measured: 4.2e-16 (1e8 amu, 8 K), a few roundings of the closed form
+    for gas_T in (4.0, 8.0, 77.0, 154.0, 300.0, 600.0, 1000.0):
+        e = env(1e-9, gas_T=gas_T)
+        assert collision_rate(gold_cluster(mass), e) == pytest.approx(
+            collision_oracle(gold_cluster(mass), e), rel=1e-15)
 
 
 def test_collision_rate_vanishes_in_perfect_vacuum():
@@ -285,21 +289,6 @@ def test_collision_rate_linear_in_pressure():
     r2 = collision_rate(species, env(2e-9))
     assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
     assert r1 > 0.0
-
-
-def test_collision_rate_falls_as_temperature_to_the_minus_seven_tenths():
-    # at fixed pressure n_gas ~ 1/T, and v_p sigma(v_p) ~ v_p^(3/5) ~ T^(3/10)
-    species = gold_cluster(1e6)
-    for gas_T in (4.0, 77.0, 300.0):
-        ratio = collision_rate(species, env(1e-9, gas_T=gas_T)) / collision_rate(
-            species, env(1e-9, gas_T=2.0 * gas_T))
-        assert ratio == pytest.approx(2.0 ** 0.7, rel=1e-14)
-
-
-def test_collision_rate_grows_with_cluster_mass():
-    e = env(1e-9)
-    rates = [collision_rate(gold_cluster(mass), e) for mass in (1e5, 1e6, 1e7, 1e8)]
-    assert 0.0 < rates[0] < rates[1] < rates[2] < rates[3]
 
 
 def test_blackbody_radius_scaling():
