@@ -33,7 +33,7 @@ from .errors import (
 )
 from .interferometer import (
     flux_for_target_visibility,
-    observables_from_profile,
+    observables,
     transmissivity,
 )
 from .mie import absorption_profile
@@ -241,8 +241,8 @@ def _fig2_files(args: dict, out: str | None) -> dict:
         except UnachievableTargetError:
             cells = math.nan, math.nan, math.nan, math.nan, "unreachable"
         else:
-            unit = absorption_profile(sp, grating, 1.0)  # the flux solve's, from the cache
-            n0, n1 = unit.n0 * flux, abs(unit.n1) * flux  # the amplitude: V and T are even in n1
+            profile = absorption_profile(sp, grating, flux)  # the flux solve's sums, cached
+            n0, n1 = profile.n0, abs(profile.n1)  # the amplitude: V and T are even in n1
             cells = flux, n0, n1, transmissivity(n0, n1), "ok"
         rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
                     % (mass_amu, cluster_radius(sp) * 1e9, *cells))
@@ -359,15 +359,15 @@ def _budget(ns, config: RunConfig) -> dict:
 
 
 def _observables(ns, config: RunConfig) -> dict:
-    # absorption_profile raises unless the multipole sums converged
-    profile = absorption_profile(config.species, config.grating)
-    obs = observables_from_profile(profile)
+    # absorption_profile raises unless the multipole sums converged; l_max reads them cached
+    obs = observables(config.species, config.grating)
+    l_max = absorption_profile(config.species, config.grating).truncation_order
     return {
         "species": _species_dict(config.species),
         "grating": _grating_dict(config.grating),
         "n0": obs.n0, "n1": obs.n1,
         "V": obs.visibility, "T": obs.transmissivity,
-        "l_max": profile.truncation_order,
+        "l_max": l_max,
     }
 
 

@@ -279,9 +279,11 @@ def critical_contour(species: ClusterSpecies, grating: GratingConfig,
                           f"and grating period {grating.period} m")
     budget = -math.log(level) / t_total
     coll_coeff = collision_rate(species, base_env._replace(gas_pressure=1.0))
-    if coll_coeff == 0.0:
-        raise DomainError(f"the collision rate per Pa underflows to 0 at mass {species.mass} kg "
-                          f"and density {species.bulk_density} kg/m^3")
+    if not 0.0 < coll_coeff < math.inf:
+        raise DomainError(f"the collision rate per Pa is out of float range at mass {species.mass}"
+                          f" kg, density {species.bulk_density} kg/m^3, gas temperature "
+                          f"{base_env.gas_temperature} K and gas mass "
+                          f"{base_env.gas_mass / ATOMIC_MASS_UNIT} amu")
 
     cluster_temperature = base_env.cluster_temperature
 

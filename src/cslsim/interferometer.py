@@ -11,7 +11,7 @@ import functools
 import math
 
 from .errors import DomainError, UnachievableTargetError, finite, open_interval
-from .mie import AbsorptionProfile, absorption_profile
+from .mie import absorption_profile
 from .params import ClusterSpecies, GratingConfig, _value_type
 from .specfun import _iv012_scaled, bessel_I_scaled
 
@@ -56,10 +56,6 @@ def observables(species: ClusterSpecies, grating: GratingConfig,
                 flux: float | None = None) -> FringeObservables:
     """Fringe observables for a species in a given grating at a given flux."""
     profile = absorption_profile(species, grating, flux)
-    return observables_from_profile(profile)
-
-
-def observables_from_profile(profile: AbsorptionProfile) -> FringeObservables:
     # V and T are even in n1: they read the amplitude, and n1 keeps its sign
     return FringeObservables(
         visibility=visibility(abs(profile.n1)),

@@ -157,12 +157,13 @@ def absorption_profile(species: ClusterSpecies, grating: GratingConfig,
     k = 2.0 * math.pi / wavelength
     rho = k * radius
     s0, s1, used = _unit_sums(rho, species.permittivity)
-    try:
-        prefactor = 4.0 * flux / (PLANCK_H * (SPEED_OF_LIGHT / wavelength) * k * k)
+    try:  # the unit-flux prefactor 4 / (h nu k^2); n0 and n1 are linear in the flux
+        unit = 4.0 / (PLANCK_H * (SPEED_OF_LIGHT / wavelength) * k * k)
     except ZeroDivisionError:  # h nu k^2 underflows
-        prefactor = math.inf
-    if prefactor == math.inf:  # or h nu k^2 is small enough that the quotient overflows
-        raise DomainError(f"the absorption prefactor is out of float range at laser "
-                          f"wavelength {wavelength} m and flux {flux} J/m^2")
-    return AbsorptionProfile(prefactor * s0, prefactor * s1, used)
+        unit = math.inf
+    n0 = unit * s0 * flux
+    if not n0 < math.inf:  # inf, or nan from an infinite prefactor times 0
+        raise DomainError(f"n0 is out of float range at laser wavelength {wavelength} m "
+                          f"and flux {flux} J/m^2")
+    return AbsorptionProfile(n0, unit * s1 * flux, used)
 

@@ -31,7 +31,8 @@ from cslsim.cli import (
     build_parser,
     main,
 )
-from cslsim.interferometer import flux_for_target_visibility, transmissivity, visibility
+from cslsim.interferometer import (flux_for_target_visibility, observables, transmissivity,
+                                   visibility)
 from cslsim.mie import absorption_profile
 from cslsim.params import CslParams, RunConfig, default_grating, gold_cluster
 from oracles import (
@@ -587,14 +588,18 @@ def test_fig2_rows_are_consistent(lo, span, steps, target_v):
     ns = build_parser().parse_args(
         ["fig2", f"--mass-range={lo!r}:{lo + span!r}:{steps}", f"--target-V={target_v!r}"])
     (text,) = files(args_from(ns, RunConfig()), None).values()
-    period_nm = default_grating().period * 1e9
+    grating = default_grating()
+    period_nm = grating.period * 1e9
     for row in text.splitlines()[1:]:
-        _, radius_nm, flux, n0, n1, _, status = row.split(",")
+        mass, radius_nm, flux, n0, n1, t, status = row.split(",")
         assert (status == "geometry_error") == (float(radius_nm) >= period_nm)
         if status != "geometry_error":
             assert status == "ok" and float(n1) > 0.0
             assert math.isfinite(float(flux))
             assert float(n1) <= float(n0) * (1.0 + 1e-12)
+            # the row is the library's profile at its flux, bit for bit
+            obs = observables(gold_cluster(float(mass)), grating, float(flux))
+            assert (obs.n0, abs(obs.n1), obs.transmissivity) == (float(n0), float(n1), float(t))
 
 
 def test_fig2_unreachable_target_marks_every_row(tmp_path):
@@ -781,7 +786,7 @@ def test_observables_at_a_saturating_flux_reports_v_two(capsys):
 @pytest.mark.parametrize("flux, code", [("2e304", EXIT_OK), ("3e304", EXIT_USAGE)])
 def test_observables_at_a_modulation_near_the_float_range(tmp_path, capsys, flux, code):
     # at 1e9 amu, flux 2e304 gives n1 = 4.6e307, past where 2 pi n1 overflows;
-    # at 3e304, n0 overflows and is refused
+    # at 3e304, n0 overflows and the profile refuses it, naming the flux
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEXT.replace("mass_amu = 1e6", "mass_amu = 1e9"))
     assert run(["--config", str(cfg), "observables", "--flux", flux]) == code
@@ -790,7 +795,9 @@ def test_observables_at_a_modulation_near_the_float_range(tmp_path, capsys, flux
         data = _strict_json(captured.out)
         assert data["n1"] > 2.87e307 and data["V"] == 2.0 and data["T"] == 0.0
     else:
-        assert captured.out == "" and "n0 must be >= 0 and finite, got inf" in captured.err
+        assert captured.out == ""
+        assert "error: n0 is out of float range at laser wavelength" in captured.err
+        assert captured.err.endswith(f" m and flux {float(flux)!r} J/m^2\n")
 
 
 def test_observables_read_the_amplitude_of_an_antiphase_modulation(tmp_path, capsys):
@@ -804,12 +811,15 @@ def test_observables_read_the_amplitude_of_an_antiphase_modulation(tmp_path, cap
     assert data["T"] == transmissivity(data["n0"], -data["n1"])
 
 
-def test_an_absorption_prefactor_past_the_float_range_names_the_flux(capsys):
-    assert run(["observables", "--flux", "1e305"]) == EXIT_USAGE
+def test_an_n0_past_the_float_range_names_the_flux(capsys):
+    # at the default mass n0 is 1.66e305 at flux 1e305, and overflows past about 1.08e308
+    assert run(["observables", "--flux", "1e305"]) == EXIT_OK
+    assert _strict_json(capsys.readouterr().out)["n0"] == pytest.approx(1.66e305, rel=1e-2)
+    assert run(["observables", "--flux", "1.1e308"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("the absorption prefactor is out of float range at laser wavelength 1.57e-07 m "
-            "and flux 1e+305 J/m^2") in captured.err
+    assert ("n0 is out of float range at laser wavelength 1.57e-07 m "
+            "and flux 1.1e+308 J/m^2") in captured.err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -882,8 +892,10 @@ def test_a_gas_speed_past_float_range_names_the_gas_temperature_and_mass(
 
 
 @pytest.mark.parametrize("key, value, message", [
-    # the collision rate per Pa, and the interference time, underflow to 0
-    ("density_kg_m3", 1e300, "collision rate per Pa underflows"),
+    # the collision rate per Pa underflows to 0, or overflows where kB T_gas is tiny,
+    # and the interference time underflows to 0
+    ("density_kg_m3", 1e300, "collision rate per Pa is out of float range"),
+    ("gas_temperature_K", 1e-290, "collision rate per Pa is out of float range"),
     ("wavelength_m", 1e-320, "interference time underflows"),
 ])
 def test_a_fig3_manifest_past_float_range_is_usage_error(tmp_path, capsys, key, value,

@@ -10,12 +10,10 @@ from cslsim.interferometer import (
     FringeObservables,
     flux_for_target_visibility,
     observables,
-    observables_from_profile,
     solve_modulation_for_visibility,
     transmissivity,
     visibility,
 )
-from cslsim.mie import absorption_profile
 from cslsim.params import default_grating, gold_cluster
 from oracles import iv_oracle, solve_oracle, visibility_oracle
 
@@ -191,8 +189,6 @@ def test_observables_struct():
     assert isinstance(obs, FringeObservables)
     assert obs.visibility == visibility(obs.n1)
     assert obs.transmissivity == transmissivity(obs.n0, obs.n1)
-    profile = absorption_profile(species, grating, flux=2.4204)
-    assert observables_from_profile(profile) == obs
 
 
 @pytest.mark.parametrize("mass_amu", [1e5, 1.9697e5, 1e6, 1e7, 1.9697e8])
@@ -200,8 +196,7 @@ def test_flux_round_trip_restores_target_visibility(mass_amu):
     grating = default_grating()
     species = gold_cluster(mass_amu)
     flux = flux_for_target_visibility(species, grating, 0.85)
-    profile = absorption_profile(species, grating, flux=flux)
-    obs = observables_from_profile(profile)
+    obs = observables(species, grating, flux)
     assert obs.visibility == pytest.approx(0.85, abs=1e-6)
 
 
